@@ -208,7 +208,7 @@ def _cmd_oracle(args) -> int:
     alg = parse_algebra(args.alg)
     doc = {"command": "oracle", "alg": args.alg, "k": args.k}
     if args.samples is None:
-        value = brute_gen_count(alg, args.k, budget=args.budget, workers=args.workers)
+        value = brute_gen_count(alg, args.k, budget=args.budget)
         doc["value"] = value
         _emit(args, str(value), doc)
         return EXIT_OK
@@ -290,7 +290,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--samples", type=_positive)
     p.add_argument("--seed", type=_nonnegative)
     p.add_argument("--budget", type=_positive)
-    p.add_argument("--workers", type=_positive, default=1)
+    p.add_argument("--workers", type=_positive, default=1, help="processes that split --samples")
     common(p)
     p.set_defaults(func=_cmd_oracle)
 

@@ -17,6 +17,7 @@ from __future__ import annotations
 import itertools
 import math
 import os
+import warnings
 from concurrent import futures
 from dataclasses import dataclass, field
 
@@ -464,11 +465,16 @@ def is_generating(alg: FiniteAlgebra, elements) -> bool:
 # -- exhaustive oracle -----------------------------------------------------
 
 
-def _count_range(alg: FiniteAlgebra, k: int, start: int, stop: int) -> int:
+def brute_gen_count(alg: FiniteAlgebra, k: int, *, budget: int | None = None) -> int:
+    """Exact number of k-tuples generating the algebra, by exhaustive enumeration."""
+    assert k >= 1
+    limit = resolve_budget(budget)
+    need = alg.size**k
+    if need > limit:
+        raise BudgetExceeded(need, limit)
     eng = alg._eng()
     D = eng.D
     size = alg.size
-    s0 = tuple(_close(eng, [], [eng.flat_unit]))
     memo: dict = {}
 
     def extend(state, flat):
@@ -489,44 +495,7 @@ def _count_range(alg: FiniteAlgebra, k: int, start: int, stop: int) -> int:
         memo[key] = total
         return total
 
-    total = 0
-    for idx in range(start, stop):
-        total += rec(extend(s0, eng.flat_of_index(idx)), 1)
-    return total
-
-
-def _count_chunk(args) -> int:
-    alg, k, start, stop = args
-    return _count_range(alg, k, start, stop)
-
-
-def _run_parts(fn, parts, workers: int) -> list:
-    if workers <= 1 or len(parts) <= 1:
-        return [fn(a) for a in parts]
-    try:
-        with futures.ProcessPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(fn, parts))
-    except Exception:
-        return [fn(a) for a in parts]
-
-
-def brute_gen_count(alg: FiniteAlgebra, k: int, *, budget: int | None = None, workers: int = 1) -> int:
-    """Exact number of k-tuples generating the algebra, by exhaustive enumeration.
-
-    The tuple space is partitioned on the first coordinate, so partial counts
-    recombine deterministically for any worker count.
-    """
-    assert k >= 1
-    limit = resolve_budget(budget)
-    need = alg.size**k
-    if need > limit:
-        raise BudgetExceeded(need, limit)
-    size = alg.size
-    if workers <= 1:
-        return _count_range(alg, k, 0, size)
-    bounds = [size * i // workers for i in range(workers + 1)]
-    parts = [(alg, k, bounds[i], bounds[i + 1]) for i in range(workers) if bounds[i] < bounds[i + 1]]
-    return sum(_run_parts(_count_chunk, parts, workers))
+    return rec(tuple(_close(eng, [], [eng.flat_unit])), 0)
 
 
 # -- Monte Carlo oracle ----------------------------------------------------
@@ -555,6 +524,23 @@ class SampleEstimate:
     ci_low: float
     ci_high: float
     seed: int
+
+
+def _run_parts(fn, parts, workers: int) -> list:
+    """Map fn over parts in a process pool, or serially when the pool cannot run.
+
+    Only a failure of the pool itself (an OSError, NotImplementedError or a
+    broken pool) falls back to serial work, with a RuntimeWarning; any other
+    exception, such as one raised by fn, propagates.
+    """
+    if workers <= 1 or len(parts) <= 1:
+        return [fn(a) for a in parts]
+    try:
+        with futures.ProcessPoolExecutor(max_workers=workers) as pool:
+            return list(pool.map(fn, parts))
+    except (OSError, NotImplementedError, futures.BrokenExecutor) as exc:
+        warnings.warn(f"process pool failed ({exc!r}); recomputing serially", RuntimeWarning, stacklevel=3)
+        return [fn(a) for a in parts]
 
 
 def _sample_range(alg: FiniteAlgebra, k: int, start: int, stop: int, seed: int) -> int:

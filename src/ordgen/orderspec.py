@@ -10,8 +10,8 @@ exact per-prime generating-tuple counts and minimal-k thresholds.
 from __future__ import annotations
 
 import json
+from collections import Counter
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 from . import polys
 from .counting import min_k_for_copies, min_k_for_copies_bound, gen_count_power
@@ -263,10 +263,10 @@ def spec_to_dict(spec: OrderSpec) -> dict:
 
 @dataclass(frozen=True)
 class LocalPrimeData:
-    """Per-prime local structure: entries (n, m, e, f), copies already expanded."""
+    """Per-prime local structure: distinct entries (n, m, e, f) with their copy counts."""
 
     p: int
-    entries: tuple[tuple[int, int, int, int], ...]
+    entries: tuple[tuple[tuple[int, int, int, int], int], ...]
     exceptional: bool
 
 
@@ -275,13 +275,13 @@ def local_data(spec: OrderSpec, p: int) -> LocalPrimeData:
 
     Override rows win outright; otherwise each factor contributes one entry per
     prime of its center above p, with the declared index (default 1) and the
-    residue data from degree_pattern.  An uncertifiable pattern marks the prime
-    exceptional.
+    residue data from degree_pattern, counted once per copy of the factor.  An
+    uncertifiable pattern marks the prime exceptional.
     """
     assert is_prime(p)
     if p in spec.overrides:
-        return LocalPrimeData(p, spec.overrides[p], False)
-    entries = []
+        return LocalPrimeData(p, tuple(Counter(map(tuple, spec.overrides[p])).items()), False)
+    counts: Counter = Counter()
     for fac in spec.factors:
         pattern = degree_pattern(fac.center_minpoly, p)
         if not pattern.certified:
@@ -296,33 +296,22 @@ def local_data(spec: OrderSpec, p: int) -> LocalPrimeData:
             m = listed[j] if listed is not None else 1
             if fac.degree % m != 0:
                 raise IndexNotDividingDegree(f"index {m} does not divide degree {fac.degree}")
-            n = fac.degree // m
-            entries.extend([(n, m, e, fdeg)] * fac.copies)
-    data = LocalPrimeData(p, tuple(entries), False)
-    assert sum(e * f * m * m * n * n for n, m, e, f in data.entries) == spec.dimension
+            counts[fac.degree // m, m, e, fdeg] += fac.copies
+    data = LocalPrimeData(p, tuple(counts.items()), False)
+    assert sum(count * e * f * m * m * n * n for (n, m, e, f), count in data.entries) == spec.dimension
     return data
-
-
-def c_factor(m: int, e: int, f: int, q: int) -> Fraction:
-    """Radical correction constant: 1 when m > 1, q^-f when m = 1 < e, else 0."""
-    assert m >= 1 and e >= 1 and f >= 1 and q >= 2
-    if m > 1:
-        return Fraction(1)
-    if e > 1:
-        return Fraction(1, q**f)
-    return Fraction(0)
 
 
 @dataclass(frozen=True)
 class ClassifiedLocal:
-    """Entries grouped by (capacity n, twist degree r = f*m); members carry (e*m, c)."""
+    """Entries grouped by (capacity n, twist degree r = f*m); members carry (e*m, c, copies).
+
+    c encodes the radical correction constant: None for 0 (m = e = 1), 0 for 1
+    (m > 1) and f for p^-f (m = 1 < e), so an integer c stands for p^-c.
+    """
 
     p: int
-    q: int
-    groups: tuple[tuple[tuple[int, int], tuple[tuple[int, Fraction], ...]], ...]
-
-    def group_map(self) -> dict:
-        return {key: members for key, members in self.groups}
+    groups: tuple[tuple[tuple[int, int], tuple[tuple[int, int | None, int], ...]], ...]
 
 
 def classify(data: LocalPrimeData) -> ClassifiedLocal:
@@ -330,54 +319,61 @@ def classify(data: LocalPrimeData) -> ClassifiedLocal:
     if data.exceptional:
         raise ExceptionalPrimeNeedsOverride(data.p, "splitting not certifiable; supply override rows")
     buckets: dict = {}
-    for n, m, e, f in data.entries:
-        buckets.setdefault((n, f * m), []).append((e * m, c_factor(m, e, f, data.p)))
-    groups = tuple((key, tuple(sorted(members))) for key, members in sorted(buckets.items()))
-    return ClassifiedLocal(data.p, data.p, groups)
+    for (n, m, e, f), count in data.entries:
+        c = 0 if m > 1 else f if e > 1 else None
+        members = buckets.setdefault((n, f * m), Counter())
+        members[e * m, c] += count
+    groups = tuple(
+        (key, tuple((em, c, count) for (em, c), count in sorted(members.items())))
+        for key, members in sorted(buckets.items())
+    )
+    return ClassifiedLocal(data.p, groups)
+
+
+def _copies(members) -> int:
+    return sum(count for _, _, count in members)
 
 
 def gen_count_local(k: int, cls: ClassifiedLocal) -> int:
     """Exact number of k-tuples generating the full local quotient algebra at p.
 
     Product over groups of the semisimple head count times one radical factor
-    q^(k n^2 r (em-2)) * (q^(k n^2 r) - c q^(n^2 r)) per member.
+    p^(k n^2 r (em-2)) * (p^(k n^2 r) - p^(n^2 r - c)) per copy of a member;
+    members with c None (m = e = 1) contribute 1.
     """
     assert k >= 1
-    q = cls.q
-    total = Fraction(1)
+    p = cls.p
+    total = 1
     for (n, r), members in cls.groups:
-        head = gen_count_power(k, n, q, r, len(members))
+        head = gen_count_power(k, n, p, r, _copies(members))
         if head == 0:
             return 0
         total *= head
-        base = Fraction(q)
-        for em, c in members:
-            piece = base ** (k * n * n * r * (em - 2)) * (base ** (k * n * n * r) - c * base ** (n * n * r))
+        size = n * n * r
+        for em, c, count in members:
+            if c is None:
+                continue
+            piece = p ** (k * size * (em - 2)) * (p ** (k * size) - p ** (size - c))
             if piece == 0:
                 return 0
-            total *= piece
-    assert total.denominator == 1 and total > 0
-    return int(total)
+            total *= piece**count
+    return total
 
 
 def min_k_local(cls: ClassifiedLocal) -> int:
     """Smallest k with a positive local generating count at this prime.
 
     The capacity search settles every k >= 2; the only extra constraint is
-    that a ramified division part (index m > 1, radical factor coefficient
-    c = 1) kills all single generators, since the generated subalgebra of one
-    element is commutative.  Exact for capacities n <= 3; for n >= 4 the
-    certified lower bound is used, which can only overestimate.
+    that a ramified division part (index m > 1, radical correction c = 0,
+    standing for 1) kills all single generators, since the generated
+    subalgebra of one element is commutative.  Exact for capacities n <= 3;
+    for n >= 4 the certified lower bound is used, which can only overestimate.
     """
     best = 1
     for (n, r), members in cls.groups:
-        m_count = len(members)
-        if n <= 3:
-            k = min_k_for_copies(n, cls.q, r, m_count)
-        else:
-            k = min_k_for_copies_bound(n, cls.q, r, m_count)
-        best = max(best, k)
-        if any(c == 1 for _, c in members):
+        search = min_k_for_copies if n <= 3 else min_k_for_copies_bound
+        best = max(best, search(n, cls.p, r, _copies(members)))
+        if any(c == 0 for _, c, _ in members):
             best = max(best, 2)
     return best
 
@@ -385,14 +381,18 @@ def min_k_local(cls: ClassifiedLocal) -> int:
 def local_quotient_algebra(data: LocalPrimeData) -> FiniteAlgebra:
     """The finite quotient algebra at p as an explicit structure-constant product.
 
-    Each entry (n, m, e, f) contributes the n x n matrix algebra over the
-    twisted truncated local algebra with residue data (f, m, e); twist s = 1
-    (generating counts do not depend on the twist).
+    Each copy of an entry (n, m, e, f) contributes the n x n matrix algebra
+    over the twisted truncated local algebra with residue data (f, m, e);
+    twist s = 1 (generating counts do not depend on the twist).
     """
     if data.exceptional:
         raise ExceptionalPrimeNeedsOverride(data.p, "splitting not certifiable; supply override rows")
     assert data.entries
-    algs = [matrix_over(truncated_local_algebra(data.p, f, m, 1, e), n) for n, m, e, f in data.entries]
+    algs = [
+        matrix_over(truncated_local_algebra(data.p, f, m, 1, e), n)
+        for (n, m, e, f), count in data.entries
+        for _ in range(count)
+    ]
     out = algs[0]
     for nxt in algs[1:]:
         out = product_algebra(out, nxt)

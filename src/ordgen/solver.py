@@ -182,22 +182,25 @@ class Verdict:
     certificate: CutoffCertificate
 
 
-def smallest_h(spec: OrderSpec) -> Verdict:
-    """Smallest k such that every localization admits k generators, with verdict."""
+def _classified(spec: OrderSpec, table: dict[int, ClassifiedLocal], p: int) -> ClassifiedLocal:
+    """The classified local data of the spec at p, classified once per table."""
+    if p not in table:
+        table[p] = classify(local_data(spec, p))
+    return table[p]
+
+
+def smallest_h(spec: OrderSpec, *, _table: dict[int, ClassifiedLocal] | None = None) -> Verdict:
+    """Smallest k such that every localization admits k generators, with verdict.
+
+    Primes are classified once into `_table`, which `report` shares.
+    """
+    table = {} if _table is None else _table
     commutative = all(f.degree == 1 for f in spec.factors)
     r_k = 1 if commutative else 2
     has_delta2 = any(f.degree == 2 for f in spec.factors)
-    mk_cache: dict[int, int] = {}
-    bound_mode = False
 
     def mk(p: int) -> int:
-        nonlocal bound_mode
-        if p not in mk_cache:
-            cls = classify(local_data(spec, p))
-            if any(n >= 4 for (n, _), _ in cls.groups):
-                bound_mode = True
-            mk_cache[p] = min_k_local(cls)
-        return mk_cache[p]
+        return min_k_local(_classified(spec, table, p))
 
     k = 1
     while True:
@@ -213,6 +216,7 @@ def smallest_h(spec: OrderSpec) -> Verdict:
         k += 1
 
     critical = tuple(p for p in _primes_below(certificate.q0) if mk(p) == h)
+    bound_mode = any(n >= 4 for cls in table.values() for (n, _), _ in cls.groups)
     notes = []
     refined = None
     if h == 1:
@@ -487,11 +491,12 @@ def report(
     density_bound: int | None = None,
 ) -> Report:
     """Full analysis of a spec: verdict, local detail below the cutoff, optional density."""
-    verdict = smallest_h(spec)
+    table: dict[int, ClassifiedLocal] = {}
+    verdict = smallest_h(spec, _table=table)
     details = []
     for p in _primes_below(verdict.cutoff):
-        cls = classify(local_data(spec, p))
-        groups = tuple((n, r, len(members)) for (n, r), members in cls.groups)
+        cls = _classified(spec, table, p)
+        groups = tuple((n, r, sum(count for _, _, count in members)) for (n, r), members in cls.groups)
         details.append(PrimeDetail(p=p, min_k=min_k_local(cls), groups=groups))
     interval = None
     if density_k is not None:

@@ -1,10 +1,12 @@
 """Finite algebra engines: closure, exhaustive and sampled counts, lifts."""
 
 import os
+import warnings
 
 import pytest
 
-from ordgen.errors import BudgetExceeded, InvalidTwist, NotGenerating
+from ordgen import finalg
+from ordgen.errors import BudgetExceeded, InvalidTwist, NotGenerating, OrdgenError
 from ordgen.finalg import (
     DEFAULT_BUDGET,
     brute_gen_count,
@@ -83,11 +85,6 @@ def test_brute_count_matches_hand_enumeration():
     assert brute_gen_count(matrix_algebra(1, 2, 2), 1) == 2
 
 
-def test_brute_count_independent_of_worker_count():
-    alg = matrix_algebra(2, 2)
-    assert brute_gen_count(alg, 2, workers=3) == brute_gen_count(alg, 2, workers=1)
-
-
 def test_budget_guards_enumeration_size():
     alg = matrix_algebra(2, 4)  # 256 elements, 65536 pairs
     with pytest.raises(BudgetExceeded) as info:
@@ -120,6 +117,38 @@ def test_sampling_is_reproducible_and_worker_independent():
     assert sample_gen_fraction(alg, 2, 500, seed=7) == est
     assert sample_gen_fraction(alg, 2, 500, seed=7, workers=3) == est
     assert sample_gen_fraction(alg, 2, 500, seed=8) != est
+
+
+def test_pool_that_cannot_start_falls_back_to_serial_with_warning(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise OSError("cannot start worker processes")
+
+    monkeypatch.setattr(finalg.futures, "ProcessPoolExecutor", refuse)
+    with pytest.warns(RuntimeWarning, match="recomputing serially"):
+        est = sample_gen_fraction(matrix_algebra(2, 2), 2, 500, seed=7, workers=2)
+    assert est.hits == 202
+
+
+@pytest.mark.parametrize("error", [ValueError("bad part"), OrdgenError("bad part")])
+def test_pool_work_errors_propagate(monkeypatch, error):
+    class FailingPool:
+        def __init__(self, max_workers):
+            pass
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, parts):
+            raise error
+
+    monkeypatch.setattr(finalg.futures, "ProcessPoolExecutor", FailingPool)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(type(error), match="bad part"):
+            sample_gen_fraction(matrix_algebra(2, 2), 2, 500, seed=7, workers=2)
 
 
 def test_sampled_fraction_tracks_exact_fraction():

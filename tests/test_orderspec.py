@@ -15,11 +15,12 @@ from ordgen.errors import (
     SpecError,
     UnsupportedRank,
 )
+from ordgen.counting import gen_count_power
 from ordgen.finalg import brute_gen_count
 from ordgen.orderspec import (
+    LocalPrimeData,
     OrderSpec,
     SimpleFactorSpec,
-    c_factor,
     classify,
     degree_pattern,
     gen_count_local,
@@ -30,6 +31,7 @@ from ordgen.orderspec import (
     spec_from_dict,
     spec_to_dict,
 )
+from ordgen.solver import make_quaternion_spec
 
 DATA = pathlib.Path(__file__).parent / "data"
 
@@ -131,15 +133,15 @@ def test_dimension_counts_copies():
 
 def test_local_data_shapes_for_gaussian_integers():
     spec = fixture("zi.json")
-    assert local_data(spec, 5).entries == ((1, 1, 1, 1), (1, 1, 1, 1))
-    assert local_data(spec, 3).entries == ((1, 1, 1, 2),)
-    assert local_data(spec, 2).entries == ((1, 1, 2, 1),)
+    assert local_data(spec, 5).entries == (((1, 1, 1, 1), 2),)
+    assert local_data(spec, 3).entries == (((1, 1, 1, 2), 1),)
+    assert local_data(spec, 2).entries == (((1, 1, 2, 1), 1),)
 
 
 def test_local_data_shapes_for_quaternion_order():
     spec = fixture("quat2.json")
-    assert local_data(spec, 2).entries == ((1, 2, 1, 1),)  # listed division prime
-    assert local_data(spec, 3).entries == ((2, 1, 1, 1),)  # split matrix prime
+    assert local_data(spec, 2).entries == (((1, 2, 1, 1), 1),)  # listed division prime
+    assert local_data(spec, 3).entries == (((2, 1, 1, 1), 1),)  # split matrix prime
 
 
 def test_exceptional_prime_demands_override():
@@ -156,16 +158,23 @@ def test_override_supplies_local_shape():
     spec = fixture("exceptional_override.json")
     data = local_data(spec, 2)
     assert not data.exceptional
-    assert data.entries == ((1, 1, 1, 2),)
+    assert data.entries == (((1, 1, 1, 2), 1),)
     assert min_k_local(classify(data)) == 1
 
 
 def test_classify_groups_by_block_shape():
     spec = fixture("zi.json")
+    # members are (e*m, c, copies); c = None stands for the constant 0
     groups = classify(local_data(spec, 5)).groups
-    assert groups == (((1, 1), ((1, Fraction(0)), (1, Fraction(0)))),)
+    assert groups == (((1, 1), ((1, None, 2),)),)
+    # c = 1 stands for 2^-1
     groups2 = classify(local_data(spec, 2)).groups
-    assert groups2 == (((1, 1), ((2, Fraction(1, 2)),)),)
+    assert groups2 == (((1, 1), ((2, 1, 1),)),)
+
+
+def _correction(c, q):
+    """The radical correction constant that classify's encoding c stands for."""
+    return Fraction(0) if c is None else Fraction(1, q**c)
 
 
 @pytest.mark.parametrize(
@@ -180,7 +189,10 @@ def test_classify_groups_by_block_shape():
     ],
 )
 def test_c_factor_cases(m, e, f, q, expected):
-    assert c_factor(m, e, f, q) == expected
+    data = LocalPrimeData(q, (((1, m, e, f), 1),), False)
+    [((n, r), [(em, c, copies)])] = classify(data).groups
+    assert (n, r, em, copies) == (1, f * m, e * m, 1)
+    assert _correction(c, q) == expected
 
 
 # ---------------------------------------------------------------- counts
@@ -258,3 +270,55 @@ def test_min_k_local_coheres_with_local_count():
             mk = min_k_local(cls)
             for k in (1, 2, 3, 4, 5):
                 assert (gen_count_local(k, cls) > 0) == (mk <= k)
+
+
+# ---------------------------------------------------------------- per-copy oracle
+
+
+def per_copy_gen_count(k, data):
+    """The local count with one Fraction radical factor per expanded copy of an entry."""
+    q = data.p
+    groups = {}
+    for (n, m, e, f), count in data.entries:
+        c = Fraction(1) if m > 1 else Fraction(1, q**f) if e > 1 else Fraction(0)
+        groups.setdefault((n, f * m), []).extend([(e * m, c)] * count)
+    total = Fraction(1)
+    base = Fraction(q)
+    for (n, r), members in groups.items():
+        total *= gen_count_power(k, n, q, r, len(members))
+        for em, c in members:
+            total *= base ** (k * n * n * r * (em - 2)) * (base ** (k * n * n * r) - c * base ** (n * n * r))
+    assert total.denominator == 1
+    return int(total)
+
+
+def test_counted_local_count_matches_per_copy_formula():
+    specs = [fixture(path.name) for path in sorted(DATA.glob("*.json"))]
+    specs += [make_quaternion_spec(ramified, m) for ramified in ((2,), (5, 7)) for m in (1, 7, 1000)]
+    checked = 0
+    for spec in specs:
+        for p in (2, 3, 5, 7, 11, 13):
+            data = local_data(spec, p)
+            if data.exceptional:
+                continue
+            cls = classify(data)
+            for k in (1, 2, 3, 4):
+                assert gen_count_local(k, cls) == per_copy_gen_count(k, data)
+                checked += 1
+    assert checked == 4 * (6 * len(specs) - 1)  # exceptional.json is exceptional at 2 only
+
+
+def test_two_copy_local_count_matches_brute_force():
+    doc = json.loads((DATA / "quat2.json").read_text())
+    doc["factors"][0]["copies"] = 2
+    data = local_data(spec_from_dict(doc), 2)
+    assert data.entries == (((1, 2, 1, 1), 2),)
+    alg = local_quotient_algebra(data)
+    assert alg.size == 16**2
+    cls = classify(data)
+    for k in (1, 2):
+        assert gen_count_local(k, cls) == per_copy_gen_count(k, data) == brute_gen_count(alg, k)
+
+
+def test_local_data_does_not_grow_with_copies():
+    assert local_data(make_quaternion_spec((2,), 1000), 3).entries == (((2, 1, 1, 1), 1000),)

@@ -7,7 +7,9 @@ from fractions import Fraction
 
 import pytest
 
+from ordgen import solver
 from ordgen.errors import BoundTooSmall, NoCutoff, SpecError, UnsupportedRank
+from ordgen.finfield import is_prime
 from ordgen.orderspec import (
     OrderSpec,
     SimpleFactorSpec,
@@ -278,6 +280,21 @@ def test_quaternion_h_nondecreasing():
     hs = [h for _, h in table.rows]
     assert all(a <= b for a, b in zip(hs, hs[1:]))
     assert table.ranges == ((2, 1, 6), (3, 7, 28), (4, 29, 120), (5, 121, 130))
+
+
+@pytest.mark.parametrize("name", ["m2q.json", "quat2x7.json"])
+def test_report_classifies_each_prime_once(monkeypatch, name):
+    seen = []
+    original = solver.classify
+
+    def counting_classify(data):
+        seen.append(data.p)
+        return original(data)
+
+    monkeypatch.setattr(solver, "classify", counting_classify)
+    rep = report(fixture(name))
+    assert sorted(seen) == [p for p in range(2, rep.verdict.cutoff) if is_prime(p)]
+    assert [detail.p for detail in rep.details] == sorted(seen)
 
 
 # ---------------------------------------------------------------- rendering
