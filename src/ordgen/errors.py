@@ -27,11 +27,16 @@ class InvalidTwist(OrdgenError):
     """The twist exponent of a truncated local algebra is out of range or not coprime to the index."""
 
 
+class InvalidCount(OrdgenError):
+    """A tuple length or sample count given to an oracle is below 1."""
+
+
 class BudgetExceeded(OrdgenError):
     """An enumeration would exceed the configured work budget.
 
-    The attribute ``required`` holds the number of closure calls the request
-    would have needed.
+    The attribute ``required`` holds the size of the request: |A|^k tuples
+    for an exhaustive count, which bounds its closure calls from above, or
+    the number of samples or lifts.
     """
 
     def __init__(self, required: int, budget: int):

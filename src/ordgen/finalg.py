@@ -7,7 +7,8 @@ element order.  Internally all linear algebra runs over the prime field F_p on
 flattened coordinate vectors: bit-packed integers when p = 2, tuples otherwise.
 
 The enumeration oracle counts generating k-tuples by exhaustive search with
-memoization on the closed subalgebra reached by each tuple prefix; the Monte
+memoization on the closed subalgebra S reached by each tuple prefix; it extends
+S by one element per coset of S and weights each branch by |S|.  The Monte
 Carlo oracle draws index tuples from a counter-based splitmix64 stream so the
 estimate depends only on (seed, sample index), never on worker count.
 """
@@ -21,7 +22,7 @@ import warnings
 from concurrent import futures
 from dataclasses import dataclass, field
 
-from .errors import BaseMismatch, BudgetExceeded, InvalidTwist, NotGenerating
+from .errors import BaseMismatch, BudgetExceeded, InvalidCount, InvalidTwist, NotGenerating
 from .finfield import FiniteField, PrimePower, build_field, field_of
 
 DEFAULT_BUDGET = 1 << 26
@@ -303,6 +304,32 @@ def _close(eng, base_rows: list, new_flats) -> list:
     return rows
 
 
+def _coset_flats(eng, rows) -> list:
+    """One flat per coset of the F_p-span of an echelon basis.
+
+    The representatives are the vectors supported on the non-pivot
+    coordinates, in the order of itertools.product over those coordinates.
+    """
+    p, D = eng.p, eng.D
+    if p == 2:
+        pivots = {r.bit_length() - 1 for r in rows}
+        out = [0]
+        for pos in range(D):
+            if pos not in pivots:
+                bit = 1 << pos
+                out = [y for x in out for y in (x, x | bit)]
+        return out
+    pivots = {next(i for i, x in enumerate(r) if x) for r in rows}
+    free = [i for i in range(D) if i not in pivots]
+    out = []
+    for combo in itertools.product(range(p), repeat=len(free)):
+        vec = [0] * D
+        for pos, c in zip(free, combo):
+            vec[pos] = c
+        out.append(tuple(vec))
+    return out
+
+
 # -- the algebra type ------------------------------------------------------
 
 
@@ -466,8 +493,16 @@ def is_generating(alg: FiniteAlgebra, elements) -> bool:
 
 
 def brute_gen_count(alg: FiniteAlgebra, k: int, *, budget: int | None = None) -> int:
-    """Exact number of k-tuples generating the algebra, by exhaustive enumeration."""
-    assert k >= 1
+    """Exact number of k-tuples generating the algebra, by exhaustive enumeration.
+
+    A node of the search holds the closed subalgebra S reached by a tuple
+    prefix.  S and x generate the same subalgebra as S and x + s for every s
+    in S, so the node closes one element per coset of the span of S and
+    weights the sum by |S|.  The budget caps |A|^k, which bounds the number
+    of closures from above.
+    """
+    if k < 1:
+        raise InvalidCount(f"k must be at least 1, got {k}")
     limit = resolve_budget(budget)
     need = alg.size**k
     if need > limit:
@@ -476,9 +511,6 @@ def brute_gen_count(alg: FiniteAlgebra, k: int, *, budget: int | None = None) ->
     D = eng.D
     size = alg.size
     memo: dict = {}
-
-    def extend(state, flat):
-        return tuple(_close(eng, list(state), [flat]))
 
     def rec(state, depth):
         if len(state) == D:
@@ -490,8 +522,9 @@ def brute_gen_count(alg: FiniteAlgebra, k: int, *, budget: int | None = None) ->
         if cached is not None:
             return cached
         total = 0
-        for idx in range(size):
-            total += rec(extend(state, eng.flat_of_index(idx)), depth + 1)
+        for flat in _coset_flats(eng, state):
+            total += rec(tuple(_close(eng, list(state), [flat])), depth + 1)
+        total *= eng.p ** len(state)
         memo[key] = total
         return total
 
@@ -569,7 +602,8 @@ def sample_gen_fraction(
     Sample t (0-based) uses raw stream outputs t*k+1 .. t*k+k reduced modulo
     the algebra's size, so results are identical for any worker partition.
     """
-    assert k >= 1 and samples >= 1
+    if k < 1 or samples < 1:
+        raise InvalidCount(f"k and samples must be at least 1, got k={k}, samples={samples}")
     limit = resolve_budget(budget)
     if samples > limit:
         raise BudgetExceeded(samples, limit)
@@ -642,7 +676,8 @@ def lift_count(alg: FiniteAlgebra, ideal_basis, b_tuple, *, budget: int | None =
     rows = _ideal_rows(alg, ideal_basis)
     b_flats = [eng.flatten(tuple(v)) for v in b_tuple]
     k = len(b_flats)
-    assert k >= 1
+    if k < 1:
+        raise InvalidCount("the quotient tuple must have at least one element")
     if len(_close(eng, [], [eng.flat_unit] + b_flats + list(rows))) != D:
         raise NotGenerating("the given tuple does not generate the quotient algebra")
     ideal_elements = eng.span_elements(rows)
@@ -661,27 +696,7 @@ def lift_count(alg: FiniteAlgebra, ideal_basis, b_tuple, *, budget: int | None =
 def coset_representatives(alg: FiniteAlgebra, ideal_basis) -> list[tuple[int, ...]]:
     """Canonical representatives of A modulo the span of an ideal basis."""
     eng = alg._eng()
-    rows = _ideal_rows(alg, ideal_basis)
-    pivots = set()
-    for r in rows:
-        if alg.base.p == 2:
-            pivots.add(r.bit_length() - 1)
-        else:
-            pivots.add(next(i for i, x in enumerate(r) if x))
-    free = [i for i in range(eng.D) if i not in pivots]
-    reps = []
-    for combo in itertools.product(range(alg.base.p), repeat=len(free)):
-        if alg.base.p == 2:
-            flat = 0
-            for pos, c in zip(free, combo):
-                flat |= c << pos
-        else:
-            vec = [0] * eng.D
-            for pos, c in zip(free, combo):
-                vec[pos] = c
-            flat = tuple(vec)
-        reps.append(eng.unflatten(flat))
-    return reps
+    return [eng.unflatten(flat) for flat in _coset_flats(eng, _ideal_rows(alg, ideal_basis))]
 
 
 # -- constructors -----------------------------------------------------------

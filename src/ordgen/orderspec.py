@@ -185,10 +185,48 @@ class OrderSpec:
         return sorted(out)
 
 
+def _json_int(value, what: str) -> int:
+    """A JSON integer; booleans and non-integral numbers are rejected, not coerced."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise SpecError(f"{what} must be an integer, got {value!r}")
+    return value
+
+
+def _json_list(value, what: str) -> list:
+    if not isinstance(value, list):
+        raise SpecError(f"{what} must be a JSON list, got {value!r}")
+    return value
+
+
+def _json_object(value, what: str) -> dict:
+    if not isinstance(value, dict):
+        raise SpecError(f"{what} must be a JSON object, got {value!r}")
+    return value
+
+
+def _prime_key(key: str, what: str) -> int:
+    """A map key in plain decimal; int() alone would also read "0_2" or " 2" as 2."""
+    try:
+        p = int(key)
+    except ValueError:
+        p = None
+    if p is None or str(p) != key:
+        raise SpecError(f"{what} key {key!r} is not an integer in plain decimal")
+    return p
+
+
+def _int_list(value, what: str) -> tuple[int, ...]:
+    return tuple(_json_int(x, f"an entry of {what}") for x in _json_list(value, what))
+
+
 def spec_from_dict(data: dict) -> OrderSpec:
-    """Build and validate an OrderSpec from parsed JSON; unknown keys are rejected."""
-    if not isinstance(data, dict):
-        raise SpecError("spec document must be a JSON object")
+    """Build and validate an OrderSpec from parsed JSON.
+
+    Unknown keys are rejected, and so is every value of the wrong JSON type:
+    integers must be integers (not booleans or fractions), flags must be
+    booleans, lists must be lists and maps must be objects.
+    """
+    _json_object(data, "spec document")
     unknown = set(data) - _SPEC_KEYS
     if unknown:
         raise SpecError(f"unknown spec keys: {sorted(unknown)}")
@@ -196,42 +234,36 @@ def spec_from_dict(data: dict) -> OrderSpec:
     if raw_factors is None:
         raise EmptySpec("spec has no factors")
     factors = []
-    for raw in raw_factors:
-        if not isinstance(raw, dict):
-            raise SpecError("each factor must be a JSON object")
+    for raw in _json_list(raw_factors, "factors"):
+        _json_object(raw, "each factor")
         bad = set(raw) - _FACTOR_KEYS
         if bad:
             raise SpecError(f"unknown factor keys: {sorted(bad)}")
         if "name" not in raw or "center_minpoly" not in raw or "degree" not in raw:
             raise SpecError("factor needs name, center_minpoly, and degree")
-        indices = {}
-        for key, ms in (raw.get("local_indices") or {}).items():
-            try:
-                p = int(key)
-            except ValueError:
-                raise SpecError(f"local index key {key!r} is not an integer") from None
-            indices[p] = tuple(int(m) for m in ms)
+        if not isinstance(raw["name"], str):
+            raise SpecError(f"factor name must be a string, got {raw['name']!r}")
+        indices = {
+            _prime_key(key, "local index"): _int_list(ms, f"local_indices[{key!r}]")
+            for key, ms in _json_object(raw.get("local_indices", {}), "local_indices").items()
+        }
         factors.append(
             SimpleFactorSpec(
-                name=str(raw["name"]),
-                center_minpoly=tuple(int(c) for c in raw["center_minpoly"]),
-                degree=int(raw["degree"]),
+                name=raw["name"],
+                center_minpoly=_int_list(raw["center_minpoly"], "center_minpoly"),
+                degree=_json_int(raw["degree"], "degree"),
                 local_indices=indices,
-                copies=int(raw.get("copies", 1)),
+                copies=_json_int(raw.get("copies", 1), "copies"),
             )
         )
     overrides = {}
-    for key, rows in (data.get("overrides") or {}).items():
-        try:
-            p = int(key)
-        except ValueError:
-            raise SpecError(f"override key {key!r} is not an integer") from None
-        overrides[p] = tuple(tuple(int(x) for x in row) for row in rows)
-    return OrderSpec(
-        factors=tuple(factors),
-        free_over_base=bool(data.get("free_over_base", False)),
-        overrides=overrides,
-    )
+    for key, rows in _json_object(data.get("overrides", {}), "overrides").items():
+        rows = _json_list(rows, f"overrides[{key!r}]")
+        overrides[_prime_key(key, "override")] = tuple(_int_list(row, "an override row") for row in rows)
+    free = data.get("free_over_base", False)
+    if not isinstance(free, bool):
+        raise SpecError(f"free_over_base must be true or false, got {free!r}")
+    return OrderSpec(factors=tuple(factors), free_over_base=free, overrides=overrides)
 
 
 def load_spec(path: str) -> OrderSpec:

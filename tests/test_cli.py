@@ -1,10 +1,14 @@
 """Command-line interface: subcommands, exit codes, machine output."""
 
 import json
+import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
+import ordgen
 from ordgen.cli import main
 
 DATA = pathlib.Path(__file__).parent / "data"
@@ -216,6 +220,31 @@ def test_analyze_missing_file(capsys):
     code, _, err = run(capsys, "analyze", "--spec", "/nonexistent.json")
     assert code == 2
     assert "error:" in err
+
+
+@pytest.mark.parametrize(
+    "mutate",
+    [
+        lambda d: d["factors"][0].update(local_indices=[[2, [2]]]),
+        lambda d: d.update(free_over_base="no"),
+        lambda d: d["factors"][0].update(center_minpoly=[0.5, 1]),
+    ],
+    ids=["indices-as-list", "flag-as-string", "fractional-coefficient"],
+)
+def test_analyze_rejects_mistyped_spec_without_traceback(tmp_path, mutate):
+    doc = json.loads((DATA / "quat2.json").read_text())
+    mutate(doc)
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    env = dict(os.environ, PYTHONPATH=str(pathlib.Path(ordgen.__file__).parent.parent))
+    proc = subprocess.run(
+        [sys.executable, "-m", "ordgen.cli", "analyze", "--spec", str(path)],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("error: ")
+    assert "Traceback" not in proc.stderr
 
 
 def test_analyze_machine_document(capsys):

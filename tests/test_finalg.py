@@ -1,12 +1,16 @@
 """Finite algebra engines: closure, exhaustive and sampled counts, lifts."""
 
 import os
+import subprocess
+import sys
 import warnings
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ordgen import finalg
-from ordgen.errors import BudgetExceeded, InvalidTwist, NotGenerating, OrdgenError
+from ordgen.errors import BudgetExceeded, InvalidCount, InvalidTwist, NotGenerating, OrdgenError
 from ordgen.finalg import (
     DEFAULT_BUDGET,
     brute_gen_count,
@@ -28,6 +32,31 @@ from ordgen.finalg import (
 
 def zero(alg):
     return (0,) * alg.dim
+
+
+def naive_gen_count(alg, k):
+    """The per-element enumerator: every node closes each of the |A| elements.
+
+    It is the reference for brute_gen_count, which closes one element per
+    coset of the subalgebra a node has reached.
+    """
+    eng = alg._eng()
+    memo = {}
+
+    def rec(state, depth):
+        if len(state) == eng.D:
+            return alg.size ** (k - depth)
+        if depth == k:
+            return 0
+        key = (state, depth)
+        if key not in memo:
+            memo[key] = sum(
+                rec(tuple(finalg._close(eng, list(state), [eng.flat_of_index(idx)])), depth + 1)
+                for idx in range(alg.size)
+            )
+        return memo[key]
+
+    return rec(tuple(finalg._close(eng, [], [eng.flat_unit])), 0)
 
 
 def unit_matrix(alg, n, u, v):
@@ -247,3 +276,108 @@ def test_lift_counts_sum_to_total_count():
             except NotGenerating:
                 pass
     assert total == brute_gen_count(tw, 2) == 144
+
+
+F4 = matrix_algebra(1, 2, 2)
+M22 = matrix_algebra(2, 2)
+ORACLE_ALGEBRAS = [
+    M22,
+    matrix_algebra(2, 3),
+    matrix_algebra(1, 5, 2),
+    matrix_algebra(1, 2, 3),
+    matrix_algebra(1, 3, 2),
+    matrix_algebra(2, 2, 2),
+    matrix_over(matrix_algebra(1, 2), 2),
+    truncated_local_algebra(2, 1, 2, 1, 1),
+    truncated_local_algebra(3, 1, 2, 1, 1),
+    truncated_local_algebra(2, 2, 1, 1, 2),
+    truncated_local_algebra(4, 1, 1, 1, 2),
+    truncated_local_algebra(2, 1, 2, 1, 2),
+    *(truncated_local_algebra(q, 1, 1, 1, e) for q in (2, 3) for e in (1, 2, 3)),
+    product_algebra(F4, F4),
+    product_algebra(F4, M22),
+    product_algebra(matrix_algebra(1, 3, 2), matrix_algebra(1, 3, 2)),
+    product_algebra(truncated_local_algebra(2, 1, 1, 1, 2), matrix_algebra(1, 2)),
+]
+ORACLE_CASES = [(alg, k) for alg in ORACLE_ALGEBRAS for k in (1, 2, 3) if alg.size**k <= 1 << 14]
+
+
+@pytest.mark.parametrize("alg,k", ORACLE_CASES, ids=[f"{alg.label}-k{k}" for alg, k in ORACLE_CASES])
+def test_coset_enumeration_matches_per_element_oracle(alg, k):
+    assert brute_gen_count(alg, k) == naive_gen_count(alg, k)
+
+
+@st.composite
+def small_algebras(draw, max_size=256):
+    kind = draw(st.sampled_from(["matrix", "twisted", "product"]))
+    if kind == "matrix":
+        alg = matrix_algebra(draw(st.integers(1, 2)), draw(st.sampled_from([2, 3, 4])), draw(st.integers(1, 2)))
+    elif kind == "twisted":
+        q, f, m, e = draw(st.sampled_from([2, 3, 4])), draw(st.integers(1, 2)), draw(st.integers(1, 2)), draw(st.integers(1, 3))
+        alg = truncated_local_algebra(q, f, m, 1, e) if q ** (f * m * m * e) <= max_size else matrix_algebra(1, q)
+    else:
+        left = draw(small_algebras(max_size=16))
+        right = draw(small_algebras(max_size=16))
+        alg = product_algebra(left, right) if left.base == right.base else left
+    return alg if alg.size <= max_size else matrix_algebra(1, alg.base.q)
+
+
+@settings(max_examples=40, deadline=None)
+@given(small_algebras(), st.integers(1, 3))
+def test_coset_enumeration_matches_per_element_oracle_on_random_algebras(alg, k):
+    while alg.size**k > 1 << 12:
+        k -= 1
+    assert brute_gen_count(alg, k) == naive_gen_count(alg, k)
+
+
+@pytest.mark.parametrize(
+    "n,q,k,closures,naive_closures",
+    [(2, 2, 2, 45, 145), (2, 2, 3, 87, 321), (2, 3, 2, 172, 1216), (3, 2, 2, 15809, None)],
+)
+def test_closure_counts_of_exhaustive_oracle(monkeypatch, n, q, k, closures, naive_closures):
+    calls = [0]
+    close = finalg._close
+
+    def counted(*args):
+        calls[0] += 1
+        return close(*args)
+
+    monkeypatch.setattr(finalg, "_close", counted)
+    alg = matrix_algebra(n, q)
+    value = brute_gen_count(alg, k)
+    assert calls[0] == closures
+    if naive_closures is None:  # 98 305 closures: too slow to repeat here
+        return
+    calls[0] = 0
+    assert naive_gen_count(alg, k) == value
+    assert calls[0] == naive_closures
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: brute_gen_count(M22, 0),
+        lambda: sample_gen_fraction(M22, 0, 10),
+        lambda: sample_gen_fraction(M22, 2, 0),
+        lambda: lift_count(M22, (), ()),
+    ],
+)
+def test_nonpositive_counts_raise_typed_error(call):
+    with pytest.raises(InvalidCount):
+        call()
+
+
+def test_nonpositive_k_is_rejected_under_optimisation():
+    src = os.path.dirname(os.path.dirname(finalg.__file__))
+    code = (
+        "from ordgen.errors import InvalidCount\n"
+        "from ordgen.finalg import brute_gen_count, matrix_algebra\n"
+        "try:\n"
+        "    print(brute_gen_count(matrix_algebra(2, 2), 0))\n"
+        "except InvalidCount as exc:\n"
+        "    print('rejected:', exc)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("rejected:")

@@ -2,6 +2,7 @@
 
 import json
 import pathlib
+import re
 
 from fractions import Fraction
 
@@ -119,6 +120,40 @@ def test_spec_dict_validation_errors(mutate, error):
     doc = base_dict()
     mutate(doc)
     with pytest.raises(error):
+        spec_from_dict(doc)
+
+
+def quaternion_dict():
+    return json.loads((DATA / "quat2.json").read_text())
+
+
+@pytest.mark.parametrize(
+    "mutate,fragment",
+    [
+        (lambda d: d["factors"][0].update(local_indices=[[2, [2]]]), "local_indices must be a JSON object"),
+        (lambda d: d.update(free_over_base="no"), "free_over_base must be true or false"),
+        (lambda d: d.update(free_over_base=1), "free_over_base must be true or false"),
+        (lambda d: d["factors"][0].update(center_minpoly=[0.5, 1]), "center_minpoly must be an integer"),
+        (lambda d: d["factors"][0].update(center_minpoly=[0, True]), "center_minpoly must be an integer"),
+        (lambda d: d["factors"][0].update(degree=2.5), "degree must be an integer"),
+        (lambda d: d["factors"][0].update(degree=True), "degree must be an integer"),
+        (lambda d: d["factors"][0].update(copies=1.5), "copies must be an integer"),
+        (lambda d: d["factors"][0].update(copies=True), "copies must be an integer"),
+        (lambda d: d["factors"][0].update(local_indices={"2": [2.0]}), "local_indices['2'] must be an integer"),
+        (lambda d: d["factors"][0].update(local_indices={"2": 2}), "local_indices['2'] must be a JSON list"),
+        (lambda d: d.update(overrides={"2": [[1, 1, 1, 4.0]]}), "override row must be an integer"),
+        (lambda d: d.update(overrides={"2": [[1, 1, 1, False]]}), "override row must be an integer"),
+        (lambda d: d.update(overrides=[]), "overrides must be a JSON object"),
+        (lambda d: d.update(factors={"quaternion": {}}), "factors must be a JSON list"),
+        (lambda d: d["factors"][0].update(name=5), "factor name must be a string"),
+        (lambda d: d["factors"][0].update(local_indices={"0_2": [2]}), "local index key '0_2' is not an integer"),
+        (lambda d: d.update(overrides={" 2": [[1, 2, 1, 1]]}), "override key ' 2' is not an integer"),
+    ],
+)
+def test_spec_dict_rejects_wrong_json_types(mutate, fragment):
+    doc = quaternion_dict()
+    mutate(doc)
+    with pytest.raises(SpecError, match=re.escape(fragment)):
         spec_from_dict(doc)
 
 
