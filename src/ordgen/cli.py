@@ -237,30 +237,21 @@ def _cmd_oracle(args) -> int:
 def _cmd_analyze(args) -> int:
     spec = load_spec(args.spec)
     rep = report(spec, density_k=args.density_k, density_bound=args.bound)
-    if args.format == "machine":
-        print(render_json(rep))
-    else:
-        print(render_text(rep))
+    _emit(args, render_text(rep), rep)
     return EXIT_OK
 
 
 def _cmd_density(args) -> int:
     spec = load_spec(args.spec)
     interval = density(spec, args.k, args.bound)
-    if args.format == "machine":
-        print(render_json(interval))
-    else:
-        print(density_text(interval))
+    _emit(args, density_text(interval), interval)
     return EXIT_OK
 
 
 def _cmd_quaternion(args) -> int:
     make_quaternion_spec(args.ramified)  # validate the prime list eagerly
     table = quaternion_example(args.ramified, args.mmax)
-    if args.format == "machine":
-        print(render_json(table))
-    else:
-        print(quaternion_table_text(table))
+    _emit(args, quaternion_table_text(table), table)
     return EXIT_OK
 
 

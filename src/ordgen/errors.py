@@ -34,13 +34,14 @@ class InvalidCount(OrdgenError):
 class BudgetExceeded(OrdgenError):
     """An enumeration would exceed the configured work budget.
 
-    The attribute ``required`` holds the size of the request: |A|^k tuples
-    for an exhaustive count, which bounds its closure calls from above, or
-    the number of samples or lifts.
+    The attribute ``required`` holds the number of tuples the request covers:
+    |A|^k for an exhaustive count over an algebra A (its closure calls are
+    usually far fewer), the sample count for a Monte Carlo estimate, or
+    |I|^k for a lift count over an ideal I.
     """
 
     def __init__(self, required: int, budget: int):
-        super().__init__(f"enumeration needs {required} closure calls, budget is {budget}")
+        super().__init__(f"request needs {required} tuples, budget is {budget}")
         self.required = required
         self.budget = budget
 

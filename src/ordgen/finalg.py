@@ -19,10 +19,11 @@ import itertools
 import math
 import os
 import warnings
+from collections.abc import Sequence
 from concurrent import futures
 from dataclasses import dataclass, field
 
-from .errors import BaseMismatch, BudgetExceeded, InvalidCount, InvalidTwist, NotGenerating
+from .errors import BaseMismatch, BudgetExceeded, InvalidCount, InvalidTwist, NotGenerating, OrdgenError
 from .finfield import FiniteField, PrimePower, build_field, field_of
 
 DEFAULT_BUDGET = 1 << 26
@@ -31,10 +32,22 @@ _GOLDEN = 0x9E3779B97F4A7C15
 
 
 def resolve_budget(budget: int | None = None) -> int:
-    """The work budget: explicit argument, else ORDGEN_BUDGET, else 2^26."""
+    """The work budget: explicit argument, else ORDGEN_BUDGET, else 2^26.
+
+    An ORDGEN_BUDGET that is not a positive integer raises OrdgenError.
+    """
     if budget is not None:
         return budget
-    return int(os.environ.get("ORDGEN_BUDGET", DEFAULT_BUDGET))
+    raw = os.environ.get("ORDGEN_BUDGET")
+    if raw is None:
+        return DEFAULT_BUDGET
+    try:
+        value = int(raw)
+    except ValueError:
+        value = 0  # refused below with the other values under 1
+    if value < 1:
+        raise OrdgenError(f"ORDGEN_BUDGET must be a positive integer, got {raw!r}")
+    return value
 
 
 # -- prime-field linear algebra engines -----------------------------------
@@ -60,8 +73,15 @@ def _inv_matrix_mod_p(cols: list[list[int]], p: int) -> list[list[int]]:
     return [r[n:] for r in aug]
 
 
-class _Gf2Engine:
-    """Flattened F_2 engine: vectors are bit-packed ints, one bit per F_p coordinate."""
+class _Engine:
+    """The multiplication table of an algebra on flattened F_p vectors.
+
+    Flat coordinate i*e + t stands for x^t times the i-th basis vector, x the
+    root of the base field's modulus.  ``tbl[a][b]`` holds the product of flat
+    basis vectors a and b, and ``omega_rows`` (e > 1) the rows of
+    multiplication by x, which closes an F_p-span to an F_q-span.  Subclasses
+    fix the vector encoding (``flatten``) and the table entries (``_entry``).
+    """
 
     def __init__(self, alg: FiniteAlgebra):
         F = alg.base
@@ -69,14 +89,9 @@ class _Gf2Engine:
         dim = alg.dim
         self.D = dim * e
         self.e = e
-        self.p = 2
+        self.p = F.p
         xpow = [F.pow(F.p, s) for s in range(2 * e - 1)] if e > 1 else [1]
-        def flat(coords):
-            acc = 0
-            for i, c in enumerate(coords):
-                acc |= c << (i * e)
-            return acc
-        self.flatten = flat
+        flat = self.flatten
         self.tbl = []
         for i in range(dim):
             for t in range(e):
@@ -84,7 +99,7 @@ class _Gf2Engine:
                 for j in range(dim):
                     for u in range(e):
                         s = xpow[t + u]
-                        row.append(flat(tuple(F.mul(c, s) for c in alg.table[i][j])))
+                        row.append(self._entry(flat(tuple(F.mul(c, s) for c in alg.table[i][j]))))
                 self.tbl.append(row)
         if e > 1:
             self.omega_rows = []
@@ -95,6 +110,20 @@ class _Gf2Engine:
                     self.omega_rows.append(flat(coords))
         self.flat_unit = flat(alg.unit)
         self.size = alg.size
+
+    def _entry(self, vec):
+        return vec
+
+
+class _Gf2Engine(_Engine):
+    """Flattened F_2 engine: vectors are bit-packed ints, one bit per F_p coordinate."""
+
+    def flatten(self, coords) -> int:
+        e = self.e
+        acc = 0
+        for i, c in enumerate(coords):
+            acc |= c << (i * e)
+        return acc
 
     def unflatten(self, flat: int) -> tuple[int, ...]:
         e, mask = self.e, (1 << self.e) - 1
@@ -154,45 +183,23 @@ class _Gf2Engine:
         return out
 
 
-class _GfpEngine:
-    """Flattened F_p engine for odd p: vectors are coordinate tuples mod p."""
+class _GfpEngine(_Engine):
+    """Flattened F_p engine for odd p: vectors are coordinate tuples mod p.
 
-    def __init__(self, alg: FiniteAlgebra):
-        F = alg.base
-        e = F.e
-        p = F.p
-        dim = alg.dim
-        self.D = dim * e
-        self.e = e
-        self.p = p
-        xpow = [F.pow(F.p, s) for s in range(2 * e - 1)] if e > 1 else [1]
-        def flat(coords):
-            out = []
-            for c in coords:
-                for _ in range(e):
-                    out.append(c % p)
-                    c //= p
-            return tuple(out)
-        self.flatten = flat
-        self.tbl = []
-        for i in range(dim):
-            for t in range(e):
-                row = []
-                for j in range(dim):
-                    for u in range(e):
-                        s = xpow[t + u]
-                        vec = flat(tuple(F.mul(c, s) for c in alg.table[i][j]))
-                        row.append(tuple((idx, c) for idx, c in enumerate(vec) if c))
-                self.tbl.append(row)
-        if e > 1:
-            self.omega_rows = []
-            for i in range(dim):
-                for t in range(e):
-                    coords = [0] * dim
-                    coords[i] = xpow[t + 1]
-                    self.omega_rows.append(flat(coords))
-        self.flat_unit = flat(alg.unit)
-        self.size = alg.size
+    Table entries are sparse (index, coefficient) pairs of the product vector.
+    """
+
+    def flatten(self, coords) -> tuple[int, ...]:
+        e, p = self.e, self.p
+        out = []
+        for c in coords:
+            for _ in range(e):
+                out.append(c % p)
+                c //= p
+        return tuple(out)
+
+    def _entry(self, vec):
+        return tuple((idx, c) for idx, c in enumerate(vec) if c)
 
     def unflatten(self, flat) -> tuple[int, ...]:
         e, p = self.e, self.p
@@ -330,6 +337,40 @@ def _coset_flats(eng, rows) -> list:
     return out
 
 
+def _insert_orbit(eng, rows: list, vec) -> None:
+    """Insert vec and its multiples by x, x^2, ..., x^(e-1) into an echelon basis."""
+    eng.insert(rows, vec)
+    for _ in range(eng.e - 1):
+        vec = eng.omega(vec)
+        eng.insert(rows, vec)
+
+
+def _nilpotent_ideal_rows(eng, basis, name: str) -> list:
+    """Echelon basis of the F_q-span of basis, checked to be a nilpotent two-sided ideal.
+
+    Raises ValueError, naming the span, when it is not one.
+    """
+    rows: list = []
+    for v in basis:
+        _insert_orbit(eng, rows, eng.flatten(tuple(v)))
+    for a in range(eng.D):
+        ba = eng.flat_of_index(eng.p**a)
+        for r in rows:
+            for prod in (eng.mul(ba, r), eng.mul(r, ba)):
+                if eng.insert(list(rows), prod) is not None:
+                    raise ValueError(f"{name} is not a two-sided ideal")
+    current = rows
+    while current:
+        nxt: list = []
+        for x in current:
+            for y in current:
+                _insert_orbit(eng, nxt, eng.mul(x, y))
+        if len(nxt) >= len(current):
+            raise ValueError(f"{name} is not nilpotent")
+        current = nxt
+    return rows
+
+
 # -- the algebra type ------------------------------------------------------
 
 
@@ -364,8 +405,7 @@ class FiniteAlgebra:
 
     def _verify(self):
         eng = self._eng()
-        D = eng.D
-        unit_flats = [self._basis_flat(a) for a in range(D)]
+        unit_flats = [eng.flat_of_index(eng.p**a) for a in range(eng.D)]
         u = eng.flat_unit
         for a, ba in enumerate(unit_flats):
             if eng.mul(u, ba) != ba or eng.mul(ba, u) != ba:
@@ -376,50 +416,7 @@ class FiniteAlgebra:
                 for c, bc in enumerate(unit_flats):
                     if eng.mul(ab, bc) != eng.mul(ba, eng.mul(bb, bc)):
                         raise AssertionError(f"associativity fails on basis triple ({a},{b},{c}) of {self.label}")
-        if self.radical_basis:
-            self._verify_radical(unit_flats)
-
-    def _basis_flat(self, a: int):
-        eng = self._eng()
-        if self.base.p == 2:
-            return 1 << a
-        vec = [0] * eng.D
-        vec[a] = 1
-        return tuple(vec)
-
-    def _verify_radical(self, unit_flats):
-        eng = self._eng()
-        rows: list = []
-        for v in self.radical_basis:
-            f = eng.flatten(v)
-            for _ in range(eng.e if eng.e > 1 else 1):
-                eng.insert(rows, f)
-                if eng.e == 1:
-                    break
-                f = eng.omega(f)
-        for ba in unit_flats:
-            for r in rows:
-                for prod in (eng.mul(ba, r), eng.mul(r, ba)):
-                    probe = list(rows)
-                    if eng.insert(probe, prod) is not None:
-                        raise AssertionError(f"radical span of {self.label} is not an ideal")
-        current = rows
-        for _ in range(eng.D + 1):
-            if not current:
-                return
-            nxt: list = []
-            for x in current:
-                for y in current:
-                    f = eng.mul(x, y)
-                    for _ in range(eng.e if eng.e > 1 else 1):
-                        eng.insert(nxt, f)
-                        if eng.e == 1:
-                            break
-                        f = eng.omega(f)
-            if len(nxt) >= len(current):
-                raise AssertionError(f"radical span of {self.label} is not nilpotent")
-            current = nxt
-        raise AssertionError(f"radical span of {self.label} is not nilpotent")
+        _nilpotent_ideal_rows(eng, self.radical_basis, f"radical span of {self.label}")
 
     def validate(self):
         """Re-run the construction-time checks."""
@@ -445,14 +442,6 @@ class FiniteAlgebra:
     def multiply(self, x, y) -> tuple[int, ...]:
         eng = self._eng()
         return eng.unflatten(eng.mul(eng.flatten(x), eng.flatten(y)))
-
-    def add_elements(self, x, y) -> tuple[int, ...]:
-        F = self.base
-        return tuple(F.add(a, b) for a, b in zip(x, y))
-
-    def scale_element(self, s: int, x) -> tuple[int, ...]:
-        F = self.base
-        return tuple(F.mul(s, a) for a in x)
 
     def __getstate__(self):
         state = dict(self.__dict__)
@@ -625,45 +614,6 @@ def sample_gen_fraction(
 # -- radical lifting oracle -------------------------------------------------
 
 
-def _ideal_rows(alg: FiniteAlgebra, ideal_basis) -> list:
-    eng = alg._eng()
-    rows: list = []
-    orbit = eng.e if eng.e > 1 else 1
-    for v in ideal_basis:
-        f = eng.flatten(tuple(v))
-        for _ in range(orbit):
-            eng.insert(rows, f)
-            if orbit == 1:
-                break
-            f = eng.omega(f)
-    for a in range(eng.D):
-        ba = alg._basis_flat(a)
-        for r in rows:
-            for prod in (eng.mul(ba, r), eng.mul(r, ba)):
-                probe = list(rows)
-                if eng.insert(probe, prod) is not None:
-                    raise ValueError("the given span is not a two-sided ideal")
-    current = rows
-    for _ in range(eng.D + 1):
-        if not current:
-            return rows
-        nxt: list = []
-        for x in current:
-            for y in current:
-                f = eng.mul(x, y)
-                for _ in range(orbit):
-                    eng.insert(nxt, f)
-                    if orbit == 1:
-                        break
-                    f = eng.omega(f)
-        if not nxt:
-            return rows
-        if len(nxt) >= len(current):
-            break
-        current = nxt
-    raise ValueError("the given ideal is not nilpotent")
-
-
 def lift_count(alg: FiniteAlgebra, ideal_basis, b_tuple, *, budget: int | None = None) -> int:
     """Number of lifts of a generating tuple of A/I that generate A.
 
@@ -673,20 +623,19 @@ def lift_count(alg: FiniteAlgebra, ideal_basis, b_tuple, *, budget: int | None =
     """
     eng = alg._eng()
     D = eng.D
-    rows = _ideal_rows(alg, ideal_basis)
+    rows = _nilpotent_ideal_rows(eng, ideal_basis, "the given span")
     b_flats = [eng.flatten(tuple(v)) for v in b_tuple]
     k = len(b_flats)
     if k < 1:
         raise InvalidCount("the quotient tuple must have at least one element")
     if len(_close(eng, [], [eng.flat_unit] + b_flats + list(rows))) != D:
         raise NotGenerating("the given tuple does not generate the quotient algebra")
-    ideal_elements = eng.span_elements(rows)
     limit = resolve_budget(budget)
-    need = len(ideal_elements) ** k
+    need = (eng.p ** len(rows)) ** k
     if need > limit:
         raise BudgetExceeded(need, limit)
     count = 0
-    for xs in itertools.product(ideal_elements, repeat=k):
+    for xs in itertools.product(eng.span_elements(rows), repeat=k):
         lifted = [eng.add(b, x) for b, x in zip(b_flats, xs)]
         if len(_close(eng, [], [eng.flat_unit] + lifted)) == D:
             count += 1
@@ -696,17 +645,18 @@ def lift_count(alg: FiniteAlgebra, ideal_basis, b_tuple, *, budget: int | None =
 def coset_representatives(alg: FiniteAlgebra, ideal_basis) -> list[tuple[int, ...]]:
     """Canonical representatives of A modulo the span of an ideal basis."""
     eng = alg._eng()
-    return [eng.unflatten(flat) for flat in _coset_flats(eng, _ideal_rows(alg, ideal_basis))]
+    rows = _nilpotent_ideal_rows(eng, ideal_basis, "the given span")
+    return [eng.unflatten(flat) for flat in _coset_flats(eng, rows)]
 
 
 # -- constructors -----------------------------------------------------------
 
 
-def _subfield_embedding(F: FiniteField, E: FiniteField) -> list[int]:
+def _subfield_embedding(F: FiniteField, E: FiniteField) -> Sequence[int]:
     """Encoding table of the field embedding F -> E sending the modulus root of F
     to its least root in E."""
     if F.e == 1:
-        table = list(range(F.q))
+        table = range(F.q)
     else:
         roots = []
         for a in range(E.q):
@@ -731,7 +681,7 @@ def _subfield_embedding(F: FiniteField, E: FiniteField) -> list[int]:
     return table
 
 
-def _power_basis_coords(F: FiniteField, E: FiniteField, emb: list[int], width: int):
+def _power_basis_coords(F: FiniteField, E: FiniteField, emb: Sequence[int], width: int):
     """Coordinate function for E over F in the basis 1, w, ..., w^(width-1),
     where w is the multiplicative generator of E."""
     p = F.p
@@ -768,53 +718,33 @@ def matrix_algebra(n: int, base_q: int | PrimePower, r: int = 1) -> FiniteAlgebr
     F = field_of(base_q)
     dim = n * n * r
     zero = tuple([0] * dim)
-    if r == 1:
-        def idx(u, v, t=0):
-            return u * n + v
-        co_mul = None
-    else:
-        E = build_field(F.p, F.e * r)
-        emb = _subfield_embedding(F, E)
-        beta = _power_basis_coords(F, E, emb, r)
-        w = E.generator
-        wpows = [E.pow(w, t) for t in range(2 * r - 1)]
+    E = build_field(F.p, F.e * r)
+    emb = _subfield_embedding(F, E)
+    beta = _power_basis_coords(F, E, emb, r)
+    w = E.generator
+    wpows = [E.pow(w, t) for t in range(2 * r - 1)]
 
-        def idx(u, v, t=0):
-            return (u * n + v) * r + t
-
-        def co_mul(s, t):
-            return beta(wpows[s + t])
+    def idx(u, v, t):
+        return (u * n + v) * r + t
 
     table = []
     for a in range(dim):
-        if r == 1:
-            u, v, s = a // n, a % n, 0
-        else:
-            u, v, s = a // (n * r), (a // r) % n, a % r
+        u, v, s = a // (n * r), (a // r) % n, a % r
         row = []
         for b in range(dim):
-            if r == 1:
-                u2, v2, t = b // n, b % n, 0
-            else:
-                u2, v2, t = b // (n * r), (b // r) % n, b % r
+            u2, v2, t = b // (n * r), (b // r) % n, b % r
             if v != u2:
                 row.append(zero)
             else:
                 vec = [0] * dim
-                if r == 1:
-                    vec[idx(u, v2)] = 1
-                else:
-                    for wi, c in enumerate(co_mul(s, t)):
-                        vec[idx(u, v2, wi)] = c
+                for wi, c in enumerate(beta(wpows[s + t])):
+                    vec[idx(u, v2, wi)] = c
                 row.append(tuple(vec))
         table.append(row)
     unit = [0] * dim
     for u in range(n):
         unit[idx(u, u, 0)] = 1
-    meta = {"kind": "matrix", "n": n, "r": r}
-    if r > 1:
-        meta["coeff_field"] = E
-        meta["coeff_coords"] = tuple(beta(x) for x in range(E.q)) if E.q <= 4096 else None
+    meta = {"kind": "matrix", "n": n, "r": r, "coeff_field": E}
     label = f"M_{n}(F_{F.q**r}) over F_{F.q}"
     return FiniteAlgebra(F, table, unit, (), label, meta)
 
@@ -899,7 +829,6 @@ def truncated_local_algebra(q: int | PrimePower, f: int, m: int, s: int, e: int)
         "s": s,
         "e": e,
         "coeff_field": E,
-        "coeff_coords": tuple(beta(x) for x in range(E.q)) if E.q <= 4096 else None,
     }
     return FiniteAlgebra(F, table, unit, radical, label, meta)
 
@@ -946,6 +875,13 @@ def matrix_over(alg: FiniteAlgebra, n: int) -> FiniteAlgebra:
     return FiniteAlgebra(alg.base, table, unit, radical, label, {"kind": "matrix_over", "n": n})
 
 
+def _coeff_coords(alg: FiniteAlgebra):
+    """Coordinates over the base field of the coefficient field of a matrix or
+    truncated local algebra, in the power basis its constructor used."""
+    F, E = alg.base, alg.meta["coeff_field"]
+    return _power_basis_coords(F, E, _subfield_embedding(F, E), E.e // F.e)
+
+
 def twisted_element(alg: FiniteAlgebra, coeffs) -> tuple[int, ...]:
     """Element of a truncated local algebra from coefficient-field encodings per pi-power."""
     assert alg.meta.get("kind") == "twisted"
@@ -955,10 +891,10 @@ def twisted_element(alg: FiniteAlgebra, coeffs) -> tuple[int, ...]:
     coeffs = list(coeffs)
     assert len(coeffs) <= em
     coords = [0] * alg.dim
-    table = alg.meta["coeff_coords"]
+    coords_of = _coeff_coords(alg)
     for j, x in enumerate(coeffs):
         assert 0 <= x < E.q
-        for i, c in enumerate(table[x]):
+        for i, c in enumerate(coords_of(x)):
             coords[j * fm + i] = c
     return tuple(coords)
 
@@ -968,12 +904,9 @@ def matrix_element(alg: FiniteAlgebra, entries) -> tuple[int, ...]:
     assert alg.meta.get("kind") == "matrix"
     n, r = alg.meta["n"], alg.meta["r"]
     coords = [0] * alg.dim
+    coords_of = _coeff_coords(alg)
     for u in range(n):
         for v in range(n):
-            x = entries[u][v]
-            if r == 1:
-                coords[u * n + v] = x
-            else:
-                for t, c in enumerate(alg.meta["coeff_coords"][x]):
-                    coords[(u * n + v) * r + t] = c
+            for t, c in enumerate(coords_of(entries[u][v])):
+                coords[(u * n + v) * r + t] = c
     return tuple(coords)

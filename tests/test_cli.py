@@ -168,6 +168,15 @@ def test_oracle_budget_env_override(capsys, monkeypatch):
     assert "budget is 100" in err
 
 
+@pytest.mark.parametrize("raw", ["abc", "0", "-5"])
+def test_oracle_rejects_malformed_budget_env(capsys, monkeypatch, raw):
+    monkeypatch.setenv("ORDGEN_BUDGET", raw)
+    code, out, err = run(capsys, "oracle", "--alg", "M(2,2)", "--k", "2")
+    assert code == 2
+    assert out == ""
+    assert err == f"error: ORDGEN_BUDGET must be a positive integer, got {raw!r}\n"
+
+
 @pytest.mark.parametrize(
     "expr,fragment",
     [

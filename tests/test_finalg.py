@@ -13,6 +13,7 @@ from ordgen import finalg
 from ordgen.errors import BudgetExceeded, InvalidCount, InvalidTwist, NotGenerating, OrdgenError
 from ordgen.finalg import (
     DEFAULT_BUDGET,
+    FiniteAlgebra,
     brute_gen_count,
     closure,
     coset_representatives,
@@ -70,7 +71,7 @@ def test_matrix_algebra_passes_structure_axioms(n, q, r):
     matrix_algebra(n, q, r).validate()
 
 
-@pytest.mark.parametrize("n,q", [(2, 3), (3, 2), (2, 4)])
+@pytest.mark.parametrize("n,q", [(2, 3), (3, 2), (2, 4), (2, 8), (2, 9)])
 def test_matrix_units_multiply_by_index_contraction(n, q):
     alg = matrix_algebra(n, q)
     for u in range(n):
@@ -80,6 +81,21 @@ def test_matrix_units_multiply_by_index_contraction(n, q):
                     prod = alg.multiply(unit_matrix(alg, n, u, v), unit_matrix(alg, n, s, t))
                     expected = unit_matrix(alg, n, u, t) if v == s else zero(alg)
                     assert prod == expected
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 8, 9, 25])
+def test_scalar_matrix_entries_are_their_own_coordinates(q):
+    alg = matrix_algebra(1, q)
+    assert [matrix_element(alg, [[x]]) for x in range(q)] == [(x,) for x in range(q)]
+
+
+def test_element_builders_take_coefficient_fields_above_4096_elements():
+    assert matrix_element(matrix_algebra(1, 8192), [[5000]]) == (5000,)
+    alg = truncated_local_algebra(2, 13, 1, 1, 1)  # F_8192 over F_2
+    field = alg.meta["coeff_field"]
+    for x, y in [(2, 3), (5000, 8191), (4097, 77)]:
+        prod = alg.multiply(twisted_element(alg, (x,)), twisted_element(alg, (y,)))
+        assert prod == twisted_element(alg, (field.mul(x, y),))
 
 
 def test_unit_is_two_sided_identity():
@@ -120,6 +136,7 @@ def test_budget_guards_enumeration_size():
         brute_gen_count(alg, 2, budget=100)
     assert info.value.required == 65536
     assert info.value.budget == 100
+    assert str(info.value) == "request needs 65536 tuples, budget is 100"
     assert brute_gen_count(alg, 1, budget=256) == 0
 
 
@@ -129,6 +146,13 @@ def test_resolve_budget_env_override(monkeypatch):
     monkeypatch.setenv("ORDGEN_BUDGET", "12345")
     assert resolve_budget() == 12345
     assert resolve_budget(777) == 777  # explicit argument wins
+
+
+@pytest.mark.parametrize("raw", ["abc", "0", "-5", ""])
+def test_resolve_budget_rejects_malformed_env(monkeypatch, raw):
+    monkeypatch.setenv("ORDGEN_BUDGET", raw)
+    with pytest.raises(OrdgenError, match="ORDGEN_BUDGET must be a positive integer"):
+        resolve_budget()
 
 
 def test_splitmix_stream_is_frozen():
@@ -178,6 +202,19 @@ def test_pool_work_errors_propagate(monkeypatch, error):
         warnings.simplefilter("error")
         with pytest.raises(type(error), match="bad part"):
             sample_gen_fraction(matrix_algebra(2, 2), 2, 500, seed=7, workers=2)
+
+
+def test_import_loads_no_process_machinery():
+    src = os.path.dirname(os.path.dirname(finalg.__file__))
+    code = (
+        "import sys\n"
+        "import ordgen\n"
+        "print(sorted(m for m in ('multiprocessing', 'concurrent.futures.process') if m in sys.modules))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 def test_sampled_fraction_tracks_exact_fraction():
@@ -263,6 +300,44 @@ def test_lift_count_rejects_nongenerating_quotient_tuple():
     tw = truncated_local_algebra(2, 1, 2, 1, 1)
     with pytest.raises(NotGenerating):
         lift_count(tw, tw.radical_basis, (tw.unit,))
+
+
+def test_refused_lift_count_never_enumerates_the_ideal(monkeypatch):
+    def refuse(self, rows):
+        raise AssertionError("span_elements called")
+
+    monkeypatch.setattr(finalg._Gf2Engine, "span_elements", refuse)
+    monkeypatch.setattr(finalg._GfpEngine, "span_elements", refuse)
+    alg = truncated_local_algebra(3, 1, 1, 1, 13)  # F_3[u]/(u^13): the radical has 3^12 elements
+    with pytest.raises(BudgetExceeded) as info:
+        lift_count(alg, alg.radical_basis, (zero(alg), zero(alg)), budget=DEFAULT_BUDGET)
+    assert info.value.required == 3**24
+
+
+def _span_checkers(alg, basis):
+    return [
+        (lambda: lift_count(alg, basis, (alg.unit,)), "the given span"),
+        (lambda: coset_representatives(alg, basis), "the given span"),
+        (lambda: FiniteAlgebra(alg.base, alg.table, alg.unit, basis, "A"), "radical span of A"),
+    ]
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 9])
+def test_span_that_is_not_an_ideal_is_refused(q):
+    alg = matrix_algebra(2, q)
+    e11 = matrix_element(alg, [[1, 0], [0, 0]])
+    for call, name in _span_checkers(alg, [e11]):
+        with pytest.raises(ValueError, match=f"^{name} is not a two-sided ideal$"):
+            call()
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 9])
+def test_ideal_that_is_not_nilpotent_is_refused(q):
+    field = matrix_algebra(1, q)
+    alg = product_algebra(field, field)
+    for call, name in _span_checkers(alg, [(1, 0)]):  # the factor F_q x 0
+        with pytest.raises(ValueError, match=f"^{name} is not nilpotent$"):
+            call()
 
 
 def test_lift_counts_sum_to_total_count():
