@@ -15,10 +15,6 @@ class CapExceeded(OrdgenError):
     """A requested prime power exceeds the configured size cap."""
 
 
-class NotADivisor(OrdgenError):
-    """A subfield degree was requested that does not divide the field degree."""
-
-
 class BaseMismatch(OrdgenError):
     """Two algebras were combined whose base fields differ."""
 

@@ -5,6 +5,8 @@ encoding).  The element with coordinates (c_0, ..., c_{dim-1}) has index
 sum c_i * q^i, so enumeration order is the row-major order of the base field's
 element order.  Internally all linear algebra runs over the prime field F_p on
 flattened coordinate vectors: bit-packed integers when p = 2, tuples otherwise.
+A unital F_q-subalgebra is exactly an F_p-subalgebra that contains the scalars
+F_q * 1, so every closure starts from those scalars and never works over F_q.
 
 The enumeration oracle counts generating k-tuples by exhaustive search with
 memoization on the closed subalgebra S reached by each tuple prefix; it extends
@@ -34,9 +36,12 @@ _GOLDEN = 0x9E3779B97F4A7C15
 def resolve_budget(budget: int | None = None) -> int:
     """The work budget: explicit argument, else ORDGEN_BUDGET, else 2^26.
 
-    An ORDGEN_BUDGET that is not a positive integer raises OrdgenError.
+    A budget argument or ORDGEN_BUDGET that is not a positive integer raises
+    OrdgenError.
     """
     if budget is not None:
+        if isinstance(budget, bool) or not isinstance(budget, int) or budget < 1:
+            raise OrdgenError(f"budget must be a positive integer, got {budget!r}")
         return budget
     raw = os.environ.get("ORDGEN_BUDGET")
     if raw is None:
@@ -78,9 +83,11 @@ class _Engine:
 
     Flat coordinate i*e + t stands for x^t times the i-th basis vector, x the
     root of the base field's modulus.  ``tbl[a][b]`` holds the product of flat
-    basis vectors a and b, and ``omega_rows`` (e > 1) the rows of
-    multiplication by x, which closes an F_p-span to an F_q-span.  Subclasses
-    fix the vector encoding (``flatten``) and the table entries (``_entry``).
+    basis vectors a and b.  ``scalars`` is the flat F_p-basis x^t * unit
+    (t < e) of the scalars F_q * 1.  An F_p-subalgebra that contains them is
+    closed under multiplication by F_q, so it is an F_q-subalgebra: every
+    closure seeded with ``scalars`` works over F_p alone.  Subclasses fix the
+    vector encoding (``flatten``) and the table entries (``_entry``).
     """
 
     def __init__(self, alg: FiniteAlgebra):
@@ -101,14 +108,7 @@ class _Engine:
                         s = xpow[t + u]
                         row.append(self._entry(flat(tuple(F.mul(c, s) for c in alg.table[i][j]))))
                 self.tbl.append(row)
-        if e > 1:
-            self.omega_rows = []
-            for i in range(dim):
-                for t in range(e):
-                    coords = [0] * dim
-                    coords[i] = xpow[t + 1]
-                    self.omega_rows.append(flat(coords))
-        self.flat_unit = flat(alg.unit)
+        self.scalars = [flat(tuple(F.mul(c, xpow[t]) for c in alg.unit)) for t in range(e)]
         self.size = alg.size
 
     def _entry(self, vec):
@@ -144,15 +144,6 @@ class _Gf2Engine(_Engine):
                 lw = w & -w
                 acc ^= row[lw.bit_length() - 1]
                 w ^= lw
-        return acc
-
-    def omega(self, v: int) -> int:
-        acc = 0
-        rows = self.omega_rows
-        while v:
-            low = v & -v
-            acc ^= rows[low.bit_length() - 1]
-            v ^= low
         return acc
 
     def add(self, u: int, v: int) -> int:
@@ -233,16 +224,6 @@ class _GfpEngine(_Engine):
                             acc[idx] = (acc[idx] + c * wc) % p
         return tuple(acc)
 
-    def omega(self, v):
-        p = self.p
-        acc = [0] * self.D
-        for a, c in enumerate(v):
-            if c:
-                for idx, wc in enumerate(self.omega_rows[a]):
-                    if wc:
-                        acc[idx] = (acc[idx] + c * wc) % p
-        return tuple(acc)
-
     def add(self, u, v):
         p = self.p
         return tuple((x + y) % p for x, y in zip(u, v))
@@ -278,22 +259,21 @@ class _GfpEngine(_Engine):
 
 
 def _close(eng, base_rows: list, new_flats) -> list:
-    """Echelon basis of the subalgebra generated by a closed base span plus new elements."""
+    """Echelon basis of the F_p-subalgebra generated by a closed base span plus new elements.
+
+    The result is the F_q-subalgebra they generate only when the base span or
+    the new elements include ``eng.scalars``; every caller seeds them so.
+    """
     rows = list(base_rows)
     reps = list(base_rows)
     work = []
     D = eng.D
-    orbit = eng.e if eng.e > 1 else 1
 
     def add(vec):
-        for _ in range(orbit):
-            red = eng.insert(rows, vec)
-            if red is not None:
-                reps.append(red)
-                work.append(red)
-            if orbit == 1 or len(rows) == D:
-                return
-            vec = eng.omega(vec)
+        red = eng.insert(rows, vec)
+        if red is not None:
+            reps.append(red)
+            work.append(red)
 
     for v in new_flats:
         if len(rows) == D:
@@ -337,14 +317,6 @@ def _coset_flats(eng, rows) -> list:
     return out
 
 
-def _insert_orbit(eng, rows: list, vec) -> None:
-    """Insert vec and its multiples by x, x^2, ..., x^(e-1) into an echelon basis."""
-    eng.insert(rows, vec)
-    for _ in range(eng.e - 1):
-        vec = eng.omega(vec)
-        eng.insert(rows, vec)
-
-
 def _nilpotent_ideal_rows(eng, basis, name: str) -> list:
     """Echelon basis of the F_q-span of basis, checked to be a nilpotent two-sided ideal.
 
@@ -352,19 +324,22 @@ def _nilpotent_ideal_rows(eng, basis, name: str) -> list:
     """
     rows: list = []
     for v in basis:
-        _insert_orbit(eng, rows, eng.flatten(tuple(v)))
+        flat = eng.flatten(tuple(v))
+        for s in eng.scalars:
+            eng.insert(rows, eng.mul(s, flat))
     for a in range(eng.D):
         ba = eng.flat_of_index(eng.p**a)
         for r in rows:
             for prod in (eng.mul(ba, r), eng.mul(r, ba)):
                 if eng.insert(list(rows), prod) is not None:
                     raise ValueError(f"{name} is not a two-sided ideal")
+    # The products of two F_q-spans span an F_q-space, so no scalars are needed here.
     current = rows
     while current:
         nxt: list = []
         for x in current:
             for y in current:
-                _insert_orbit(eng, nxt, eng.mul(x, y))
+                eng.insert(nxt, eng.mul(x, y))
         if len(nxt) >= len(current):
             raise ValueError(f"{name} is not nilpotent")
         current = nxt
@@ -406,7 +381,7 @@ class FiniteAlgebra:
     def _verify(self):
         eng = self._eng()
         unit_flats = [eng.flat_of_index(eng.p**a) for a in range(eng.D)]
-        u = eng.flat_unit
+        u = eng.scalars[0]  # x^0 * unit
         for a, ba in enumerate(unit_flats):
             if eng.mul(u, ba) != ba or eng.mul(ba, u) != ba:
                 raise AssertionError(f"unit law fails on basis vector {a} of {self.label}")
@@ -421,23 +396,6 @@ class FiniteAlgebra:
     def validate(self):
         """Re-run the construction-time checks."""
         self._verify()
-
-    # -- element helpers --
-
-    def element_from_index(self, idx: int) -> tuple[int, ...]:
-        q = self.base.q
-        out = []
-        for _ in range(self.dim):
-            out.append(idx % q)
-            idx //= q
-        return tuple(out)
-
-    def index_of_element(self, coords) -> int:
-        q = self.base.q
-        acc = 0
-        for c in reversed(tuple(coords)):
-            acc = acc * q + c
-        return acc
 
     def multiply(self, x, y) -> tuple[int, ...]:
         eng = self._eng()
@@ -454,7 +412,7 @@ class FiniteAlgebra:
 
 @dataclass(frozen=True)
 class SubalgebraBasis:
-    """Canonical echelon basis (over F_p, orbit-closed over F_q) of a subalgebra."""
+    """Canonical echelon basis over F_p of a subalgebra; its span is an F_q-space."""
 
     algebra: FiniteAlgebra = field(compare=False)
     basis: tuple[tuple[int, ...], ...] = ()
@@ -469,7 +427,7 @@ def closure(alg: FiniteAlgebra, elements) -> SubalgebraBasis:
     """The unital subalgebra generated by the given elements."""
     eng = alg._eng()
     flats = [eng.flatten(tuple(v)) for v in elements]
-    rows = _close(eng, [], [eng.flat_unit] + flats)
+    rows = _close(eng, [], eng.scalars + flats)
     assert len(rows) % eng.e == 0
     return SubalgebraBasis(alg, tuple(eng.unflatten(r) for r in rows), len(rows) // eng.e)
 
@@ -517,7 +475,7 @@ def brute_gen_count(alg: FiniteAlgebra, k: int, *, budget: int | None = None) ->
         memo[key] = total
         return total
 
-    return rec(tuple(_close(eng, [], [eng.flat_unit])), 0)
+    return rec(tuple(_close(eng, [], eng.scalars)), 0)
 
 
 # -- Monte Carlo oracle ----------------------------------------------------
@@ -569,7 +527,7 @@ def _sample_range(alg: FiniteAlgebra, k: int, start: int, stop: int, seed: int) 
     eng = alg._eng()
     D = eng.D
     size = alg.size
-    base = list(_close(eng, [], [eng.flat_unit]))
+    base = list(_close(eng, [], eng.scalars))
     hits = 0
     for t in range(start, stop):
         flats = [eng.flat_of_index(splitmix64_stream(seed, t * k + j + 1) % size) for j in range(k)]
@@ -628,7 +586,7 @@ def lift_count(alg: FiniteAlgebra, ideal_basis, b_tuple, *, budget: int | None =
     k = len(b_flats)
     if k < 1:
         raise InvalidCount("the quotient tuple must have at least one element")
-    if len(_close(eng, [], [eng.flat_unit] + b_flats + list(rows))) != D:
+    if len(_close(eng, [], eng.scalars + b_flats + list(rows))) != D:
         raise NotGenerating("the given tuple does not generate the quotient algebra")
     limit = resolve_budget(budget)
     need = (eng.p ** len(rows)) ** k
@@ -637,7 +595,7 @@ def lift_count(alg: FiniteAlgebra, ideal_basis, b_tuple, *, budget: int | None =
     count = 0
     for xs in itertools.product(eng.span_elements(rows), repeat=k):
         lifted = [eng.add(b, x) for b, x in zip(b_flats, xs)]
-        if len(_close(eng, [], [eng.flat_unit] + lifted)) == D:
+        if len(_close(eng, [], eng.scalars + lifted)) == D:
             count += 1
     return count
 
@@ -710,43 +668,19 @@ def _power_basis_coords(F: FiniteField, E: FiniteField, emb: Sequence[int], widt
 def matrix_algebra(n: int, base_q: int | PrimePower, r: int = 1) -> FiniteAlgebra:
     """M_n(F_{q^r}) viewed as an algebra over F_q, of dimension n^2 r.
 
-    Basis: matrix units tensored with the power basis 1, w, ..., w^(r-1) of
-    the coefficient field over F_q, w its multiplicative generator; index
-    (u, v, t) -> (u*n + v)*r + t.
+    Built as matrix_over(F_{q^r}, n), with F_{q^r} the truncated local algebra
+    with f = r and m = e = 1.  Basis: matrix units tensored with the power
+    basis 1, w, ..., w^(r-1) of the coefficient field over F_q, w its
+    multiplicative generator; index (u, v, t) -> (u*n + v)*r + t.
     """
-    assert n >= 1 and r >= 1
-    F = field_of(base_q)
-    dim = n * n * r
-    zero = tuple([0] * dim)
-    E = build_field(F.p, F.e * r)
-    emb = _subfield_embedding(F, E)
-    beta = _power_basis_coords(F, E, emb, r)
-    w = E.generator
-    wpows = [E.pow(w, t) for t in range(2 * r - 1)]
-
-    def idx(u, v, t):
-        return (u * n + v) * r + t
-
-    table = []
-    for a in range(dim):
-        u, v, s = a // (n * r), (a // r) % n, a % r
-        row = []
-        for b in range(dim):
-            u2, v2, t = b // (n * r), (b // r) % n, b % r
-            if v != u2:
-                row.append(zero)
-            else:
-                vec = [0] * dim
-                for wi, c in enumerate(beta(wpows[s + t])):
-                    vec[idx(u, v2, wi)] = c
-                row.append(tuple(vec))
-        table.append(row)
-    unit = [0] * dim
-    for u in range(n):
-        unit[idx(u, u, 0)] = 1
-    meta = {"kind": "matrix", "n": n, "r": r, "coeff_field": E}
-    label = f"M_{n}(F_{F.q**r}) over F_{F.q}"
-    return FiniteAlgebra(F, table, unit, (), label, meta)
+    if r < 1:
+        raise OrdgenError(f"extension degree r must be at least 1, got r={r}")
+    coeffs = truncated_local_algebra(base_q, r, 1, 1, 1)
+    alg = matrix_over(coeffs, n)
+    q = coeffs.base.q
+    alg.label = f"M_{n}(F_{q**r}) over F_{q}"
+    alg.meta = {"kind": "matrix", "n": n, "r": r, "coeff_field": coeffs.meta["coeff_field"]}
+    return alg
 
 
 def product_algebra(a: FiniteAlgebra, b: FiniteAlgebra) -> FiniteAlgebra:
@@ -781,7 +715,9 @@ def truncated_local_algebra(q: int | PrimePower, f: int, m: int, s: int, e: int)
     The radical is spanned by the basis vectors with j >= 1.  Dimension over
     F_q is f * m^2 * e.  For m = 1 this degenerates to F_{q^f}[u]/(u^e).
     """
-    assert f >= 1 and m >= 1 and e >= 1
+    for name, value in (("f", f), ("m", m), ("e", e)):
+        if value < 1:
+            raise OrdgenError(f"truncated local algebra parameter {name} must be at least 1, got {name}={value}")
     if not (1 <= s <= m) or math.gcd(s, m) != 1:
         raise InvalidTwist(f"twist s={s} must satisfy 1 <= s <= m and gcd(s, m) = 1")
     F = field_of(q)
@@ -835,7 +771,8 @@ def truncated_local_algebra(q: int | PrimePower, f: int, m: int, s: int, e: int)
 
 def matrix_over(alg: FiniteAlgebra, n: int) -> FiniteAlgebra:
     """M_n(A) for a structure-constant algebra A; radical is M_n(J(A))."""
-    assert n >= 1
+    if n < 1:
+        raise OrdgenError(f"matrix size n must be at least 1, got n={n}")
     if n == 1:
         return alg
     da = alg.dim

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import polys
-from .errors import CapExceeded, NotADivisor, NotPrime
+from .errors import CapExceeded, NotPrime
 
 PRIME_POWER_CAP = 1 << 20
 LOG_TABLE_CAP = 1 << 16
@@ -299,15 +299,3 @@ def field_of(q: int | PrimePower) -> FiniteField:
 
 def frobenius(field: FiniteField, a: int, i: int = 1) -> int:
     return field.frobenius(a, i)
-
-
-def subfield_test(field: FiniteField, a: int, s: int) -> bool:
-    """Whether a lies in the subfield of order p^s; s must divide e."""
-    if field.e % s != 0:
-        raise NotADivisor(f"{s} does not divide {field.e}")
-    return field.pow(a, field.p**s) == a
-
-
-def field_elements(field: FiniteField) -> list[int]:
-    """All elements in encoding order: 0 first, 1 second."""
-    return field.elements()

@@ -173,10 +173,6 @@ class OrderSpec:
         return sum(f.dimension for f in self.factors)
 
     @property
-    def max_degree(self) -> int:
-        return max(f.degree for f in self.factors)
-
-    @property
     def listed_primes(self) -> list[int]:
         """Primes carrying declared indices or override rows, sorted."""
         out = set(self.overrides)

@@ -122,13 +122,6 @@ def derivative(a: Poly, p: int) -> Poly:
     return trim([i * a[i] % p for i in range(1, len(a))])
 
 
-def eval_at(a: Poly, x: int, p: int) -> int:
-    acc = 0
-    for c in reversed(a):
-        acc = (acc * x + c) % p
-    return acc
-
-
 def is_irreducible(f: Poly, p: int) -> bool:
     """Irreducibility of a monic polynomial: no irreducible factor of degree <= deg/2.
 

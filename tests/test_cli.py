@@ -194,6 +194,31 @@ def test_oracle_rejects_malformed_expressions(capsys, expr, fragment):
     assert fragment in err
 
 
+@pytest.mark.parametrize("optimise", [False, True], ids=["plain", "-O"])
+@pytest.mark.parametrize(
+    "expr,name",
+    [
+        ("M(0,2)", "n"),
+        ("M(2,2;r=0)", "r"),
+        ("TW(q=2,f=0,m=1)", "f"),
+        ("TW(q=2,f=1,m=0)", "m"),
+        ("TW(q=2,f=1,m=1,e=0)", "e"),
+    ],
+)
+def test_oracle_rejects_constructor_parameters_below_one(expr, name, optimise):
+    env = dict(os.environ, PYTHONPATH=str(pathlib.Path(ordgen.__file__).parent.parent))
+    flags = ["-O"] if optimise else []
+    proc = subprocess.run(
+        [sys.executable, *flags, "-m", "ordgen.cli", "oracle", "--alg", expr, "--k", "1"],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("error: ")
+    assert f"{name} must be at least 1, got {name}=0" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
 # ---------------------------------------------------------------- analyze
 
 

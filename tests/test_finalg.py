@@ -1,6 +1,9 @@
 """Finite algebra engines: closure, exhaustive and sampled counts, lifts."""
 
+import hashlib
+import itertools
 import os
+import random
 import subprocess
 import sys
 import warnings
@@ -57,13 +60,16 @@ def naive_gen_count(alg, k):
             )
         return memo[key]
 
-    return rec(tuple(finalg._close(eng, [], [eng.flat_unit])), 0)
+    return rec(tuple(finalg._close(eng, [], eng.scalars)), 0)
 
 
 def unit_matrix(alg, n, u, v):
     entries = [[0] * n for _ in range(n)]
     entries[u][v] = 1
     return matrix_element(alg, entries)
+
+
+TW2 = truncated_local_algebra(2, 1, 2, 1, 1)  # radical square zero over F_2, residue field F_4
 
 
 @pytest.mark.parametrize("n,q,r", [(2, 2, 1), (2, 3, 1), (3, 2, 1), (2, 2, 2), (1, 2, 2)])
@@ -98,18 +104,137 @@ def test_element_builders_take_coefficient_fields_above_4096_elements():
         assert prod == twisted_element(alg, (field.mul(x, y),))
 
 
+# SHA-256 of repr((table, unit, label, n, r, coeff_field.q)) for matrix_algebra(n, q, r),
+# frozen from the structure-constant construction that built M_n(F_{q^r}) directly.
+MATRIX_DIGESTS = {
+    (1, 2, 1): "96e578d751e40e91d841662c6fb1a80e38580677f443bcb04599b6f809059330",
+    (1, 2, 2): "5684be8356c1e6fd5769966a619a33163cf05ce67aa10df864f2dfe52428b85f",
+    (1, 2, 3): "31a2b7e866b030992921da4a9ead1dca940c7b04655c9262a40d49e8940bca92",
+    (1, 3, 1): "ab9c376225bd182faa134925854c1cc21898aca02a6510a838ae33abb25a6946",
+    (1, 3, 2): "8f26be1d976d3277a6d76098048e2357e97fd7fa94d346c4966c194e87e60004",
+    (1, 3, 3): "5bbc2cda0534110bd9177ea68e3b2b7d31844696647acb9e96e92cf34eaa0782",
+    (1, 4, 1): "38eb358aac9c6d7f773c36e685a55f6544dc3a5075b2535763c5fdfd50fcbf41",
+    (1, 4, 2): "5a1f2932a75dd3effe617d1bcb641cac5109c0a9ac1a2744c8ac0c344b385d33",
+    (1, 4, 3): "29f6b1de37278f1494796201ae1eaad8e2a386125284466b2100414b9145b6f4",
+    (1, 5, 1): "2df0c78fb3bc9f4c78af178083bad752cfdbb25460e8ddd8962645f61ebff29e",
+    (1, 5, 2): "7ce074fee0b0948890af2b6645b4d35d1b7f3c1eefb4ad0b593c2353859401c6",
+    (1, 5, 3): "694d0a1c807f5fe3471650d2ac09b8bf5b728df48cd3c66e917fba8a772e173a",
+    (1, 7, 1): "0361c7168e8d9283e0dec25e9350691f025c17423733daef610add61132ad7c8",
+    (1, 7, 2): "ebca714e702fba1f2bc7d1e7cd4f3e1024a675d9699e8a53e4d0ffbe6a486a57",
+    (1, 7, 3): "67343ca9588098432d4a9f92f53f15d2eca35071eca563a8ae6cf24486749699",
+    (1, 8, 1): "63c88929c357ef83b019fd3c7cdafd18253711e3ad2943ca34d6902a72ed7dac",
+    (1, 8, 2): "d3125c93da391bc06a433d9f2b0439fb149f0b004b51c880b8c333bbb670b992",
+    (1, 8, 3): "a60e76a0fd6491a325b0112f8fe64b87614025eac12e2ebc1d8a14d2ba43dc67",
+    (1, 9, 1): "7bea3977cf16457bdbee2c1a81cd1f0754da597e7fbaf45e18a39ca79cc060e8",
+    (1, 9, 2): "52749a87807ec2caeb88271bd21ce6a712b57f57835d8cb84b5f98ab68f25501",
+    (1, 9, 3): "8eaa8c8987915d3334fc80bcc883485302de28211aa61ff29236f6b3a52f368c",
+    (2, 2, 1): "3c8b4278d9aec9a1f2d54a753f7fbecbea0316edb611780c39a14e1e92667c7e",
+    (2, 2, 2): "b9dbeee6ac2a608a1c822bfd8d0d889452150b52117b46759588268fd5205dbd",
+    (2, 2, 3): "f749d32332a27fdc4625d21da888d48650f8a94f1c317ec2baed463ee9ed2026",
+    (2, 3, 1): "9b973d1b80eccb260c4ffa00c50184f237e256f9d429774c073256036c548283",
+    (2, 3, 2): "ecbde05741a51f07b6f8e92f0fa8cb2574e293e80766b9f1256ba3b62bbafaf3",
+    (2, 3, 3): "f6ce0e3798fac2cda8ea765c8502feafe16d862aa698ff33e7b748f63bc6099c",
+    (2, 4, 1): "aec011941152f55b14f99684a39b5a80fa759312a235988c74a1c3fdb9526b6a",
+    (2, 4, 2): "b819e76617298ed822c715384317c393050c4ff6b1412d48f2f5c3e198afd152",
+    (2, 4, 3): "5526e2adc6cbe548f6f306b4ef2f1cf497975006fbaaf9d8287748c626954ed8",
+    (2, 5, 1): "4c1ba1a65fe8e5cc4f5d313b7573c81158fd79274b4e34f29059d04459c2f14a",
+    (2, 5, 2): "53ebec715f7146a04d33714b0737e4ae60fdf0e5c2de65b2d8357d0ca1d04544",
+    (2, 5, 3): "2c9b2b5bf00f89b5d473094190790ec90ecf99411cad7b27fcf6ed08d1a8cb43",
+    (2, 7, 1): "a57182f21703c560ae9b00d465e06507f2da79836dda396635ebf4eca3b33526",
+    (2, 7, 2): "08b9c8d515083e994b8b37e28c3459ec2fcd3cb45244bb533f442c28d1507864",
+    (2, 7, 3): "3923e3b6125efb8e58ac0156547168a4dbda6f65d1433204673bc5c72c582fba",
+    (2, 8, 1): "973b247232c9e28ba749fc152e794b03fdf93c0de8048acbbaf20769843ec2dd",
+    (2, 8, 2): "cfac9a3c6945d3cc8ea32a146208cf299f418d9207c891a1a6cd505fbefb92e6",
+    (2, 8, 3): "3ec228c31299b12bcc9ab100f038011aa804b7933f206a4d3890acde188f69a0",
+    (2, 9, 1): "87adcbf4ff168300f16bbeadba8bc9ea8c40772e1e9d8c8e543220944889671d",
+    (2, 9, 2): "2c8a0d445fd5611a69ff7b6ac488e5d63c18393b0f1402c3081ef4045c057511",
+    (2, 9, 3): "c9a9cb51e08d93b60f341e2e93afeb35a9f632ec217d6ad5bcd8717048cd65dc",
+    (3, 2, 1): "70b5d457fa66b077327ef6d452109fe548a2075e770bf79f637a037c686f6b85",
+    (3, 2, 2): "f63c4a129737d57ac134406f02d37bf642ad9ece2f625b9a9e75d65184450b8b",
+    (3, 2, 3): "b0bed49bd8d1e41616de01f7961adf85db86fb2646d4a9db7a5716aaabdc8353",
+    (3, 3, 1): "d4cd57289213ae20297c6e0535bc3b8805a4a9ea008989f9feea640c82cebca0",
+    (3, 3, 2): "a9663c8da53280270c1233991e6c3adc09d5efd3ec82a0792b7731d959b9f521",
+    (3, 3, 3): "75c3b862046d37fb25cbed84772d67729ab75f37b9497977c2c2c135af0b9397",
+    (3, 4, 1): "cc52a4fbdc7ef337e689b5e741b53e366e9ecbaed7f116a94a6a7e12085f3669",
+    (3, 4, 2): "ac328e6d158f997d9b76b3ca67c036d2c75ced7aef7a4a20ce4d531dac7f78b2",
+    (3, 4, 3): "900292904bbaec700ea4d6ab1213818d30b61d528a3fe5458fde747d65e9b59b",
+    (3, 5, 1): "20b4182cfa83567954b25a1ad053bf0d019f2f078987cc57ed907c6b65dfc64c",
+    (3, 5, 2): "1aca1d6f9146c194dd855e33506893c4f88dd1b1f585a1a84d6a22532338b42d",
+    (3, 5, 3): "bb154a353648f91b790546f20db6eb4727acf022ddd190a64d95173107c45157",
+    (3, 7, 1): "487aace3d7ac02136b5e09ca04356bad28e0f766ba396784f047789b15882a8d",
+    (3, 7, 2): "4271e6069e55b48765fb5d72c46e3d269f831809d8699e31b032d3faeb791243",
+    (3, 7, 3): "7e0ad7ada9b1e6cd4052421ed33a2990a2086facbedba8c1523803eb2e9f3c13",
+    (3, 8, 1): "3c05f2f7a7c3d31e7a0ccaf22f0e01e99f6d55d9f91a58d649cf351192f3dd49",
+    (3, 8, 2): "7e19aa8b30263c15a983285ed8e64802fadb5b98fdf23551d283c103aaa58a6c",
+    (3, 8, 3): "1d8cc7d3f9b486a2973f8a7f4526d694d56a56019c7bfcfb49b58335b4ff7d2d",
+    (3, 9, 1): "d3ed3265961b141a4e2a1f079c57b61dd05e1f2b796bf089cd424369c5df5ad1",
+    (3, 9, 2): "573c4a6a0d31b975455e81f257085804f0ac3682fdf6b4d5825ae0942f21aa82",
+    (3, 9, 3): "ebe544b4d208df7bc952f3bf60d3a8e3ee6ff1baefd09801a212a745f76b7ec0",
+}
+
+
+@pytest.mark.parametrize("n,q,r", sorted(MATRIX_DIGESTS), ids=[f"M({n},{q};r={r})" for n, q, r in sorted(MATRIX_DIGESTS)])
+def test_matrix_algebra_tables_are_frozen(n, q, r):
+    alg = matrix_algebra(n, q, r)
+    key = (alg.table, alg.unit, alg.label, alg.meta["n"], alg.meta["r"], alg.meta["coeff_field"].q)
+    assert hashlib.sha256(repr(key).encode()).hexdigest() == MATRIX_DIGESTS[(n, q, r)]
+
+
+def in_span(alg, basis, v):
+    eng = alg._eng()
+    rows = []
+    for b in basis:
+        eng.insert(rows, eng.flatten(b))
+    return eng.insert(rows, eng.flatten(v)) is None
+
+
+SCALAR_CASES = [
+    matrix_algebra(2, 4),
+    truncated_local_algebra(4, 1, 2, 1, 1),
+    truncated_local_algebra(9, 1, 1, 1, 2),
+]
+
+
+@pytest.mark.parametrize("alg", SCALAR_CASES, ids=[alg.label for alg in SCALAR_CASES])
+def test_closure_is_an_fq_subalgebra(alg):
+    F = alg.base
+    scalars = [tuple(F.mul(c, F.pow(F.p, t)) for c in alg.unit) for t in range(F.e)]
+    empty = closure(alg, [])
+    assert empty.rank == 1
+    assert all(in_span(alg, empty.basis, s) for s in scalars)
+    rng = random.Random(7)
+    for _ in range(20):
+        elems = [tuple(rng.randrange(F.q) for _ in range(alg.dim)) for _ in range(rng.randint(1, 2))]
+        sub = closure(alg, elems)
+        assert all(in_span(alg, sub.basis, x) for x in elems)
+        for s in scalars:
+            for b in sub.basis:
+                assert in_span(alg, sub.basis, alg.multiply(s, b))
+                assert in_span(alg, sub.basis, alg.multiply(b, s))
+
+
+@pytest.mark.parametrize(
+    "build,name",
+    [
+        (lambda: matrix_algebra(0, 2), "n"),
+        (lambda: matrix_algebra(2, 2, 0), "r"),
+        (lambda: matrix_over(matrix_algebra(1, 2), 0), "n"),
+        (lambda: truncated_local_algebra(2, 0, 1, 1, 1), "f"),
+        (lambda: truncated_local_algebra(2, 1, 0, 1, 1), "m"),
+        (lambda: truncated_local_algebra(2, 1, 1, 1, 0), "e"),
+        (lambda: truncated_local_algebra(2, 1, 1, 1, -1), "e"),
+    ],
+)
+def test_constructors_reject_parameters_below_one(build, name):
+    with pytest.raises(OrdgenError, match=f" {name} must be at least 1, got {name}="):
+        build()
+
+
 def test_unit_is_two_sided_identity():
     alg = matrix_algebra(2, 2)
-    for i in range(alg.size):
-        a = alg.element_from_index(i)
+    for a in itertools.product(range(alg.base.q), repeat=alg.dim):
         assert alg.multiply(alg.unit, a) == a
         assert alg.multiply(a, alg.unit) == a
-
-
-def test_element_index_roundtrip():
-    alg = matrix_algebra(2, 3)
-    for i in range(alg.size):
-        assert alg.index_of_element(alg.element_from_index(i)) == i
 
 
 def test_closure_spans_generated_subalgebra():
@@ -153,6 +278,22 @@ def test_resolve_budget_rejects_malformed_env(monkeypatch, raw):
     monkeypatch.setenv("ORDGEN_BUDGET", raw)
     with pytest.raises(OrdgenError, match="ORDGEN_BUDGET must be a positive integer"):
         resolve_budget()
+
+
+@pytest.mark.parametrize("budget", [0, -3, 2.5, "100", True])
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda budget: brute_gen_count(matrix_algebra(1, 2), 1, budget=budget),
+        lambda budget: sample_gen_fraction(matrix_algebra(1, 2), 1, 10, budget=budget),
+        lambda budget: lift_count(TW2, TW2.radical_basis, (twisted_element(TW2, (2,)), TW2.unit), budget=budget),
+    ],
+    ids=["brute", "sample", "lift"],
+)
+def test_budget_argument_must_be_a_positive_integer(call, budget):
+    with pytest.raises(OrdgenError, match="budget must be a positive integer") as info:
+        call(budget)
+    assert not isinstance(info.value, BudgetExceeded)
 
 
 def test_splitmix_stream_is_frozen():

@@ -1,20 +1,18 @@
-"""Finite field arithmetic: construction, axioms, Frobenius, subfields."""
+"""Finite field arithmetic: construction, axioms, Frobenius."""
 
 import pickle
 
 import pytest
 
-from ordgen.errors import CapExceeded, NotADivisor, NotPrime
+from ordgen.errors import CapExceeded, NotPrime
 from ordgen.finfield import (
     PrimePower,
     build_field,
     factorize,
-    field_elements,
     field_of,
     frobenius,
     is_prime,
     prime_power_of,
-    subfield_test,
 )
 
 
@@ -59,7 +57,6 @@ def test_elements_enumerates_all_encodings():
     field = build_field(3, 2)
     elems = field.elements()
     assert list(elems) == list(range(9))
-    assert field_elements(field) == list(range(9))
 
 
 def test_coords_roundtrip():
@@ -115,27 +112,6 @@ def test_frobenius_iterate_and_additivity():
     for a, b in ((3, 5), (9, 14)):
         lhs = frobenius(field, field.add(a, b))
         assert lhs == field.add(frobenius(field, a), frobenius(field, b))
-
-
-def test_subfield_membership_by_order():
-    field = build_field(2, 4)
-    gen = next(a for a in field.elements() if a and field.multiplicative_order(a) == 15)
-    assert not subfield_test(field, gen, 2)
-    assert subfield_test(field, field.pow(gen, 5), 2)  # order divides 3 = 4 - 1 of F_4
-    assert all(subfield_test(field, a, 1) == (a in (0, 1)) for a in field.elements())
-
-
-def test_subfield_test_requires_divisor_degree():
-    field = build_field(2, 4)
-    with pytest.raises(NotADivisor):
-        subfield_test(field, 1, 3)
-
-
-def test_subfield_counts_match_subfield_sizes():
-    field = build_field(2, 4)
-    for s, expected in ((1, 2), (2, 4), (4, 16)):
-        members = [a for a in field.elements() if subfield_test(field, a, s)]
-        assert len(members) == expected
 
 
 def test_pickle_preserves_cached_identity():

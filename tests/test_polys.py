@@ -9,7 +9,6 @@ from ordgen.polys import (
     derivative,
     distinct_degree_counts,
     divmod_poly,
-    eval_at,
     gcd,
     is_irreducible,
     mod,
@@ -51,11 +50,6 @@ def test_mul_known_product():
     assert mul((1, 1), (1, 1), 2) == (1, 0, 1)
     # (x + 1)(x^2 + x + 1) = x^3 + 1 over F_2
     assert mul((1, 1), (1, 1, 1), 2) == (1, 0, 0, 1)
-
-
-def test_eval_at_matches_horner():
-    f = (1, 0, 2, 1)  # x^3 + 2x^2 + 1
-    assert eval_at(f, 2, 5) == (8 + 8 + 1) % 5
 
 
 def test_divmod_exact_division():
