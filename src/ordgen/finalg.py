@@ -379,16 +379,22 @@ class FiniteAlgebra:
         return self._engine
 
     def _verify(self):
+        """Check the unit law and associativity on the F_q-basis, and the radical span.
+
+        The engine's product is the F_q-bilinear extension of ``table`` (flat
+        entry (i, t)(j, u) is x^(t+u) table[i][j]), so the dim unit checks and
+        the dim^3 basis triples decide both laws on every element.
+        """
         eng = self._eng()
-        unit_flats = [eng.flat_of_index(eng.p**a) for a in range(eng.D)]
+        basis = [eng.flat_of_index(eng.p ** (i * eng.e)) for i in range(self.dim)]
         u = eng.scalars[0]  # x^0 * unit
-        for a, ba in enumerate(unit_flats):
+        for a, ba in enumerate(basis):
             if eng.mul(u, ba) != ba or eng.mul(ba, u) != ba:
                 raise AssertionError(f"unit law fails on basis vector {a} of {self.label}")
-        for a, ba in enumerate(unit_flats):
-            for b, bb in enumerate(unit_flats):
+        for a, ba in enumerate(basis):
+            for b, bb in enumerate(basis):
                 ab = eng.mul(ba, bb)
-                for c, bc in enumerate(unit_flats):
+                for c, bc in enumerate(basis):
                     if eng.mul(ab, bc) != eng.mul(ba, eng.mul(bb, bc)):
                         raise AssertionError(f"associativity fails on basis triple ({a},{b},{c}) of {self.label}")
         _nilpotent_ideal_rows(eng, self.radical_basis, f"radical span of {self.label}")

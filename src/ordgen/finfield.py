@@ -296,6 +296,3 @@ def field_of(q: int | PrimePower) -> FiniteField:
     pp = q if isinstance(q, PrimePower) else prime_power_of(q)
     return build_field(pp.p, pp.e)
 
-
-def frobenius(field: FiniteField, a: int, i: int = 1) -> int:
-    return field.frobenius(a, i)

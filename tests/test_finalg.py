@@ -32,6 +32,7 @@ from ordgen.finalg import (
     truncated_local_algebra,
     twisted_element,
 )
+from ordgen.finfield import field_of
 
 
 def zero(alg):
@@ -228,6 +229,38 @@ def test_closure_is_an_fq_subalgebra(alg):
 def test_constructors_reject_parameters_below_one(build, name):
     with pytest.raises(OrdgenError, match=f" {name} must be at least 1, got {name}="):
         build()
+
+
+@pytest.mark.parametrize("q,a_squared", [(2, 1), (4, 1), (4, 2)])
+def test_verify_refuses_non_associative_table(q, a_squared):
+    # basis 1, a, b with a*a = a_squared * b, b*a = a, a*b = b*b = 0:
+    # (a*a)*a = a_squared * a but a*(a*a) = a_squared * (a*b) = 0
+    one, a, b, zero3 = (1, 0, 0), (0, 1, 0), (0, 0, 1), (0, 0, 0)
+    table = [[one, a, b], [a, (0, 0, a_squared), zero3], [b, a, zero3]]
+    with pytest.raises(AssertionError, match="associativity fails"):
+        FiniteAlgebra(field_of(q), table, one)
+
+
+@pytest.mark.parametrize("q,unit", [(2, (1, 1, 0)), (2, (0, 0, 1)), (4, (2, 0, 0)), (4, (3, 0, 0))])
+def test_verify_refuses_wrong_unit(q, unit):
+    diag = [[(1, 0, 0), (0, 1, 0), (0, 0, 1)], [(0, 1, 0), (0, 1, 0), (0, 0, 0)], [(0, 0, 1), (0, 0, 0), (0, 0, 1)]]
+    FiniteAlgebra(field_of(q), diag, (1, 0, 0))  # F_q x F_q x F_q on idempotents 1, e1, e2 is fine
+    with pytest.raises(AssertionError, match="unit law fails"):
+        FiniteAlgebra(field_of(q), diag, unit)
+
+
+@pytest.mark.parametrize("q", [2, 4])
+@pytest.mark.parametrize(
+    "table",
+    [
+        [[(1, 0), (0, 1)], [(0, 0), (0, 0)]],  # span{E11, E12}: E11 is a left unit only, E12 * E11 = 0
+        [[(1, 0), (0, 0)], [(0, 1), (0, 0)]],  # span{E11, E21}: E11 is a right unit only, E11 * E21 = 0
+    ],
+    ids=["left", "right"],
+)
+def test_verify_refuses_one_sided_unit(q, table):
+    with pytest.raises(AssertionError, match="unit law fails"):
+        FiniteAlgebra(field_of(q), table, (1, 0))
 
 
 def test_unit_is_two_sided_identity():

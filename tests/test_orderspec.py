@@ -1,24 +1,35 @@
 """Order specifications: prime splitting, classification, local counts."""
 
 import json
+import os
 import pathlib
 import re
+import subprocess
+import sys
 
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import ordgen
+from ordgen import orderspec, polys
 
 from ordgen.errors import (
     EmptySpec,
     ExceptionalPrimeNeedsOverride,
     IndexNotDividingDegree,
     NotMonic,
+    NotPrime,
     SpecError,
     UnsupportedRank,
 )
 from ordgen.counting import gen_count_power
 from ordgen.finalg import brute_gen_count
+from ordgen.finfield import is_prime
 from ordgen.orderspec import (
+    DegreePattern,
     LocalPrimeData,
     OrderSpec,
     SimpleFactorSpec,
@@ -75,6 +86,164 @@ def test_degree_pattern_flags_uncertifiable_prime():
 def test_degree_pattern_rejects_nonmonic():
     with pytest.raises(NotMonic):
         degree_pattern((1, 2), 5)
+
+
+def _times(a, b):
+    """Product of two integer polynomials (ascending coefficients)."""
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return tuple(out)
+
+
+def reference_degree_pattern(minpoly, p):
+    """The factor-and-certify path on its own, at every prime: the oracle of degree_pattern.
+
+    A squarefree decomposition of f mod p, a distinct-degree factorization of
+    each part, and the lifted-radical test: with fbar = g*h for g the radical
+    and h the cofactor, Z[x]/(f) is maximal at p iff
+    gcd((g*h - f)/p mod p, gcd(g, h)) = 1.
+    """
+    coeffs = tuple(int(c) for c in minpoly)
+    fbar = polys.reduce_mod(coeffs, p)
+    assert polys.degree(fbar) == len(coeffs) - 1
+    pattern = []
+    radical = (1,)
+    for part, mult in polys.squarefree_decomposition(fbar, p):
+        radical = polys.mul(radical, part, p)
+        for deg, cnt in sorted(polys.distinct_degree_counts(part, p).items()):
+            pattern.extend([(deg, mult)] * cnt)
+    pattern.sort()
+    assert sum(deg * mult for deg, mult in pattern) == len(coeffs) - 1
+    cofactor, rem = polys.divmod_poly(fbar, radical, p)
+    assert not rem
+    common = polys.gcd(radical, cofactor, p)
+    if polys.degree(common) <= 0:
+        certified = True
+    else:
+        lifted = list(_times(radical, cofactor))
+        lifted += [0] * (len(coeffs) - len(lifted))
+        diff = [x - y for x, y in zip(lifted, coeffs)]
+        assert all(c % p == 0 for c in diff)
+        tbar = polys.reduce_mod(tuple(c // p for c in diff), p)
+        certified = polys.degree(polys.gcd(tbar, common, p)) <= 0
+    return DegreePattern(tuple(pattern), certified)
+
+
+PRIMES_BELOW_500 = [p for p in range(500) if is_prime(p)]
+
+
+def _monic(draw, degree):
+    return tuple(draw(st.lists(st.integers(-12, 12), min_size=degree, max_size=degree))) + (1,)
+
+
+@st.composite
+def monic_polynomials(draw):
+    """Random monic integer polynomials of degree 1 to 5; a third carry a square factor g^2."""
+    if draw(st.integers(0, 2)):
+        return _monic(draw, draw(st.integers(1, 5)))
+    g = _monic(draw, draw(st.integers(1, 2)))
+    h = _monic(draw, draw(st.integers(0, 5 - 2 * (len(g) - 1))))
+    return _times(_times(g, g), h)
+
+
+@settings(max_examples=400, deadline=None)
+@given(monic_polynomials(), st.data())
+def test_degree_pattern_matches_reference(f, data):
+    disc = orderspec._discriminant(f)
+    dividing = [p for p in PRIMES_BELOW_500 if disc % p == 0]
+    p = data.draw(st.sampled_from(dividing) if dividing and data.draw(st.booleans()) else st.sampled_from(PRIMES_BELOW_500))
+    expected = reference_degree_pattern(f, p)
+    got = degree_pattern(f, p)
+    assert (got.pairs, got.certified) == (expected.pairs, expected.certified)
+    # f mod p has a repeated factor exactly when p divides disc(f)
+    assert (disc % p == 0) == any(mult > 1 for _, mult in expected.pairs)
+
+
+@pytest.mark.parametrize(
+    "f,p",
+    [
+        ((2, 3, 1), 2),  # (x+1)(x+2), disc 1
+        ((2, 5, 4, 1), 3),  # (x+1)^2 (x+2), disc 0
+        ((2, 5, 4, 1), 499),
+        ((4, 4, 1), 7),  # (x+2)^2
+        ((8, -2, 1, 1), 2),  # Dedekind's cubic: 2 divides the index, not certifiable
+        ((8, -2, 1, 1), 503),
+        ((1, 1, 1, 1, 1), 5),
+        ((1, 1, 1, 1, 1), 11),
+        ((0, 0, 0, 0, 0, 1), 3),  # x^5, disc 0
+    ],
+)
+def test_degree_pattern_matches_reference_on_fixed_cases(f, p):
+    assert degree_pattern(f, p) == reference_degree_pattern(f, p)
+
+
+@pytest.mark.parametrize(
+    "f,disc",
+    [
+        ((1, 0, 1), -4),
+        ((3, 0, 1), -12),
+        ((1, 1, 1), -3),
+        ((-2, 0, 0, 1), -108),
+        ((8, -2, 1, 1), -2012),
+        ((1, 1, 1, 1, 1), 125),
+    ],
+)
+def test_discriminant_frozen_values(f, disc):
+    assert orderspec._discriminant(f) == disc
+
+
+def test_degree_pattern_skips_polynomial_division_off_the_discriminant(monkeypatch):
+    calls = [0]
+    divmod_poly = polys.divmod_poly
+
+    def counted(*args):
+        calls[0] += 1
+        return divmod_poly(*args)
+
+    monkeypatch.setattr(polys, "divmod_poly", counted)
+    checked = 0
+    for f in ((3, 1), (-7, 1), (1, 0, 1), (3, 0, 1), (1, 1, 1), (-2, 0, 1), (5, 3, 1)):
+        for p in PRIMES_BELOW_500:
+            if orderspec._discriminant(f) % p:
+                degree_pattern(f, p)
+                checked += 1
+    assert calls[0] == 0
+    assert checked > 600
+    degree_pattern((1, 0, 1), 2)  # 2 divides -4: the full path divides
+    assert calls[0] > 0
+
+
+@pytest.mark.parametrize("f,p", [((1, 0, 1), 6), ((0, 1), 4), ((1, 1, 1), 1), ((1, 1, 1), 0)])
+def test_degree_pattern_rejects_composite_modulus(f, p):
+    with pytest.raises(NotPrime):
+        degree_pattern(f, p)
+
+
+def test_local_data_rejects_composite_modulus():
+    with pytest.raises(NotPrime):
+        local_data(fixture("zi.json"), 9)
+
+
+@pytest.mark.parametrize("optimise", [False, True], ids=["plain", "-O"])
+def test_composite_modulus_raises_not_prime_in_every_mode(optimise):
+    script = (
+        "from ordgen.errors import NotPrime\n"
+        "from ordgen.orderspec import degree_pattern, load_spec, local_data\n"
+        "calls = [lambda: degree_pattern((1, 0, 1), 6), lambda: degree_pattern((0, 1), 4),\n"
+        f"         lambda: local_data(load_spec({str(DATA / 'zi.json')!r}), 9)]\n"
+        "for call in calls:\n"
+        "    try:\n"
+        "        call()\n"
+        "    except NotPrime:\n"
+        "        print('NotPrime')\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(pathlib.Path(ordgen.__file__).parent.parent))
+    flags = ["-O"] if optimise else []
+    proc = subprocess.run([sys.executable, *flags, "-c", script], capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "NotPrime\n" * 3
 
 
 # ---------------------------------------------------------------- validation
