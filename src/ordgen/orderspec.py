@@ -12,7 +12,6 @@ from __future__ import annotations
 import json
 from collections import Counter
 from dataclasses import dataclass, field
-from functools import lru_cache
 
 from . import polys
 from .counting import min_k_for_copies, min_k_for_copies_bound, gen_count_power
@@ -48,47 +47,6 @@ def _int_mul(a, b):
     return out
 
 
-def _int_det(rows: list[list[int]]) -> int:
-    """Determinant of a square integer matrix by fraction-free (Bareiss) elimination."""
-    m = [list(r) for r in rows]
-    n = len(m)
-    sign, prev = 1, 1
-    for k in range(n - 1):
-        if m[k][k] == 0:
-            swap = next((i for i in range(k + 1, n) if m[i][k]), None)
-            if swap is None:
-                return 0
-            m[k], m[swap] = m[swap], m[k]
-            sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
-        prev = m[k][k]
-    return sign * m[n - 1][n - 1]
-
-
-@lru_cache(maxsize=128)
-def _discriminant(coeffs: tuple[int, ...]) -> int:
-    """disc(f) of a monic integer polynomial f (ascending coefficients).
-
-    Degree 1 gives 1 and degree 2 the closed form b^2 - 4c.  From degree 3 on
-    it is (-1)^(n(n-1)/2) Res(f, f'), the resultant being the determinant of
-    the Sylvester matrix of f and f'.
-    """
-    n = len(coeffs) - 1
-    if n == 1:
-        return 1
-    if n == 2:
-        c, b, _ = coeffs
-        return b * b - 4 * c
-    f = list(coeffs[::-1])
-    df = [i * coeffs[i] for i in range(n, 0, -1)]
-    size = 2 * n - 1
-    sylvester = [[0] * i + f + [0] * (size - n - 1 - i) for i in range(n - 1)]
-    sylvester += [[0] * i + df + [0] * (size - n - i) for i in range(n)]
-    return (-1) ** (n * (n - 1) // 2) * _int_det(sylvester)
-
-
 _LINEAR = DegreePattern(((1, 1),), True)
 _SPLIT = DegreePattern(((1, 1), (1, 1)), True)
 _INERT = DegreePattern(((2, 1),), True)
@@ -98,16 +56,17 @@ def degree_pattern(minpoly, p: int) -> DegreePattern:
     """Factor shape of a monic integer polynomial mod p with a maximality certificate.
 
     The pattern lists one (degree, multiplicity) pair per irreducible factor of
-    the reduction mod p.  When p does not divide disc(f), the reduction is
-    squarefree (f is monic), so the order Z[x]/(f) is maximal at p by
-    Dedekind's criterion and only the factor degrees are computed: degree 1 is
-    one linear factor, degree 2 splits or stays inert by Euler's criterion on
-    the discriminant (for p = 2 by the parity of the constant term), and higher
-    degrees take a distinct-degree factorization.  The discriminant is computed
-    once per polynomial.
+    the reduction mod p.  Degrees 1 and 2 take a shortcut: a linear f is one
+    certified linear factor, and a quadratic x^2 + bx + c with p not dividing
+    disc(f) = b^2 - 4c reduces to a squarefree polynomial (f is monic), so
+    Z[x]/(f) is maximal at p by Dedekind's criterion and f splits or stays
+    inert by Euler's criterion on the discriminant (for p = 2 by the parity
+    of c).
 
-    When p divides disc(f) the full path runs: a squarefree decomposition, then
-    the lifted-radical test.  With fbar = g*h for g the radical and h the
+    Otherwise, that is for a quadratic at a prime dividing its discriminant
+    and for every degree from 3 on, the full path runs: a squarefree
+    decomposition, a distinct-degree factorization of each part, then the
+    lifted-radical test.  With fbar = g*h for g the radical and h the
     cofactor, the order is maximal at p iff gcd((g*h - f)/p mod p, gcd(g, h)) = 1.
     """
     coeffs = tuple(int(c) for c in minpoly)
@@ -115,22 +74,21 @@ def degree_pattern(minpoly, p: int) -> DegreePattern:
         raise NotMonic(f"center polynomial must be monic of positive degree, got {list(minpoly)}")
     if not is_prime(p):
         raise NotPrime(p)
-    disc = _discriminant(coeffs)
-    if disc % p:
-        n = len(coeffs) - 1
-        if n == 1:
-            return _LINEAR
-        if n == 2:
+    n = len(coeffs) - 1
+    if n == 1:
+        return _LINEAR
+    if n == 2:
+        c, b, _ = coeffs
+        disc = b * b - 4 * c
+        if disc % p:
             if p == 2:
-                return _INERT if coeffs[0] % 2 else _SPLIT
+                return _INERT if c % 2 else _SPLIT
             return _SPLIT if pow(disc % p, (p - 1) // 2, p) == 1 else _INERT
-        counts = polys.distinct_degree_counts(polys.reduce_mod(coeffs, p), p)
-        return DegreePattern(tuple(sorted((deg, 1) for deg, cnt in counts.items() for _ in range(cnt))), True)
     return _full_pattern(coeffs, p)
 
 
 def _full_pattern(coeffs: tuple[int, ...], p: int) -> DegreePattern:
-    """degree_pattern at a prime dividing the discriminant: factor and certify in full."""
+    """degree_pattern without the shortcut, valid at every prime: factor and certify in full."""
     fbar = polys.reduce_mod(coeffs, p)
     assert polys.degree(fbar) == len(coeffs) - 1
     parts = polys.squarefree_decomposition(fbar, p)

