@@ -4,7 +4,8 @@ Elements are coordinate tuples over the base field (each coordinate a field
 encoding).  The element with coordinates (c_0, ..., c_{dim-1}) has index
 sum c_i * q^i, so enumeration order is the row-major order of the base field's
 element order.  Internally all linear algebra runs over the prime field F_p on
-flattened coordinate vectors: bit-packed integers when p = 2, tuples otherwise.
+flattened coordinate vectors packed into integers, one bit per coordinate
+when p = 2 and one b-bit lane per coordinate for odd p.
 A unital F_q-subalgebra is exactly an F_p-subalgebra that contains the scalars
 F_q * 1, so every closure starts from those scalars and never works over F_q.
 
@@ -79,15 +80,21 @@ def _inv_matrix_mod_p(cols: list[list[int]], p: int) -> list[list[int]]:
 
 
 class _Engine:
-    """The multiplication table of an algebra on flattened F_p vectors.
+    """The multiplication table of an algebra on flattened, packed F_p vectors.
 
     Flat coordinate i*e + t stands for x^t times the i-th basis vector, x the
-    root of the base field's modulus.  ``tbl[a][b]`` holds the product of flat
-    basis vectors a and b.  ``scalars`` is the flat F_p-basis x^t * unit
-    (t < e) of the scalars F_q * 1.  An F_p-subalgebra that contains them is
-    closed under multiplication by F_q, so it is an F_q-subalgebra: every
-    closure seeded with ``scalars`` works over F_p alone.  Subclasses fix the
-    vector encoding (``flatten``) and the table entries (``_entry``).
+    root of the base field's modulus.  A flat vector is a Python int with one
+    b-bit lane per flat coordinate, coordinate 0 in the lowest lane; for p = 2
+    the lanes are single bits.  ``tbl[a][b]`` holds the product of flat basis
+    vectors a and b.  ``scalars`` is the flat F_p-basis x^t * unit (t < e) of
+    the scalars F_q * 1.  An F_p-subalgebra that contains them is closed under
+    multiplication by F_q, so it is an F_q-subalgebra: every closure seeded
+    with ``scalars`` works over F_p alone.
+
+    The encoding, the pivots and the tables live here; the subclasses supply
+    the lane width (``_lane_width``) and the arithmetic: ``mul``, ``insert``,
+    ``add`` and ``span_elements``.  Echelon bases are fully reduced and
+    canonical, so equal spans give equal row lists.
     """
 
     def __init__(self, alg: FiniteAlgebra):
@@ -97,6 +104,7 @@ class _Engine:
         self.D = dim * e
         self.e = e
         self.p = F.p
+        self.b = self._lane_width()
         xpow = [F.pow(F.p, s) for s in range(2 * e - 1)] if e > 1 else [1]
         flat = self.flatten
         self.tbl = []
@@ -106,33 +114,58 @@ class _Engine:
                 for j in range(dim):
                     for u in range(e):
                         s = xpow[t + u]
-                        row.append(self._entry(flat(tuple(F.mul(c, s) for c in alg.table[i][j]))))
+                        row.append(flat(tuple(F.mul(c, s) for c in alg.table[i][j])))
                 self.tbl.append(row)
         self.scalars = [flat(tuple(F.mul(c, xpow[t]) for c in alg.unit)) for t in range(e)]
         self.size = alg.size
 
-    def _entry(self, vec):
-        return vec
-
-
-class _Gf2Engine(_Engine):
-    """Flattened F_2 engine: vectors are bit-packed ints, one bit per F_p coordinate."""
-
     def flatten(self, coords) -> int:
-        e = self.e
-        acc = 0
-        for i, c in enumerate(coords):
-            acc |= c << (i * e)
+        p, b = self.p, self.b
+        acc = shift = 0
+        for c in coords:
+            for _ in range(self.e):
+                acc |= (c % p) << shift
+                c //= p
+                shift += b
         return acc
 
     def unflatten(self, flat: int) -> tuple[int, ...]:
-        e, mask = self.e, (1 << self.e) - 1
-        return tuple((flat >> (i * e)) & mask for i in range(self.D // e))
+        p, b, e = self.p, self.b, self.e
+        mask = (1 << b) - 1
+        out = []
+        for i in range(0, self.D, e):
+            acc = 0
+            for t in reversed(range(e)):
+                acc = acc * p + ((flat >> ((i + t) * b)) & mask)
+            out.append(acc)
+        return tuple(out)
 
     def flat_of_index(self, idx: int) -> int:
-        return idx
+        """The flat vector of the element with the given index: its base-p digits, one per lane."""
+        p, b = self.p, self.b
+        if b == 1:  # p = 2: the binary digits are the lanes
+            return idx
+        acc = 0
+        for pos in range(self.D):
+            idx, c = divmod(idx, p)
+            acc |= c << (pos * b)
+        return acc
 
-    def mul(self, u: int, v: int):
+    def pivot(self, row: int) -> int:
+        """The flat coordinate of a basis row's pivot: its highest bit for p = 2,
+        its lowest non-zero lane for odd p."""
+        bit = row.bit_length() - 1 if self.p == 2 else (row & -row).bit_length() - 1
+        return bit // self.b
+
+
+class _Gf2Engine(_Engine):
+    """F_2: one bit per coordinate, so addition is XOR.  A row's pivot is its
+    highest bit, and rows are kept in decreasing order."""
+
+    def _lane_width(self) -> int:
+        return 1
+
+    def mul(self, u: int, v: int) -> int:
         acc = 0
         tbl = self.tbl
         while u:
@@ -175,119 +208,127 @@ class _Gf2Engine(_Engine):
 
 
 class _GfpEngine(_Engine):
-    """Flattened F_p engine for odd p: vectors are coordinate tuples mod p.
+    """Odd p: b-bit lanes that are summed lazily and reduced mod p all at once.
 
-    Table entries are sparse (index, coefficient) pairs of the product vector.
+    Every lane of a stored vector lies in [0, p).  Sums of up to ``top`` per
+    lane are left unreduced; ``_reduce`` then takes each lane x to x mod p as
+    x - p * ((x * magic) >> shift), the quotient read through a mask.  The
+    width b leaves room for ``top * magic`` in a lane, so neither the product
+    by the magic nor the sums before it carry into the next lane.  A row's
+    pivot is its lowest non-zero lane, where it holds 1, and rows are kept in
+    increasing pivot order.
     """
 
-    def flatten(self, coords) -> tuple[int, ...]:
-        e, p = self.e, self.p
-        out = []
-        for c in coords:
-            for _ in range(e):
-                out.append(c % p)
-                c //= p
-        return tuple(out)
+    def _lane_width(self) -> int:
+        """Fix ``top`` and the reduction constants from p and D; return the lane width b."""
+        p, D = self.p, self.D
+        # The largest lazy lane: a product sums D*D terms (ui*vj mod p) * entry;
+        # reducing a vector against D rows adds at most D*(p-1)^2 to p-1.
+        top = max(D * D, D + 1) * (p - 1) ** 2
+        shift = p.bit_length()
+        while True:
+            magic = -(-(1 << shift) // p)
+            if top * (magic * p - (1 << shift)) < 1 << shift:
+                break
+            shift += 1
+        b = (top * magic).bit_length()
+        self.top, self.magic, self.shift = top, magic, shift
+        self.lane = (1 << b) - 1
+        self.quot = sum(((1 << (b - shift)) - 1) << (i * b) for i in range(D))
+        return b
 
-    def _entry(self, vec):
-        return tuple((idx, c) for idx, c in enumerate(vec) if c)
+    def _reduce(self, v: int) -> int:
+        return v - self.p * (((v * self.magic) >> self.shift) & self.quot)
 
-    def unflatten(self, flat) -> tuple[int, ...]:
-        e, p = self.e, self.p
-        out = []
-        for i in range(0, self.D, e):
-            acc = 0
-            for t in reversed(range(e)):
-                acc = acc * p + flat[i + t]
-            out.append(acc)
-        return tuple(out)
-
-    def flat_of_index(self, idx: int):
-        p = self.p
-        out = []
-        for _ in range(self.D):
-            out.append(idx % p)
-            idx //= p
-        return tuple(out)
-
-    def mul(self, u, v):
-        p = self.p
-        acc = [0] * self.D
-        tbl = self.tbl
-        for i, ui in enumerate(u):
+    def mul(self, u: int, v: int) -> int:
+        p, b, lane, tbl = self.p, self.b, self.lane, self.tbl
+        vs = [(j, c) for j in range(self.D) if (c := (v >> (j * b)) & lane)]
+        acc = 0
+        i = 0
+        while u:
+            ui = u & lane
             if ui:
                 row = tbl[i]
-                for j, vj in enumerate(v):
-                    if vj:
-                        c = ui * vj % p
-                        for idx, wc in row[j]:
-                            acc[idx] = (acc[idx] + c * wc) % p
-        return tuple(acc)
+                for j, c in vs:
+                    acc += (ui * c % p) * row[j]
+            u >>= b
+            i += 1
+        return self._reduce(acc)
 
-    def add(self, u, v):
-        p = self.p
-        return tuple((x + y) % p for x, y in zip(u, v))
+    def add(self, u: int, v: int) -> int:
+        return self._reduce(u + v)
 
-    def insert(self, rows: list, v):
-        p = self.p
-        v = list(v)
+    def insert(self, rows: list[int], v: int):
+        """Insert into a fully reduced echelon basis; returns the reduced vector or None."""
+        p, lane = self.p, self.lane
         for r in rows:
-            piv = next(i for i, x in enumerate(r) if x)
-            c = v[piv]
+            c = ((v >> ((r & -r).bit_length() - 1)) & lane) % p
             if c:
-                v = [(x - c * y) % p for x, y in zip(v, r)]
-        piv = next((i for i, x in enumerate(v) if x), None)
-        if piv is None:
+                v += (p - c) * r
+        v = self._reduce(v)
+        if v == 0:
             return None
-        inv = pow(v[piv], p - 2, p)
-        v = tuple(x * inv % p for x in v)
+        s = (v & -v).bit_length() - 1
+        s -= s % self.b  # the start of the lowest non-zero lane
+        low = 1 << s
+        c = (v >> s) & lane
+        if c != 1:
+            v = self._reduce(v * pow(c, p - 2, p))
         for i, r in enumerate(rows):
-            c = r[piv]
+            c = (r >> s) & lane
             if c:
-                rows[i] = tuple((x - c * y) % p for x, y in zip(r, v))
+                rows[i] = self._reduce(r + (p - c) * v)
         pos = 0
-        while pos < len(rows) and next(i for i, x in enumerate(rows[pos]) if x) < piv:
+        while pos < len(rows) and rows[pos] & -rows[pos] < low:
             pos += 1
         rows.insert(pos, v)
         return v
 
-    def span_elements(self, rows: list) -> list:
-        out = [tuple([0] * self.D)]
+    def span_elements(self, rows: list[int]) -> list[int]:
+        out = [0]
         for r in rows:
-            out = [tuple((x + c * y) % self.p for x, y in zip(v, r)) for v in out for c in range(self.p)]
+            out = [self._reduce(x + c * r) for x in out for c in range(self.p)]
         return out
 
 
 def _close(eng, base_rows: list, new_flats) -> list:
     """Echelon basis of the F_p-subalgebra generated by a closed base span plus new elements.
 
-    The result is the F_q-subalgebra they generate only when the base span or
-    the new elements include ``eng.scalars``; every caller seeds them so.
+    The subalgebra generated by a set G is the span of the words in G, the
+    empty word being the unit.  So when the unit lies in the base span or
+    among the new elements, that subalgebra is the smallest space holding
+    both that is closed under multiplication on the right by G, taken here as
+    the base rows and the new elements: the word g1...gn is then reached as
+    (g1...g(n-1))*gn.  The base span is closed, so a base row needs
+    multiplying only by the new elements, while each vector the closure adds
+    is multiplied by every generator.  Multiplying by the unit changes
+    nothing, so the unit is neither a generator nor a vector to multiply.
+
+    Every caller seeds the unit, through ``eng.scalars`` in the base span or
+    among the new elements; with the scalars the result is also the
+    F_q-subalgebra they generate.
     """
     rows = list(base_rows)
-    reps = list(base_rows)
-    work = []
     D = eng.D
-
-    def add(vec):
-        red = eng.insert(rows, vec)
-        if red is not None:
-            reps.append(red)
-            work.append(red)
-
+    unit = eng.scalars[0]
+    new = []
     for v in new_flats:
         if len(rows) == D:
-            break
-        add(v)
+            return rows
+        red = eng.insert(rows, v)
+        if red is not None and red != unit:
+            new.append(red)
+    old = [s for s in base_rows if s != unit]
+    gens = old + new
+    work = [(s, new) for s in old] + [(x, gens) for x in new]  # (vector, generators to multiply it by)
     while work and len(rows) < D:
-        x = work.pop()
-        for y in list(reps):
-            add(eng.mul(x, y))
-            if len(rows) == D:
-                return rows
-            add(eng.mul(y, x))
-            if len(rows) == D:
-                return rows
+        x, by = work.pop()
+        for g in by:
+            red = eng.insert(rows, eng.mul(x, g))
+            if red is not None:
+                if len(rows) == D:
+                    return rows
+                work.append((red, gens))
     return rows
 
 
@@ -297,23 +338,12 @@ def _coset_flats(eng, rows) -> list:
     The representatives are the vectors supported on the non-pivot
     coordinates, in the order of itertools.product over those coordinates.
     """
-    p, D = eng.p, eng.D
-    if p == 2:
-        pivots = {r.bit_length() - 1 for r in rows}
-        out = [0]
-        for pos in range(D):
-            if pos not in pivots:
-                bit = 1 << pos
-                out = [y for x in out for y in (x, x | bit)]
-        return out
-    pivots = {next(i for i, x in enumerate(r) if x) for r in rows}
-    free = [i for i in range(D) if i not in pivots]
-    out = []
-    for combo in itertools.product(range(p), repeat=len(free)):
-        vec = [0] * D
-        for pos, c in zip(free, combo):
-            vec[pos] = c
-        out.append(tuple(vec))
+    pivots = {eng.pivot(r) for r in rows}
+    out = [0]
+    for pos in range(eng.D):
+        if pos not in pivots:
+            shift = pos * eng.b
+            out = [x + (c << shift) for x in out for c in range(eng.p)]
     return out
 
 

@@ -74,6 +74,11 @@ def degree_pattern(minpoly, p: int) -> DegreePattern:
         raise NotMonic(f"center polynomial must be monic of positive degree, got {list(minpoly)}")
     if not is_prime(p):
         raise NotPrime(p)
+    return _pattern(coeffs, p)
+
+
+def _pattern(coeffs: tuple[int, ...], p: int) -> DegreePattern:
+    """degree_pattern of a monic integer coefficient tuple at a prime, both unchecked."""
     n = len(coeffs) - 1
     if n == 1:
         return _LINEAR
@@ -334,7 +339,9 @@ def local_data(spec: OrderSpec, p: int) -> LocalPrimeData:
     Override rows win outright; otherwise each factor contributes one entry per
     prime of its center above p, with the declared index (default 1) and the
     residue data from degree_pattern, counted once per copy of the factor.  An
-    uncertifiable pattern marks the prime exceptional.
+    uncertifiable pattern marks the prime exceptional.  p is checked for
+    primality once, here, and the spec's polynomials were checked when it was
+    built, so the patterns come from degree_pattern's unchecked body.
     """
     if not is_prime(p):
         raise NotPrime(p)
@@ -342,7 +349,7 @@ def local_data(spec: OrderSpec, p: int) -> LocalPrimeData:
         return LocalPrimeData(p, tuple(Counter(map(tuple, spec.overrides[p])).items()), False)
     counts: Counter = Counter()
     for fac in spec.factors:
-        pattern = degree_pattern(fac.center_minpoly, p)
+        pattern = _pattern(fac.center_minpoly, p)
         if not pattern.certified:
             return LocalPrimeData(p, (), True)
         listed = fac.local_indices.get(p)
