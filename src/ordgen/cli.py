@@ -1,9 +1,9 @@
 """Command-line front end: counts, oracles, spec analysis, densities, tables.
 
 Exit codes: 0 success, 2 usage or invalid input, 3 unsupported exact rank,
-4 oracle budget exceeded, 5 a prime needs explicit local data.  Machine
-format output is canonical JSON (sorted keys, no whitespace) and parses
-back byte-identically.
+4 oracle budget exceeded, 5 a prime needs explicit local data, 6 internal
+certificate failure.  Machine format output is canonical JSON (sorted keys,
+no whitespace) and parses back byte-identically.
 """
 
 from __future__ import annotations
@@ -20,6 +20,7 @@ from .counting import (
 )
 from .errors import (
     BudgetExceeded,
+    CertificateError,
     ExceptionalPrimeNeedsOverride,
     OrdgenError,
     SpecError,
@@ -51,6 +52,7 @@ EXIT_USAGE = 2
 EXIT_UNSUPPORTED = 3
 EXIT_BUDGET = 4
 EXIT_NEEDS_DATA = 5
+EXIT_CERTIFICATE = 6
 
 
 class _Cursor:
@@ -324,6 +326,9 @@ def main(argv: list[str] | None = None) -> int:
     except ExceptionalPrimeNeedsOverride as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NEEDS_DATA
+    except CertificateError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_CERTIFICATE
     except (OrdgenError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

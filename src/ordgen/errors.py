@@ -94,3 +94,11 @@ class EmptySpec(OrdgenError):
 
 class SpecError(OrdgenError):
     """An order description file or object is malformed."""
+
+
+class CertificateError(OrdgenError):
+    """A certificate failed its own check: an internal fault, not bad input.
+
+    Raised when a cutoff margin is negative or not monotone, when density
+    bounds are out of order, or when h decreases in a quaternion table.
+    """

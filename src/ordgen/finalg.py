@@ -648,30 +648,31 @@ def coset_representatives(alg: FiniteAlgebra, ideal_basis) -> list[tuple[int, ..
 
 def _subfield_embedding(F: FiniteField, E: FiniteField) -> Sequence[int]:
     """Encoding table of the field embedding F -> E sending the modulus root of F
-    to its least root in E."""
+    to its least root in E.
+
+    Every root is a nonzero element of the copy of F inside E, so only the
+    F.q - 1 powers of E.generator ** ((E.q - 1) // (F.q - 1)) are tried.
+    """
     if F.e == 1:
-        table = range(F.q)
-    else:
-        roots = []
-        for a in range(E.q):
-            acc = 0
-            for c in reversed(F.modulus):
-                acc = E.add(E.mul(acc, a), c)
-            if acc == 0:
-                roots.append(a)
-        assert roots, "modulus has no root in the extension"
-        rho = min(roots)
-        table = []
-        for a in range(F.q):
-            acc = 0
-            for c in reversed(F.coords(a)):
-                acc = E.add(E.mul(acc, rho), c)
-            table.append(acc)
-    if F.q <= 64:
-        for a in range(F.q):
-            for b in range(F.q):
-                assert table[F.mul(a, b)] == E.mul(table[a], table[b])
-                assert table[F.add(a, b)] == E.add(table[a], table[b])
+        return range(F.q)
+    g = E.pow(E.generator, (E.q - 1) // (F.q - 1))
+    roots = []
+    a = 1
+    for _ in range(F.q - 1):
+        acc = 0
+        for c in reversed(F.modulus):
+            acc = E.add(E.mul(acc, a), c)
+        if acc == 0:
+            roots.append(a)
+        a = E.mul(a, g)
+    assert roots, "modulus has no root in the extension"
+    rho = min(roots)
+    table = []
+    for a in range(F.q):
+        acc = 0
+        for c in reversed(F.coords(a)):
+            acc = E.add(E.mul(acc, rho), c)
+        table.append(acc)
     return table
 
 

@@ -21,7 +21,7 @@ from .counting import (
     twisted_capacity,
     twisted_capacity_lower,
 )
-from .errors import BoundTooSmall, NoCutoff, SpecError, UnsupportedRank
+from .errors import BoundTooSmall, CertificateError, NoCutoff, SpecError, UnsupportedRank
 from .finfield import is_prime
 from .orderspec import (
     ClassifiedLocal,
@@ -158,9 +158,10 @@ def prime_cutoff(spec: OrderSpec, k: int) -> CutoffCertificate:
             else:
                 cap = twisted_capacity_lower(k, s.n, p, s.r)
             margin = cap - s.copies_bound
-            assert margin >= 0, f"capacity deficit at sweep prime {p} for shape {s}"
-            if s.n <= 3 and previous[i] is not None:
-                assert margin >= previous[i], f"margin not monotone at {p} for {s}"
+            if margin < 0:
+                raise CertificateError(f"capacity deficit at sweep prime {p} for shape {s}")
+            if s.n <= 3 and previous[i] is not None and margin < previous[i]:
+                raise CertificateError(f"margin not monotone at {p} for {s}")
             margins.append(margin)
         sweep.append((p, tuple(margins)))
         previous = margins
@@ -281,7 +282,8 @@ class DensityInterval:
     note: str
 
     def __post_init__(self) -> None:
-        assert 0 <= self.lower <= self.upper <= 1
+        if not 0 <= self.lower <= self.upper <= 1:
+            raise CertificateError(f"density bounds out of order: lower {self.lower}, upper {self.upper}")
 
 
 def _tail_terms(spec: OrderSpec, k: int) -> tuple[tuple[int, int, str], ...]:
@@ -441,26 +443,52 @@ def make_quaternion_spec(ramified: tuple[int, ...], copies: int = 1) -> OrderSpe
 
 
 def quaternion_example(ramified: tuple[int, ...], m_max: int) -> QuaternionTable:
-    """h(m) for m = 1..m_max copies of the quaternion order, with threshold ranges."""
+    """h(m) for m = 1..m_max copies of the quaternion order, with threshold ranges.
+
+    h never decreases in m: a tuple generating A^m projects to one generating
+    A^(m-1).  So each range of equal h is found by exponential and then binary
+    search from its first m, at about h_max * log2(m_max) verdicts.
+    """
     if m_max < 1:
         raise SpecError("m_max must be a positive integer")
-    rows = []
-    last_h = 0
-    for m in range(1, m_max + 1):
-        verdict = smallest_h(make_quaternion_spec(ramified, m))
-        assert verdict.h >= last_h, "h must be nondecreasing in the copy count"
-        last_h = verdict.h
-        rows.append((m, verdict.h))
+    probes: dict[int, int] = {}
+
+    def h_at(m: int) -> int:
+        if m not in probes:
+            probes[m] = smallest_h(make_quaternion_spec(ramified, m)).h
+        return probes[m]
+
     ranges = []
     start = 1
-    for i in range(1, len(rows) + 1):
-        if i == len(rows) or rows[i][1] != rows[start - 1][1]:
-            ranges.append((rows[start - 1][1], start, rows[i - 1][0]))
-            start = i + 1
+    while start <= m_max:
+        level = h_at(start)
+        # h(lo) == level is known; hi is the least probed m beyond lo with h > level.
+        lo, hi, step = start, m_max + 1, 1
+        while hi == m_max + 1 and lo < m_max:
+            m = min(lo + step, m_max)
+            if h_at(m) == level:
+                lo = m
+                step *= 2
+            else:
+                hi = m
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            if h_at(mid) == level:
+                lo = mid
+            else:
+                hi = mid
+        ranges.append((level, start, lo))
+        start = lo + 1
+    probed = sorted(probes.items())
+    for (m1, h1), (m2, h2) in zip(probed, probed[1:]):
+        if h1 > h2:
+            raise CertificateError(
+                f"h must be nondecreasing in the copy count, but h({m1}) = {h1} > h({m2}) = {h2}"
+            )
     return QuaternionTable(
         ramified=tuple(sorted(set(ramified))),
         m_max=m_max,
-        rows=tuple(rows),
+        rows=tuple((m, h) for h, lo, hi in ranges for m in range(lo, hi + 1)),
         ranges=tuple(ranges),
     )
 

@@ -377,6 +377,28 @@ def test_usage_error_exit_code(capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("optimise", [False, True], ids=["plain", "optimised"])
+def test_certificate_failure_has_its_own_exit_code(optimise):
+    # a capacity that falls short of the copy bound breaks the cutoff certificate
+    code = (
+        "import sys\n"
+        "from ordgen import solver\n"
+        "from ordgen.cli import main\n"
+        "solver.twisted_capacity = lambda k, n, q, r: 0\n"
+        "sys.exit(main(sys.argv[1:]))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(pathlib.Path(ordgen.__file__).parent.parent))
+    flags = ["-O"] if optimise else []
+    proc = subprocess.run(
+        [sys.executable, *flags, "-c", code, "analyze", "--spec", str(DATA / "zi.json")],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert proc.returncode == 6
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("error: capacity deficit at sweep prime")
+    assert "Traceback" not in proc.stderr
+
+
 def test_console_entry_point_is_exposed():
     from ordgen.cli import entry
 

@@ -32,7 +32,7 @@ from ordgen.finalg import (
     truncated_local_algebra,
     twisted_element,
 )
-from ordgen.finfield import field_of
+from ordgen.finfield import build_field, field_of, is_prime
 
 
 def zero(alg):
@@ -103,6 +103,67 @@ def test_element_builders_take_coefficient_fields_above_4096_elements():
     for x, y in [(2, 3), (5000, 8191), (4097, 77)]:
         prod = alg.multiply(twisted_element(alg, (x,)), twisted_element(alg, (y,)))
         assert prod == twisted_element(alg, (field.mul(x, y),))
+
+
+def scan_subfield_embedding(F, E):
+    """The full-scan oracle: evaluate F's modulus at every element of E, send
+    F's modulus root to the least root found, and check the map is a ring
+    homomorphism."""
+    roots = []
+    for a in range(E.q):
+        acc = 0
+        for c in reversed(F.modulus):
+            acc = E.add(E.mul(acc, a), c)
+        if acc == 0:
+            roots.append(a)
+    rho = min(roots)
+    table = []
+    for a in range(F.q):
+        acc = 0
+        for c in reversed(F.coords(a)):
+            acc = E.add(E.mul(acc, rho), c)
+        table.append(acc)
+    if F.q <= 64:
+        for a in range(F.q):
+            for b in range(F.q):
+                assert table[F.mul(a, b)] == E.mul(table[a], table[b])
+                assert table[F.add(a, b)] == E.add(table[a], table[b])
+    return table
+
+
+SUBFIELD_PAIRS = [
+    (p, f, e)
+    for p in range(2, 64)
+    if is_prime(p)
+    for e in range(2, 13)
+    if p**e <= 4096
+    for f in range(2, e + 1)
+    if e % f == 0
+]
+
+
+@pytest.mark.parametrize("p,f,e", SUBFIELD_PAIRS, ids=[f"F{p}^{f}<F{p}^{e}" for p, f, e in SUBFIELD_PAIRS])
+def test_subfield_embedding_matches_full_scan(p, f, e):
+    F, E = build_field(p, f), build_field(p, e)
+    assert list(finalg._subfield_embedding(F, E)) == scan_subfield_embedding(F, E)
+
+
+def test_subfield_embedding_searches_only_the_subfield(monkeypatch):
+    calls = []
+    original = finalg._subfield_embedding
+
+    def counted(F, E):
+        mul = E.mul
+        E.mul = lambda a, b: calls.append((a, b)) or mul(a, b)
+        try:
+            return original(F, E)
+        finally:
+            del E.mul
+
+    monkeypatch.setattr(finalg, "_subfield_embedding", counted)
+    alg = matrix_algebra(1, 49, 3)  # F_49 inside F_{7^6}, 117 649 elements
+    assert alg.meta["coeff_field"].q == 7**6
+    assert 0 < len(calls) <= 300
 
 
 # SHA-256 of repr((table, unit, label, n, r, coeff_field.q)) for matrix_algebra(n, q, r),

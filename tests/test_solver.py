@@ -1,14 +1,16 @@
 """Global verdicts, certified cutoffs, density intervals, quaternion tables."""
 
+import itertools
 import json
 import pathlib
+import types
 
 from fractions import Fraction
 
 import pytest
 
 from ordgen import solver
-from ordgen.errors import BoundTooSmall, NoCutoff, SpecError, UnsupportedRank
+from ordgen.errors import BoundTooSmall, CertificateError, NoCutoff, SpecError, UnsupportedRank
 from ordgen.finfield import is_prime
 from ordgen.orderspec import (
     OrderSpec,
@@ -20,6 +22,7 @@ from ordgen.orderspec import (
 )
 from ordgen.solver import (
     DensityInterval,
+    QuaternionTable,
     Verdict,
     density,
     density_text,
@@ -81,6 +84,18 @@ def test_no_cutoff_exists_for_single_generators_of_matrix_blocks():
     with pytest.raises(NoCutoff) as info:
         prime_cutoff(fixture("m2q.json"), 1)
     assert "never generated by one element" in str(info.value)
+
+
+def test_cutoff_capacity_deficit_raises_certificate_error(monkeypatch):
+    monkeypatch.setattr(solver, "twisted_capacity", lambda k, n, q, r: 0)
+    with pytest.raises(CertificateError, match="capacity deficit"):
+        prime_cutoff(fixture("zi.json"), 2)
+
+
+def test_cutoff_margin_that_falls_raises_certificate_error(monkeypatch):
+    monkeypatch.setattr(solver, "twisted_capacity", lambda k, n, q, r: 10**9 - q)
+    with pytest.raises(CertificateError, match="margin not monotone"):
+        prime_cutoff(fixture("zi.json"), 2)
 
 
 def test_cutoff_soundness_by_brute_scan():
@@ -244,7 +259,7 @@ def test_density_refuses_large_rank():
 
 
 def test_density_interval_validates_ordering():
-    with pytest.raises(AssertionError):
+    with pytest.raises(CertificateError):
         DensityInterval(
             k=2,
             bound=25,
@@ -280,6 +295,96 @@ def test_quaternion_h_nondecreasing():
     hs = [h for _, h in table.rows]
     assert all(a <= b for a, b in zip(hs, hs[1:]))
     assert table.ranges == ((2, 1, 6), (3, 7, 28), (4, 29, 120), (5, 121, 130))
+
+
+def scan_quaternion_table(ramified, m_max):
+    """The per-m oracle: a full verdict for every m from 1 to m_max."""
+    rows = tuple((m, smallest_h(make_quaternion_spec(ramified, m)).h) for m in range(1, m_max + 1))
+    ranges = []
+    for m, h in rows:
+        if ranges and ranges[-1][0] == h:
+            ranges[-1][2] = m
+        else:
+            ranges.append([h, m, m])
+    return QuaternionTable(
+        ramified=tuple(sorted(set(ramified))),
+        m_max=m_max,
+        rows=rows,
+        ranges=tuple(tuple(r) for r in ranges),
+    )
+
+
+def capacity_ranges(ramified, m_max):
+    """Threshold ranges from the local capacities alone.
+
+    k generators reach (p^2k - p^k)/2 copies of F_{p^2} at a ramified p (Galois
+    orbits of tuples not inside F_p) and phi_k(M_2(F_q))/|PGL_2(q)| copies of
+    M_2(F_q) at the least unramified q, where phi_k = q^4k - (q+1) q^3k + q^(2k+1)
+    by Moebius inversion over the Borel, field, torus and scalar subalgebras.
+    """
+    q = next(p for p in itertools.count(2) if is_prime(p) and p not in ramified)
+    ranges = []
+    lo, k = 1, 1
+    while lo <= m_max:
+        split = (q ** (4 * k) - (q + 1) * q ** (3 * k) + q ** (2 * k + 1)) // (q * (q * q - 1))
+        cap = min([split] + [(p ** (2 * k) - p**k) // 2 for p in ramified])
+        if cap >= lo:
+            ranges.append((k, lo, min(cap, m_max)))
+            lo = cap + 1
+        k += 1
+    return tuple(ranges)
+
+
+SMALL_RAMIFIED = [(p,) for p in (2, 3, 5, 7, 11, 13)] + list(itertools.combinations((2, 3, 5, 7, 11, 13), 2))
+
+
+@pytest.mark.parametrize("m_max", [1, 2, 7, 300])
+@pytest.mark.parametrize("ramified", SMALL_RAMIFIED, ids=[",".join(map(str, r)) for r in SMALL_RAMIFIED])
+def test_quaternion_search_matches_per_m_scan(ramified, m_max):
+    assert quaternion_example(ramified, m_max) == scan_quaternion_table(ramified, m_max)
+
+
+@pytest.mark.parametrize("ramified", [(2,), (5, 7), (3, 5)])
+def test_quaternion_acceptance_tables_match_per_m_scan(ramified):
+    assert quaternion_example(ramified, 1000) == scan_quaternion_table(ramified, 1000)
+
+
+@pytest.mark.parametrize("ramified,m_max", [((5, 7), 10**6), ((2,), 10**5)])
+def test_quaternion_thresholds_match_local_capacities(ramified, m_max):
+    table = quaternion_example(ramified, m_max)
+    assert table.ranges == capacity_ranges(ramified, m_max)
+    assert len(table.rows) == m_max
+    assert table.rows[-1] == (m_max, table.ranges[-1][0])
+
+
+def test_capacity_ranges_name_the_known_thresholds():
+    assert [hi for _, _, hi in capacity_ranges((5, 7), 10**6)] == [16, 448, 8960, 158720, 10**6]
+    assert [hi for _, _, hi in capacity_ranges((2,), 40000)] == [6, 28, 120, 496, 2016, 8128, 32640, 40000]
+
+
+@pytest.mark.parametrize("ramified,m_max,most", [((5, 7), 10000, 70), ((2,), 1000, 64)])
+def test_quaternion_search_verdict_count(monkeypatch, ramified, m_max, most):
+    seen = []
+    original = solver.smallest_h
+
+    def counting_smallest_h(spec):
+        seen.append(spec.factors[0].copies)
+        return original(spec)
+
+    monkeypatch.setattr(solver, "smallest_h", counting_smallest_h)
+    quaternion_example(ramified, m_max)
+    assert len(seen) <= most
+    assert len(set(seen)) == len(seen)
+
+
+def test_quaternion_search_refuses_decreasing_h(monkeypatch):
+    def fake_smallest_h(spec):
+        m = spec.factors[0].copies
+        return types.SimpleNamespace(h=3 if 6 <= m <= 9 else 2)
+
+    monkeypatch.setattr(solver, "smallest_h", fake_smallest_h)
+    with pytest.raises(CertificateError, match="nondecreasing"):
+        quaternion_example((2,), 40)
 
 
 @pytest.mark.parametrize("name", ["m2q.json", "quat2x7.json"])
