@@ -3,8 +3,9 @@
 Everything here is closed-form, arbitrary-precision integer arithmetic: the
 plain counts for matrix sizes n <= 3, a certified lower bound for every n,
 the twisted counts for algebras M_n(F_{q^r}) viewed over the subfield F_q,
-and the product formula for m identical simple factors.  Rational steps go
-through `fractions.Fraction` and are asserted to land back in the integers.
+and the product formula for m identical simple factors.  Quotients of group
+orders that are exact are checked with `divmod`; the twisted lower bound rounds
+its `fractions.Fraction` corrections up.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import isqrt
 
-from .errors import UnsupportedRank
+from .errors import CertificateError, UnsupportedRank
 
 MAX_K_SCAN = 512
 
@@ -121,21 +122,30 @@ def gen_count_lower(k: int, n: int, q: int) -> CountBound:
 
 @lru_cache(maxsize=None)
 def gen_count_twisted(k: int, n: int, q: int, r: int) -> int:
-    """Number of k-tuples generating M_n(F_{q^r}) as a unital F_q-algebra (n <= 3)."""
+    """Number of k-tuples generating M_n(F_{q^r}) as a unital F_q-algebra (n <= 3).
+
+    The Moebius sum over the subfields F_{q^s}, s | r, of
+    mu(r/s) * gen_count_exact(k, n, q^s) * [PGL_n(q^r) : PGL_n(q^s)], in integers:
+    PGL_n(F_{q^s}) is a subgroup of PGL_n(F_{q^r}), so each index is exact.
+    """
     assert k >= 1 and r >= 1 and q >= 2
     if n > 3:
         raise UnsupportedRank(f"no closed form for n={n}; use gen_count_twisted_lower")
-    total = Fraction(0)
+    if r == 1:
+        return gen_count_exact(k, n, q)
+    pgl_top = pgl_order(n, q**r)
+    total = 0
     for s in divisors(r):
         mu = mobius(r // s)
         if mu == 0:
             continue
-        total += Fraction(mu * gen_count_exact(k, n, q**s), pgl_order(n, q**s))
-    value = total * pgl_order(n, q**r)
-    assert value.denominator == 1
-    out = int(value)
-    assert out >= 0
-    return out
+        index, rem = divmod(pgl_top, pgl_order(n, q**s))
+        if rem:
+            raise CertificateError(f"|PGL_{n}({q}^{s})| does not divide |PGL_{n}({q}^{r})|")
+        total += mu * gen_count_exact(k, n, q**s) * index
+    if total < 0:
+        raise CertificateError(f"negative twisted count for k={k}, n={n}, q={q}, r={r}")
+    return total
 
 
 @lru_cache(maxsize=None)

@@ -184,9 +184,9 @@ class Verdict:
 
 
 def _classified(spec: OrderSpec, table: dict[int, ClassifiedLocal], p: int) -> ClassifiedLocal:
-    """The classified local data of the spec at p, classified once per table."""
+    """The classified local data of the spec at a sieved prime p, classified once per table."""
     if p not in table:
-        table[p] = classify(local_data(spec, p))
+        table[p] = classify(local_data(spec, p, _known_prime=True))
     return table[p]
 
 
@@ -326,8 +326,25 @@ def _tail_floor(spec: OrderSpec) -> int:
     return floor
 
 
+def _tree_product(values: list[int]) -> int:
+    """Product of the values by a balanced tree of multiplications (1 when empty).
+
+    Pairwise products keep both operands of every multiplication about the same
+    size, so the large products run in Python's Karatsuba range rather than as
+    one long chain of small-by-large products.
+    """
+    while len(values) > 1:
+        values = [a * b for a, b in zip(values[::2], values[1::2])] + values[len(values) & ~1 :]
+    return values[0] if values else 1
+
+
 def density(spec: OrderSpec, k: int, bound: int | None = None) -> DensityInterval:
-    """Certified interval for the product over all primes of the local generating fraction."""
+    """Certified interval for the product over all primes of the local generating fraction.
+
+    Each prime's factor is reduced on its own; their numerators and their
+    denominators are multiplied in two product trees and reduced by one gcd at
+    the end, which gives the same fraction as multiplying them one at a time.
+    """
     if k < 1:
         raise SpecError("k must be a positive integer")
     note_parts = []
@@ -364,14 +381,18 @@ def density(spec: OrderSpec, k: int, bound: int | None = None) -> DensityInterva
 
     d = spec.dimension
     factors = []
-    upper = Fraction(1)
+    numerators = []
+    denominators = []
     for p in _primes_below(bound + 1):
-        cls = classify(local_data(spec, p))
-        factor = Fraction(gen_count_local(k, cls), p ** (d * k))
-        assert 0 <= factor <= 1
+        cls = classify(local_data(spec, p, _known_prime=True))
+        count, whole = gen_count_local(k, cls), p ** (d * k)
+        if not 0 <= count <= whole:
+            raise CertificateError(f"local count {count} at p={p} is outside [0, p^{d * k}]")
+        factor = Fraction(count, whole)
         factors.append((p, factor))
-        upper *= factor
-        if factor == 0:
+        numerators.append(factor.numerator)
+        denominators.append(factor.denominator)
+        if count == 0:
             return DensityInterval(
                 k=k,
                 bound=bound,
@@ -385,6 +406,7 @@ def density(spec: OrderSpec, k: int, bound: int | None = None) -> DensityInterva
                 note="; ".join(note_parts),
             )
 
+    upper = Fraction(_tree_product(numerators), _tree_product(denominators))
     terms = _tail_terms(spec, k)
     gated = [t for t in terms if t[1] < 2]
     if gated:
@@ -416,12 +438,20 @@ def density(spec: OrderSpec, k: int, bound: int | None = None) -> DensityInterva
 
 @dataclass(frozen=True)
 class QuaternionTable:
-    """Smallest generator counts for m copies of a rational quaternion order."""
+    """Smallest generator counts for m copies of a rational quaternion order.
+
+    `ranges` holds (h, first m, last m) per level of h.  `rows`, one (m, h) pair
+    per m, is derived from it, so only the machine document builds the pairs.
+    """
 
     ramified: tuple[int, ...]
     m_max: int
-    rows: tuple[tuple[int, int], ...]
     ranges: tuple[tuple[int, int, int], ...]
+
+    @property
+    def rows(self) -> tuple[tuple[int, int], ...]:
+        """(m, h(m)) for every m, built from `ranges` on each access."""
+        return tuple((m, h) for h, lo, hi in self.ranges for m in range(lo, hi + 1))
 
 
 def make_quaternion_spec(ramified: tuple[int, ...], copies: int = 1) -> OrderSpec:
@@ -488,7 +518,6 @@ def quaternion_example(ramified: tuple[int, ...], m_max: int) -> QuaternionTable
     return QuaternionTable(
         ramified=tuple(sorted(set(ramified))),
         m_max=m_max,
-        rows=tuple((m, h) for h, lo, hi in ranges for m in range(lo, hi + 1)),
         ranges=tuple(ranges),
     )
 
@@ -543,7 +572,10 @@ def to_jsonable(obj):
     if isinstance(obj, Fraction):
         return f"{obj.numerator}/{obj.denominator}"
     if is_dataclass(obj) and not isinstance(obj, type):
-        return {f.name: to_jsonable(getattr(obj, f.name)) for f in fields(obj)}
+        doc = {f.name: to_jsonable(getattr(obj, f.name)) for f in fields(obj)}
+        if isinstance(obj, QuaternionTable):
+            doc["rows"] = to_jsonable(obj.rows)
+        return doc
     if isinstance(obj, (list, tuple)):
         return [to_jsonable(x) for x in obj]
     if isinstance(obj, dict):

@@ -357,6 +357,20 @@ def test_quaternion_table_machine(capsys):
     doc = json.loads(out)
     assert doc["ranges"] == [[2, 1, 16], [3, 17, 20]]
     assert machine_roundtrips(out)
+    rows = ",".join(f"[{m},{2 if m <= 16 else 3}]" for m in range(1, 21))
+    assert out == (
+        '{"m_max":20,"ramified":[5,7],"ranges":[[2,1,16],[3,17,20]],"rows":[' + rows + "]}\n"
+    )
+
+
+def test_quaternion_text_builds_no_rows(capsys, monkeypatch):
+    def no_rows(table):
+        raise AssertionError("rows built for the text format")
+
+    monkeypatch.setattr(ordgen.solver.QuaternionTable, "rows", property(no_rows))
+    code, out, _ = run(capsys, "quaternion", "--ramified", "5,7", "--mmax", "1000000")
+    assert code == 0
+    assert "6  158721 <= m <= 1000000" in out
 
 
 def test_quaternion_rejects_composite_ramified_prime(capsys):
@@ -377,25 +391,46 @@ def test_usage_error_exit_code(capsys):
     capsys.readouterr()
 
 
-@pytest.mark.parametrize("optimise", [False, True], ids=["plain", "optimised"])
-def test_certificate_failure_has_its_own_exit_code(optimise):
-    # a capacity that falls short of the copy bound breaks the cutoff certificate
+def run_patched(patch, optimise, *argv):
+    """Run the CLI in a fresh interpreter after executing `patch` on `solver`."""
     code = (
         "import sys\n"
         "from ordgen import solver\n"
         "from ordgen.cli import main\n"
-        "solver.twisted_capacity = lambda k, n, q, r: 0\n"
+        f"{patch}\n"
         "sys.exit(main(sys.argv[1:]))\n"
     )
     env = dict(os.environ, PYTHONPATH=str(pathlib.Path(ordgen.__file__).parent.parent))
     flags = ["-O"] if optimise else []
-    proc = subprocess.run(
-        [sys.executable, *flags, "-c", code, "analyze", "--spec", str(DATA / "zi.json")],
+    return subprocess.run(
+        [sys.executable, *flags, "-c", code, *argv],
         capture_output=True, text=True, env=env, timeout=60,
+    )
+
+
+@pytest.mark.parametrize("optimise", [False, True], ids=["plain", "optimised"])
+def test_certificate_failure_has_its_own_exit_code(optimise):
+    # a capacity that falls short of the copy bound breaks the cutoff certificate
+    proc = run_patched(
+        "solver.twisted_capacity = lambda k, n, q, r: 0",
+        optimise, "analyze", "--spec", str(DATA / "zi.json"),
     )
     assert proc.returncode == 6
     assert proc.stdout == ""
     assert proc.stderr.startswith("error: capacity deficit at sweep prime")
+    assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("optimise", [False, True], ids=["plain", "optimised"])
+def test_density_local_count_out_of_range_exits_with_certificate_failure(optimise):
+    # a local count above p^(d k) would make a factor above 1
+    proc = run_patched(
+        "solver.gen_count_local = lambda k, cls: cls.p ** (2 * k) + 1",
+        optimise, "density", "--spec", str(DATA / "zi.json"), "--k", "2", "--bound", "100",
+    )
+    assert proc.returncode == 6
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("error: local count 17 at p=2 is outside [0, p^4]")
     assert "Traceback" not in proc.stderr
 
 

@@ -20,7 +20,8 @@ from ordgen.counting import (
     twisted_capacity,
     twisted_capacity_lower,
 )
-from ordgen.errors import UnsupportedRank
+from ordgen import counting
+from ordgen.errors import CertificateError, UnsupportedRank
 from ordgen.finalg import brute_gen_count, matrix_algebra
 
 PRIME_POWERS = (2, 3, 4, 5, 7, 8, 9)
@@ -133,6 +134,30 @@ def test_twisted_counts_invert_the_subfield_sum():
                         )
                         total += gen_count_twisted(k, n, q, s) * weight
                     assert total == gen_count_exact(k, n, q**r)
+
+
+def fraction_twisted_count(k, n, q, r):
+    """The oracle: the Moebius sum of gen_count_exact(k, n, q^s) / |PGL_n(q^s)| as Fractions."""
+    total = Fraction(0)
+    for s in divisors(r):
+        total += Fraction(mobius(r // s) * gen_count_exact(k, n, q**s), pgl_order(n, q**s))
+    value = total * pgl_order(n, q**r)
+    assert value.denominator == 1
+    return int(value)
+
+
+@pytest.mark.parametrize("q", (2, 3, 4, 5, 7, 9, 11))
+def test_twisted_count_matches_fraction_moebius_sum(q):
+    for r in (1, 2, 3, 4, 6):
+        for n in (1, 2, 3):
+            for k in (1, 2, 3, 4):
+                assert gen_count_twisted(k, n, q, r) == fraction_twisted_count(k, n, q, r)
+
+
+def test_twisted_count_refuses_an_inexact_group_index(monkeypatch):
+    monkeypatch.setattr(counting, "pgl_order", lambda n, q: q + 1)
+    with pytest.raises(CertificateError, match="does not divide"):
+        gen_count_twisted.__wrapped__(2, 2, 2, 2)
 
 
 def test_twisted_lower_bounds_twisted_count():

@@ -2,20 +2,33 @@
 
 import itertools
 import json
+import math
 import pathlib
 import types
 
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from ordgen import solver
-from ordgen.errors import BoundTooSmall, CertificateError, NoCutoff, SpecError, UnsupportedRank
+from ordgen import orderspec, solver
+from ordgen.errors import (
+    BoundTooSmall,
+    CertificateError,
+    ExceptionalPrimeNeedsOverride,
+    NoCutoff,
+    NotPrime,
+    OrdgenError,
+    SpecError,
+    UnsupportedRank,
+)
 from ordgen.finfield import is_prime
 from ordgen.orderspec import (
     OrderSpec,
     SimpleFactorSpec,
     classify,
+    gen_count_local,
     load_spec,
     local_data,
     min_k_local,
@@ -273,6 +286,173 @@ def test_density_interval_validates_ordering():
         )
 
 
+def fold_density(spec, k, bound=None):
+    """The oracle: the density interval with `upper` folded one prime at a time.
+
+    This is `density` as it was before the product tree, with the range check
+    of each factor as a Fraction comparison.
+    """
+    if k < 1:
+        raise SpecError("k must be a positive integer")
+    note_parts = []
+    if not spec.free_over_base:
+        note_parts.append(
+            "free_over_base is false: the product is a local invariant; reading "
+            "it as a global density is conjectural"
+        )
+    if k == 2 and any(f.degree == 2 for f in spec.factors):
+        return DensityInterval(
+            k=k,
+            bound=0,
+            minimum_bound=0,
+            lower=Fraction(0),
+            upper=Fraction(0),
+            factors=(),
+            tail_coefficient=None,
+            zero_reason=(
+                "a factor of reduced degree 2 makes every split prime contribute "
+                "1 - 1/p + O(1/p^2) at k=2, so the product diverges to zero"
+            ),
+            note="; ".join(note_parts),
+        )
+    if any(f.degree >= 4 for f in spec.factors):
+        raise UnsupportedRank("no exact local counts")
+    minimum = solver._tail_floor(spec)
+    if bound is None:
+        bound = minimum
+    if bound < minimum:
+        raise BoundTooSmall(bound, minimum)
+    d = spec.dimension
+    factors = []
+    upper = Fraction(1)
+    for p in solver._primes_below(bound + 1):
+        cls = classify(local_data(spec, p))
+        factor = Fraction(gen_count_local(k, cls), p ** (d * k))
+        assert 0 <= factor <= 1
+        factors.append((p, factor))
+        upper *= factor
+        if factor == 0:
+            return DensityInterval(
+                k=k,
+                bound=bound,
+                minimum_bound=minimum,
+                lower=Fraction(0),
+                upper=Fraction(0),
+                factors=tuple(factors),
+                tail_coefficient=None,
+                zero_reason=f"the local factor at p={p} vanishes: k={k} is below "
+                "the local minimum there",
+                note="; ".join(note_parts),
+            )
+    terms = solver._tail_terms(spec, k)
+    gated = [t for t in terms if t[1] < 2]
+    if gated:
+        labels = ", ".join(label for _, _, label in gated)
+        note_parts.append(
+            f"tail exponent below 2 for {labels}: the certified lower bound "
+            "degenerates to 0 at this k"
+        )
+        lower = Fraction(0)
+        tail_coefficient = None
+    else:
+        tail_coefficient = sum(
+            (Fraction(coeff, minimum ** (exp - 2)) for coeff, exp, _ in terms),
+            Fraction(0),
+        )
+        lower = upper * max(Fraction(0), 1 - Fraction(tail_coefficient, bound))
+    return DensityInterval(
+        k=k,
+        bound=bound,
+        minimum_bound=minimum,
+        lower=lower,
+        upper=upper,
+        factors=tuple(factors),
+        tail_coefficient=tail_coefficient,
+        zero_reason=None,
+        note="; ".join(note_parts),
+    )
+
+
+def outcome(fn, *args):
+    """The value of fn(*args), or the type and text of the OrdgenError it raises."""
+    try:
+        return fn(*args)
+    except OrdgenError as exc:
+        return type(exc), str(exc)
+
+
+FIXTURES = sorted(path.name for path in DATA.glob("*.json"))
+FOLD_CASES = [
+    (name, k, bound)
+    for name in FIXTURES
+    for k in (1, 2, 3)
+    for bound in (None, 1000, 4000)
+]
+
+
+@pytest.mark.parametrize("name,k,bound", FOLD_CASES)
+def test_density_matches_per_prime_fold(name, k, bound):
+    spec = fixture(name)
+    got = outcome(density, spec, k, bound)
+    assert got == outcome(fold_density, spec, k, bound)
+    if isinstance(got, DensityInterval):
+        assert density_text(got) == density_text(fold_density(spec, k, bound))
+
+
+def test_fold_grid_reaches_every_branch():
+    def at(name, k, bound):
+        return outcome(fold_density, fixture(name), k, bound)
+
+    assert ("exceptional.json", 2, 1000) in FOLD_CASES
+    assert at("exceptional.json", 2, 1000)[0] is ExceptionalPrimeNeedsOverride
+    vanishing = at("quat2.json", 1, None)
+    assert vanishing.upper == 0 and vanishing.factors and "p=2" in vanishing.zero_reason
+    assert at("m2q.json", 2, 1000).zero_reason.startswith("a factor of reduced degree 2")
+    degenerate = at("zi.json", 1, 4000)
+    assert degenerate.lower == 0 < degenerate.upper and degenerate.tail_coefficient is None
+    interval = at("zi.json", 2, 4000)
+    assert 0 < interval.lower < interval.upper < 1
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.integers(min_value=0, max_value=2**80), max_size=33))
+def test_tree_product_matches_prod(values):
+    assert solver._tree_product(list(values)) == math.prod(values)
+
+
+@pytest.mark.parametrize("n", range(0, 18))
+def test_tree_product_of_every_short_length(n):
+    values = [3 * i + 2 for i in range(n)]
+    assert solver._tree_product(values) == math.prod(values)
+    assert solver._tree_product(values + [0]) == 0
+
+
+@pytest.mark.parametrize("bad_count", [lambda whole: -1, lambda whole: whole + 1], ids=["negative", "above"])
+def test_density_local_count_out_of_range_raises_certificate_error(monkeypatch, bad_count):
+    spec = fixture("zi.json")
+    monkeypatch.setattr(solver, "gen_count_local", lambda k, cls: bad_count(cls.p ** (spec.dimension * k)))
+    with pytest.raises(CertificateError, match="outside"):
+        density(spec, 2, 1000)
+
+
+def test_density_checks_no_sieved_prime_for_primality(monkeypatch):
+    spec = fixture("zi.json")
+    calls = []
+
+    def counting_is_prime(n):
+        calls.append(n)
+        return is_prime(n)
+
+    monkeypatch.setattr(orderspec, "is_prime", counting_is_prime)
+    monkeypatch.setattr(solver, "is_prime", counting_is_prime)
+    d = density(spec, 2, 4000)
+    assert len(d.factors) == 550
+    assert calls == []
+    with pytest.raises(NotPrime):
+        local_data(spec, 15)
+    assert calls == [15]
+
+
 # ---------------------------------------------------------------- quaternion
 
 
@@ -298,7 +478,10 @@ def test_quaternion_h_nondecreasing():
 
 
 def scan_quaternion_table(ramified, m_max):
-    """The per-m oracle: a full verdict for every m from 1 to m_max."""
+    """The per-m oracle: a full verdict for every m from 1 to m_max.
+
+    Returns the table and the scanned (m, h) rows, which the table derives.
+    """
     rows = tuple((m, smallest_h(make_quaternion_spec(ramified, m)).h) for m in range(1, m_max + 1))
     ranges = []
     for m, h in rows:
@@ -306,12 +489,20 @@ def scan_quaternion_table(ramified, m_max):
             ranges[-1][2] = m
         else:
             ranges.append([h, m, m])
-    return QuaternionTable(
+    table = QuaternionTable(
         ramified=tuple(sorted(set(ramified))),
         m_max=m_max,
-        rows=rows,
         ranges=tuple(tuple(r) for r in ranges),
     )
+    return table, rows
+
+
+def assert_matches_scan(ramified, m_max):
+    table, rows = scan_quaternion_table(ramified, m_max)
+    got = quaternion_example(ramified, m_max)
+    assert got == table
+    assert got.rows == rows
+    assert to_jsonable(got)["rows"] == [list(row) for row in rows]
 
 
 def capacity_ranges(ramified, m_max):
@@ -341,20 +532,21 @@ SMALL_RAMIFIED = [(p,) for p in (2, 3, 5, 7, 11, 13)] + list(itertools.combinati
 @pytest.mark.parametrize("m_max", [1, 2, 7, 300])
 @pytest.mark.parametrize("ramified", SMALL_RAMIFIED, ids=[",".join(map(str, r)) for r in SMALL_RAMIFIED])
 def test_quaternion_search_matches_per_m_scan(ramified, m_max):
-    assert quaternion_example(ramified, m_max) == scan_quaternion_table(ramified, m_max)
+    assert_matches_scan(ramified, m_max)
 
 
 @pytest.mark.parametrize("ramified", [(2,), (5, 7), (3, 5)])
 def test_quaternion_acceptance_tables_match_per_m_scan(ramified):
-    assert quaternion_example(ramified, 1000) == scan_quaternion_table(ramified, 1000)
+    assert_matches_scan(ramified, 1000)
 
 
 @pytest.mark.parametrize("ramified,m_max", [((5, 7), 10**6), ((2,), 10**5)])
 def test_quaternion_thresholds_match_local_capacities(ramified, m_max):
     table = quaternion_example(ramified, m_max)
     assert table.ranges == capacity_ranges(ramified, m_max)
-    assert len(table.rows) == m_max
-    assert table.rows[-1] == (m_max, table.ranges[-1][0])
+    rows = table.rows
+    assert len(rows) == m_max
+    assert rows[-1] == (m_max, table.ranges[-1][0])
 
 
 def test_capacity_ranges_name_the_known_thresholds():
