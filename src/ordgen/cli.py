@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from collections.abc import Callable
 
 from .counting import (
     gen_count_exact,
@@ -29,12 +30,16 @@ from .errors import (
 from .finalg import (
     FiniteAlgebra,
     brute_gen_count,
+    check_tuple_budget,
     matrix_algebra,
+    matrix_algebra_base,
     product_algebra,
+    product_base,
     sample_gen_fraction,
     truncated_local_algebra,
+    truncated_local_base,
 )
-from .finfield import factorize
+from .finfield import FiniteField, factorize
 from .orderspec import load_spec
 from .solver import (
     density,
@@ -90,7 +95,12 @@ class _Cursor:
         return int(self.text[start : self.pos])
 
 
-def _parse_expr(cur: _Cursor) -> FiniteAlgebra:
+def _parse_expr(cur: _Cursor) -> tuple[FiniteField, int, Callable[[], FiniteAlgebra]]:
+    """Parse one algebra expression and check its parameters as its constructor would.
+
+    Returns the base field, the dimension over it and a builder of the
+    algebra, so that the size is known before any table is built.
+    """
     head = cur.word()
     cur.expect("(")
     if head == "M":
@@ -105,7 +115,7 @@ def _parse_expr(cur: _Cursor) -> FiniteAlgebra:
             cur.expect("=")
             r = cur.integer()
         cur.expect(")")
-        return matrix_algebra(n, q, r)
+        return matrix_algebra_base(n, q, r), n * n * r, lambda: matrix_algebra(n, q, r)
     if head == "TW":
         params = {}
         while True:
@@ -121,26 +131,28 @@ def _parse_expr(cur: _Cursor) -> FiniteAlgebra:
         for required in ("q", "f", "m"):
             if required not in params:
                 raise SpecError(f"twisted algebra needs {required}=")
-        return truncated_local_algebra(
-            params["q"], params["f"], params["m"], params.get("s", 1), params.get("e", 1)
-        )
+        q, f, m, s, e = params["q"], params["f"], params["m"], params.get("s", 1), params.get("e", 1)
+        return truncated_local_base(q, f, m, s, e), f * m * m * e, lambda: truncated_local_algebra(q, f, m, s, e)
     if head == "P":
-        left = _parse_expr(cur)
+        left_base, left_dim, left = _parse_expr(cur)
         cur.expect(",")
-        right = _parse_expr(cur)
+        right_base, right_dim, right = _parse_expr(cur)
         cur.expect(")")
-        return product_algebra(left, right)
+        return product_base(left_base, right_base), left_dim + right_dim, lambda: product_algebra(left(), right())
     raise SpecError(f"unknown algebra constructor {head!r} (use M, TW, or P)")
 
 
-def parse_algebra(text: str) -> FiniteAlgebra:
-    """Parse 'M(n,q)', 'M(n,q;r=R)', 'TW(q=..,f=..,m=..[,s=..][,e=..])', 'P(a,b)'."""
+def parse_algebra(text: str) -> tuple[FiniteField, int, Callable[[], FiniteAlgebra]]:
+    """Parse 'M(n,q)', 'M(n,q;r=R)', 'TW(q=..,f=..,m=..[,s=..][,e=..])', 'P(a,b)'.
+
+    Returns the base field, the dimension over it and a builder of the algebra.
+    """
     cur = _Cursor(text)
-    alg = _parse_expr(cur)
+    shape = _parse_expr(cur)
     cur.skip_ws()
     if cur.pos != len(text):
         raise SpecError(f"trailing input at position {cur.pos} in algebra expression")
-    return alg
+    return shape
 
 
 def _positive(text: str) -> int:
@@ -207,10 +219,11 @@ def _cmd_count(args) -> int:
 
 
 def _cmd_oracle(args) -> int:
-    alg = parse_algebra(args.alg)
+    base, dim, build = parse_algebra(args.alg)
     doc = {"command": "oracle", "alg": args.alg, "k": args.k}
     if args.samples is None:
-        value = brute_gen_count(alg, args.k, budget=args.budget)
+        check_tuple_budget(base.q, dim * args.k, args.budget)  # |A|^k, before any table is built
+        value = brute_gen_count(build(), args.k, budget=args.budget)
         doc["value"] = value
         _emit(args, str(value), doc)
         return EXIT_OK
@@ -218,7 +231,7 @@ def _cmd_oracle(args) -> int:
         print("error: --seed is required with --samples", file=sys.stderr)
         return EXIT_USAGE
     est = sample_gen_fraction(
-        alg, args.k, args.samples, seed=args.seed, budget=args.budget, workers=args.workers
+        build(), args.k, args.samples, seed=args.seed, budget=args.budget, workers=args.workers
     )
     doc.update(
         samples=est.samples,

@@ -56,8 +56,14 @@ def gl_order(n: int, q: int) -> int:
     return out
 
 
+@lru_cache(maxsize=32)
 def pgl_order(n: int, q: int) -> int:
-    """Order of PGL_n over the field with q elements."""
+    """Order of PGL_n over the field with q elements.
+
+    Callers repeat an argument only while they work on one prime, so a few
+    recent entries catch every repeat and the cache does not grow with the
+    number of primes a density pass visits.
+    """
     order, rem = divmod(gl_order(n, q), q - 1)
     assert rem == 0
     return order

@@ -27,16 +27,25 @@ class InvalidCount(OrdgenError):
     """A tuple length or sample count given to an oracle is below 1."""
 
 
+class InvalidTable(OrdgenError):
+    """A structure-constant table has the wrong shape or breaks the unit law or associativity."""
+
+
+class InvalidElement(OrdgenError):
+    """An element builder was given an algebra of the wrong kind or coefficients out of range."""
+
+
 class BudgetExceeded(OrdgenError):
     """An enumeration would exceed the configured work budget.
 
     The attribute ``required`` holds the number of tuples the request covers:
     |A|^k for an exhaustive count over an algebra A (its closure calls are
     usually far fewer), the sample count for a Monte Carlo estimate, or
-    |I|^k for a lift count over an ideal I.
+    |I|^k for a lift count over an ideal I.  A count of 2^8192 or more is
+    held, and printed, as the power "q^e" it was given as.
     """
 
-    def __init__(self, required: int, budget: int):
+    def __init__(self, required: int | str, budget: int):
         super().__init__(f"request needs {required} tuples, budget is {budget}")
         self.required = required
         self.budget = budget

@@ -11,7 +11,11 @@ F_q * 1, so every closure starts from those scalars and never works over F_q.
 
 The enumeration oracle counts generating k-tuples by exhaustive search with
 memoization on the closed subalgebra S reached by each tuple prefix; it extends
-S by one element per coset of S and weights each branch by |S|.  The Monte
+S by one element per coset of S and weights each branch by |S|.  At the last
+position a coset only matters through whether it generates with S, and one
+closure that stops at a proper subalgebra T answers that for every coset of S
+inside T: each of them closes inside T as well.  So the cosets of S inside
+every such T are skipped, not closed, and the count stays exact.  The Monte
 Carlo oracle draws index tuples from a counter-based splitmix64 stream so the
 estimate depends only on (seed, sample index), never on worker count.
 """
@@ -26,7 +30,16 @@ from collections.abc import Sequence
 from concurrent import futures
 from dataclasses import dataclass, field
 
-from .errors import BaseMismatch, BudgetExceeded, InvalidCount, InvalidTwist, NotGenerating, OrdgenError
+from .errors import (
+    BaseMismatch,
+    BudgetExceeded,
+    InvalidCount,
+    InvalidElement,
+    InvalidTable,
+    InvalidTwist,
+    NotGenerating,
+    OrdgenError,
+)
 from .finfield import FiniteField, PrimePower, build_field, field_of
 
 DEFAULT_BUDGET = 1 << 26
@@ -54,6 +67,26 @@ def resolve_budget(budget: int | None = None) -> int:
     if value < 1:
         raise OrdgenError(f"ORDGEN_BUDGET must be a positive integer, got {raw!r}")
     return value
+
+
+_SHOWN_BITS = 1 << 13  # tuple counts below 2^8192 are written out in full
+
+
+def check_tuple_budget(q: int, exponent: int, budget: int | None = None) -> None:
+    """Raise BudgetExceeded when a request covers more tuples, q^exponent, than the budget.
+
+    The budget is resolved as in resolve_budget.  A count far above the budget
+    is never formed: when it would take more than 8192 bits, BudgetExceeded
+    reports it as the power "q^exponent".
+    """
+    limit = resolve_budget(budget)
+    if exponent * (q.bit_length() - 1) <= max(limit.bit_length(), _SHOWN_BITS):
+        need = q**exponent  # at most twice as many bits: cheap to form
+        if need <= limit:
+            return
+        if need.bit_length() <= _SHOWN_BITS:
+            raise BudgetExceeded(need, limit)
+    raise BudgetExceeded(f"{q}^{exponent}", limit)
 
 
 # -- prime-field linear algebra engines -----------------------------------
@@ -398,9 +431,11 @@ class FiniteAlgebra:
         self.meta = meta or {}
         self.size = base.q**self.dim
         self._engine = None
-        assert all(len(row) == self.dim for row in self.table)
-        assert all(len(v) == self.dim for row in self.table for v in row)
-        assert len(self.unit) == self.dim
+        d = self.dim
+        if any(len(row) != d or any(len(v) != d for v in row) for row in self.table):
+            raise InvalidTable(f"structure table of {self.label} is not {d} x {d} vectors of length {d}")
+        if len(self.unit) != d:
+            raise InvalidTable(f"unit of {self.label} has length {len(self.unit)}, not {d}")
         self._verify()
 
     def _eng(self):
@@ -420,13 +455,13 @@ class FiniteAlgebra:
         u = eng.scalars[0]  # x^0 * unit
         for a, ba in enumerate(basis):
             if eng.mul(u, ba) != ba or eng.mul(ba, u) != ba:
-                raise AssertionError(f"unit law fails on basis vector {a} of {self.label}")
+                raise InvalidTable(f"unit law fails on basis vector {a} of {self.label}")
         for a, ba in enumerate(basis):
             for b, bb in enumerate(basis):
                 ab = eng.mul(ba, bb)
                 for c, bc in enumerate(basis):
                     if eng.mul(ab, bc) != eng.mul(ba, eng.mul(bb, bc)):
-                        raise AssertionError(f"associativity fails on basis triple ({a},{b},{c}) of {self.label}")
+                        raise InvalidTable(f"associativity fails on basis triple ({a},{b},{c}) of {self.label}")
         _nilpotent_ideal_rows(eng, self.radical_basis, f"radical span of {self.label}")
 
     def validate(self):
@@ -483,13 +518,19 @@ def brute_gen_count(alg: FiniteAlgebra, k: int, *, budget: int | None = None) ->
     in S, so the node closes one element per coset of the span of S and
     weights the sum by |S|.  The budget caps |A|^k, which bounds the number
     of closures from above.
+
+    At the last position (depth k - 1) a coset x counts 1 when S and x
+    generate A and 0 otherwise.  If the closure of S and x is a proper
+    subalgebra T, every coset of S inside T also closes inside T and counts
+    0, so it is skipped.  Those cosets are found without reducing anything:
+    S lies in T, so the pivots of S are pivots of T, and the fully reduced
+    rows of T off the pivots of S are zero on them.  Their F_p-span is
+    therefore exactly the set of coset representatives (vectors supported
+    off the pivots of S) that lie in T.
     """
     if k < 1:
         raise InvalidCount(f"k must be at least 1, got {k}")
-    limit = resolve_budget(budget)
-    need = alg.size**k
-    if need > limit:
-        raise BudgetExceeded(need, limit)
+    check_tuple_budget(alg.base.q, alg.dim * k, budget)
     eng = alg._eng()
     D = eng.D
     size = alg.size
@@ -505,8 +546,22 @@ def brute_gen_count(alg: FiniteAlgebra, k: int, *, budget: int | None = None) ->
         if cached is not None:
             return cached
         total = 0
-        for flat in _coset_flats(eng, state):
-            total += rec(tuple(_close(eng, list(state), [flat])), depth + 1)
+        if depth == k - 1:
+            # A proper closure T answers every coset of S inside T: their
+            # representatives are the span of T's rows off the pivots of S.
+            pivots = {eng.pivot(r) for r in state}
+            skip = set()
+            for flat in _coset_flats(eng, state):
+                if flat in skip:
+                    continue
+                rows = _close(eng, list(state), [flat])
+                if len(rows) == D:
+                    total += 1
+                else:
+                    skip.update(eng.span_elements([r for r in rows if eng.pivot(r) not in pivots]))
+        else:
+            for flat in _coset_flats(eng, state):
+                total += rec(tuple(_close(eng, list(state), [flat])), depth + 1)
         total *= eng.p ** len(state)
         memo[key] = total
         return total
@@ -624,10 +679,7 @@ def lift_count(alg: FiniteAlgebra, ideal_basis, b_tuple, *, budget: int | None =
         raise InvalidCount("the quotient tuple must have at least one element")
     if len(_close(eng, [], eng.scalars + b_flats + list(rows))) != D:
         raise NotGenerating("the given tuple does not generate the quotient algebra")
-    limit = resolve_budget(budget)
-    need = (eng.p ** len(rows)) ** k
-    if need > limit:
-        raise BudgetExceeded(need, limit)
+    check_tuple_budget(eng.p, len(rows) * k, budget)
     count = 0
     for xs in itertools.product(eng.span_elements(rows), repeat=k):
         lifted = [eng.add(b, x) for b, x in zip(b_flats, xs)]
@@ -710,8 +762,7 @@ def matrix_algebra(n: int, base_q: int | PrimePower, r: int = 1) -> FiniteAlgebr
     basis 1, w, ..., w^(r-1) of the coefficient field over F_q, w its
     multiplicative generator; index (u, v, t) -> (u*n + v)*r + t.
     """
-    if r < 1:
-        raise OrdgenError(f"extension degree r must be at least 1, got r={r}")
+    matrix_algebra_base(n, base_q, r)
     coeffs = truncated_local_algebra(base_q, r, 1, 1, 1)
     alg = matrix_over(coeffs, n)
     q = coeffs.base.q
@@ -720,10 +771,31 @@ def matrix_algebra(n: int, base_q: int | PrimePower, r: int = 1) -> FiniteAlgebr
     return alg
 
 
+def _check_matrix_size(n: int) -> None:
+    if n < 1:
+        raise OrdgenError(f"matrix size n must be at least 1, got n={n}")
+
+
+def matrix_algebra_base(n: int, base_q: int | PrimePower, r: int = 1) -> FiniteField:
+    """The base field of matrix_algebra(n, base_q, r), after the same parameter
+    checks in the same order, without building a table."""
+    if r < 1:
+        raise OrdgenError(f"extension degree r must be at least 1, got r={r}")
+    F = truncated_local_base(base_q, r, 1, 1, 1)
+    _check_matrix_size(n)
+    return F
+
+
+def product_base(a: FiniteField, b: FiniteField) -> FiniteField:
+    """The base field of a product of algebras over a and b; BaseMismatch if they differ."""
+    if a != b:
+        raise BaseMismatch(f"base fields differ: {a} vs {b}")
+    return a
+
+
 def product_algebra(a: FiniteAlgebra, b: FiniteAlgebra) -> FiniteAlgebra:
     """Direct product with componentwise operations."""
-    if a.base != b.base:
-        raise BaseMismatch(f"base fields differ: {a.base} vs {b.base}")
+    product_base(a.base, b.base)
     da, db = a.dim, b.dim
     dim = da + db
     zero = tuple([0] * dim)
@@ -744,6 +816,19 @@ def product_algebra(a: FiniteAlgebra, b: FiniteAlgebra) -> FiniteAlgebra:
     return FiniteAlgebra(a.base, table, unit, radical, label, {"kind": "product"})
 
 
+def truncated_local_base(q: int | PrimePower, f: int, m: int, s: int, e: int) -> FiniteField:
+    """The base field F_q of truncated_local_algebra(q, f, m, s, e), after its
+    parameter checks, without building a table."""
+    for name, value in (("f", f), ("m", m), ("e", e)):
+        if value < 1:
+            raise OrdgenError(f"truncated local algebra parameter {name} must be at least 1, got {name}={value}")
+    if not (1 <= s <= m) or math.gcd(s, m) != 1:
+        raise InvalidTwist(f"twist s={s} must satisfy 1 <= s <= m and gcd(s, m) = 1")
+    F = field_of(q)
+    build_field(F.p, F.e * f * m)  # the coefficient field, within the prime power cap
+    return F
+
+
 def truncated_local_algebra(q: int | PrimePower, f: int, m: int, s: int, e: int) -> FiniteAlgebra:
     """The twisted truncated algebra with residue data (f, m, s, e) over F_q.
 
@@ -752,12 +837,7 @@ def truncated_local_algebra(q: int | PrimePower, f: int, m: int, s: int, e: int)
     The radical is spanned by the basis vectors with j >= 1.  Dimension over
     F_q is f * m^2 * e.  For m = 1 this degenerates to F_{q^f}[u]/(u^e).
     """
-    for name, value in (("f", f), ("m", m), ("e", e)):
-        if value < 1:
-            raise OrdgenError(f"truncated local algebra parameter {name} must be at least 1, got {name}={value}")
-    if not (1 <= s <= m) or math.gcd(s, m) != 1:
-        raise InvalidTwist(f"twist s={s} must satisfy 1 <= s <= m and gcd(s, m) = 1")
-    F = field_of(q)
+    F = truncated_local_base(q, f, m, s, e)
     fm = f * m
     em = e * m
     dim = fm * em
@@ -808,8 +888,7 @@ def truncated_local_algebra(q: int | PrimePower, f: int, m: int, s: int, e: int)
 
 def matrix_over(alg: FiniteAlgebra, n: int) -> FiniteAlgebra:
     """M_n(A) for a structure-constant algebra A; radical is M_n(J(A))."""
-    if n < 1:
-        raise OrdgenError(f"matrix size n must be at least 1, got n={n}")
+    _check_matrix_size(n)
     if n == 1:
         return alg
     da = alg.dim
@@ -858,16 +937,19 @@ def _coeff_coords(alg: FiniteAlgebra):
 
 def twisted_element(alg: FiniteAlgebra, coeffs) -> tuple[int, ...]:
     """Element of a truncated local algebra from coefficient-field encodings per pi-power."""
-    assert alg.meta.get("kind") == "twisted"
+    if alg.meta.get("kind") != "twisted":
+        raise InvalidElement(f"{alg.label} is not a truncated local algebra")
     E: FiniteField = alg.meta["coeff_field"]
     fm = alg.meta["f"] * alg.meta["m"]
     em = alg.meta["e"] * alg.meta["m"]
     coeffs = list(coeffs)
-    assert len(coeffs) <= em
+    if len(coeffs) > em:
+        raise InvalidElement(f"{alg.label} takes at most {em} pi-power coefficients, got {len(coeffs)}")
     coords = [0] * alg.dim
     coords_of = _coeff_coords(alg)
     for j, x in enumerate(coeffs):
-        assert 0 <= x < E.q
+        if not 0 <= x < E.q:
+            raise InvalidElement(f"coefficient {x} is not an element of F_{E.q}")
         for i, c in enumerate(coords_of(x)):
             coords[j * fm + i] = c
     return tuple(coords)
@@ -875,7 +957,8 @@ def twisted_element(alg: FiniteAlgebra, coeffs) -> tuple[int, ...]:
 
 def matrix_element(alg: FiniteAlgebra, entries) -> tuple[int, ...]:
     """Element of matrix_algebra(n, q, r) from an n x n array of coefficient-field encodings."""
-    assert alg.meta.get("kind") == "matrix"
+    if alg.meta.get("kind") != "matrix":
+        raise InvalidElement(f"{alg.label} is not a matrix algebra")
     n, r = alg.meta["n"], alg.meta["r"]
     coords = [0] * alg.dim
     coords_of = _coeff_coords(alg)

@@ -177,6 +177,46 @@ def test_oracle_rejects_malformed_budget_env(capsys, monkeypatch, raw):
     assert err == f"error: ORDGEN_BUDGET must be a positive integer, got {raw!r}\n"
 
 
+@pytest.fixture
+def no_algebra_built(monkeypatch):
+    """Make every algebra construction fail, so a test sees whether one runs."""
+    monkeypatch.delenv("ORDGEN_BUDGET", raising=False)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("an algebra was built")
+
+    monkeypatch.setattr(ordgen.finalg.FiniteAlgebra, "__init__", refuse)
+
+
+@pytest.mark.parametrize(
+    "expr,k,err",
+    [
+        ("M(10,2)", "1", "error: request needs 1267650600228229401496703205376 tuples, budget is 67108864\n"),
+        ("M(3,3)", "2", "error: request needs 387420489 tuples, budget is 67108864\n"),
+        ("P(M(3,2),TW(q=2,f=2,m=1,e=3))", "2", f"error: request needs {2 ** 30} tuples, budget is 67108864\n"),
+        ("TW(q=2,f=3,m=2,s=1,e=2)", "1", "error: request needs 16777216 tuples, budget is 100\n"),
+        ("M(100000,2)", "3", "error: request needs 2^30000000000 tuples, budget is 67108864\n"),
+    ],
+)
+def test_oracle_refuses_over_budget_before_building(capsys, no_algebra_built, expr, k, err):
+    argv = ["oracle", "--alg", expr, "--k", k] + (["--budget", "100"] if "budget is 100" in err else [])
+    assert run(capsys, *argv) == (4, "", err)
+
+
+@pytest.mark.parametrize(
+    "expr,err",
+    [
+        ("P(M(10,2),M(2,3))", "error: base fields differ: FiniteField(q=2) vs FiniteField(q=3)\n"),
+        ("P(M(10,2),M(0,2))", "error: matrix size n must be at least 1, got n=0\n"),
+        ("P(M(10,2),TW(q=2,f=1,m=2,s=2))", "error: twist s=2 must satisfy 1 <= s <= m and gcd(s, m) = 1\n"),
+        ("P(M(10,2),M(2,2;r=30))", "error: 2^30 exceeds the cap 1048576\n"),
+        ("P(M(10,2),M(2,2)", "error: expected ')' at position 16 in algebra expression\n"),
+    ],
+)
+def test_oracle_expression_errors_come_before_the_budget(capsys, no_algebra_built, expr, err):
+    assert run(capsys, "oracle", "--alg", expr, "--k", "1") == (2, "", err)
+
+
 @pytest.mark.parametrize(
     "expr,fragment",
     [

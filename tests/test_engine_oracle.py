@@ -98,6 +98,10 @@ class TupleGfpEngine:
     def add(self, u, v):
         return tuple((x + y) % self.p for x, y in zip(u, v))
 
+    @staticmethod
+    def pivot(row):
+        return next(i for i, x in enumerate(row) if x)
+
     def insert(self, rows, v):
         p = self.p
         v = list(v)

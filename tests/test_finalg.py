@@ -4,6 +4,7 @@ import hashlib
 import itertools
 import os
 import random
+import re
 import subprocess
 import sys
 import warnings
@@ -13,23 +14,36 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ordgen import finalg
-from ordgen.errors import BudgetExceeded, InvalidCount, InvalidTwist, NotGenerating, OrdgenError
+from ordgen.errors import (
+    BudgetExceeded,
+    InvalidCount,
+    InvalidElement,
+    InvalidTable,
+    InvalidTwist,
+    NotGenerating,
+    OrdgenError,
+)
+from ordgen.counting import gen_count_exact, gen_count_twisted
 from ordgen.finalg import (
     DEFAULT_BUDGET,
     FiniteAlgebra,
     brute_gen_count,
+    check_tuple_budget,
     closure,
     coset_representatives,
     is_generating,
     lift_count,
     matrix_algebra,
+    matrix_algebra_base,
     matrix_element,
     matrix_over,
     product_algebra,
+    product_base,
     resolve_budget,
     sample_gen_fraction,
     splitmix64_stream,
     truncated_local_algebra,
+    truncated_local_base,
     twisted_element,
 )
 from ordgen.finfield import build_field, field_of, is_prime
@@ -298,7 +312,7 @@ def test_verify_refuses_non_associative_table(q, a_squared):
     # (a*a)*a = a_squared * a but a*(a*a) = a_squared * (a*b) = 0
     one, a, b, zero3 = (1, 0, 0), (0, 1, 0), (0, 0, 1), (0, 0, 0)
     table = [[one, a, b], [a, (0, 0, a_squared), zero3], [b, a, zero3]]
-    with pytest.raises(AssertionError, match="associativity fails"):
+    with pytest.raises(InvalidTable, match="associativity fails"):
         FiniteAlgebra(field_of(q), table, one)
 
 
@@ -306,7 +320,7 @@ def test_verify_refuses_non_associative_table(q, a_squared):
 def test_verify_refuses_wrong_unit(q, unit):
     diag = [[(1, 0, 0), (0, 1, 0), (0, 0, 1)], [(0, 1, 0), (0, 1, 0), (0, 0, 0)], [(0, 0, 1), (0, 0, 0), (0, 0, 1)]]
     FiniteAlgebra(field_of(q), diag, (1, 0, 0))  # F_q x F_q x F_q on idempotents 1, e1, e2 is fine
-    with pytest.raises(AssertionError, match="unit law fails"):
+    with pytest.raises(InvalidTable, match="unit law fails"):
         FiniteAlgebra(field_of(q), diag, unit)
 
 
@@ -320,8 +334,84 @@ def test_verify_refuses_wrong_unit(q, unit):
     ids=["left", "right"],
 )
 def test_verify_refuses_one_sided_unit(q, table):
-    with pytest.raises(AssertionError, match="unit law fails"):
+    with pytest.raises(InvalidTable, match="unit law fails"):
         FiniteAlgebra(field_of(q), table, (1, 0))
+
+
+@pytest.mark.parametrize(
+    "table,unit,match",
+    [
+        ([[(1, 0), (0, 1)], [(0, 1)]], (1, 0), r"structure table of .* is not 2 x 2 vectors of length 2"),
+        ([[(1, 0), (0, 1)], [(0, 1), (0,)]], (1, 0), r"structure table of .* is not 2 x 2 vectors of length 2"),
+        ([[(1, 0), (0, 1)], [(0, 1), (0, 0)]], (1,), r"unit of .* has length 1, not 2"),
+    ],
+)
+def test_malformed_table_raises_typed_error(table, unit, match):
+    with pytest.raises(InvalidTable, match=match):
+        FiniteAlgebra(field_of(2), table, unit)
+
+
+def test_verify_refuses_non_associative_table_under_optimisation():
+    src = os.path.dirname(os.path.dirname(finalg.__file__))
+    code = (
+        "from ordgen.errors import InvalidTable\n"
+        "from ordgen.finalg import FiniteAlgebra\n"
+        "from ordgen.finfield import field_of\n"
+        "one, a, b, z = (1, 0, 0), (0, 1, 0), (0, 0, 1), (0, 0, 0)\n"
+        "try:\n"
+        "    FiniteAlgebra(field_of(2), [[one, a, b], [a, b, z], [b, a, z]], one)\n"
+        "except InvalidTable as exc:\n"
+        "    print('refused:', exc)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("refused: associativity fails on basis triple")
+
+
+@pytest.mark.parametrize(
+    "call,match",
+    [
+        (lambda: twisted_element(matrix_algebra(2, 2), (1,)), "is not a truncated local algebra"),
+        (lambda: twisted_element(TW2, (1, 1, 1)), "takes at most 2 pi-power coefficients, got 3"),
+        (lambda: twisted_element(TW2, (4,)), "coefficient 4 is not an element of F_4"),
+        (lambda: twisted_element(TW2, (-1,)), "coefficient -1 is not an element of F_4"),
+        (lambda: matrix_element(TW2, [[0]]), "is not a matrix algebra"),
+    ],
+)
+def test_element_builders_raise_typed_errors(call, match):
+    with pytest.raises(InvalidElement, match=match):
+        call()
+
+
+@pytest.mark.parametrize(
+    "base,build",
+    [
+        (lambda: matrix_algebra_base(0, 2), lambda: matrix_algebra(0, 2)),
+        (lambda: matrix_algebra_base(2, 2, 0), lambda: matrix_algebra(2, 2, 0)),
+        (lambda: matrix_algebra_base(2, 6), lambda: matrix_algebra(2, 6)),
+        (lambda: matrix_algebra_base(0, 6), lambda: matrix_algebra(0, 6)),
+        (lambda: matrix_algebra_base(2, 2, 21), lambda: matrix_algebra(2, 2, 21)),
+        (lambda: truncated_local_base(2, 1, 2, 2, 1), lambda: truncated_local_algebra(2, 1, 2, 2, 1)),
+        (lambda: truncated_local_base(2, 0, 1, 1, 1), lambda: truncated_local_algebra(2, 0, 1, 1, 1)),
+        (lambda: truncated_local_base(2, 5, 5, 1, 1), lambda: truncated_local_algebra(2, 5, 5, 1, 1)),
+        (
+            lambda: product_base(field_of(2), field_of(4)),
+            lambda: product_algebra(matrix_algebra(1, 2), matrix_algebra(1, 4)),
+        ),
+    ],
+)
+def test_base_checks_raise_what_the_constructors_raise(base, build):
+    with pytest.raises(OrdgenError) as want:
+        build()
+    with pytest.raises(type(want.value), match=f"^{re.escape(str(want.value))}$"):
+        base()
+
+
+def test_base_checks_return_the_base_field():
+    assert matrix_algebra_base(3, 4, 2) == matrix_algebra(1, 4, 2).base == field_of(4)
+    assert truncated_local_base(3, 1, 2, 1, 2) == truncated_local_algebra(3, 1, 2, 1, 2).base == field_of(3)
+    assert product_base(field_of(9), field_of(9)) == field_of(9)
 
 
 def test_unit_is_two_sided_identity():
@@ -357,6 +447,36 @@ def test_budget_guards_enumeration_size():
     assert info.value.budget == 100
     assert str(info.value) == "request needs 65536 tuples, budget is 100"
     assert brute_gen_count(alg, 1, budget=256) == 0
+
+
+@pytest.mark.parametrize(
+    "q,exponent,budget,required",
+    [
+        (2, 100, 2**100 - 1, 2**100),
+        (2, 8191, 1, 2**8191),  # the largest count written out: 8192 bits
+        (2, 8192, 1, "2^8192"),
+        (3, 5000, 1, 3**5000),  # 7925 bits
+        (3, 5200, 1, "3^5200"),  # 8242 bits
+        (4, 10**15, 1, "4^1000000000000000"),  # never formed
+        (2, 15000, 2**14000, "2^15000"),  # a budget above 8192 bits
+    ],
+    ids=["2^100", "2^8191", "2^8192", "3^5000", "3^5200", "4^10^15", "2^15000"],
+)
+def test_tuple_budget_writes_counts_out_below_8192_bits(q, exponent, budget, required):
+    with pytest.raises(BudgetExceeded) as info:
+        check_tuple_budget(q, exponent, budget)
+    assert info.value.required == required
+    assert str(info.value) == f"request needs {required} tuples, budget is {budget}"
+
+
+@pytest.mark.parametrize("q,exponent", [(2, 100), (3, 5000), (2, 14000), (7, 0)])
+def test_tuple_budget_admits_a_count_equal_to_the_budget(q, exponent):
+    check_tuple_budget(q, exponent, q**exponent)
+
+
+def test_huge_exhaustive_request_is_refused_without_forming_its_count():
+    with pytest.raises(BudgetExceeded, match=r"^request needs 2\^4000000000000 tuples, budget is 67108864$"):
+        brute_gen_count(M22, 10**12, budget=DEFAULT_BUDGET)
 
 
 def test_resolve_budget_env_override(monkeypatch):
@@ -640,11 +760,101 @@ def test_coset_enumeration_matches_per_element_oracle_on_random_algebras(alg, k)
     assert brute_gen_count(alg, k) == naive_gen_count(alg, k)
 
 
-@pytest.mark.parametrize(
-    "n,q,k,closures,naive_closures",
-    [(2, 2, 2, 45, 145), (2, 2, 3, 87, 321), (2, 3, 2, 172, 1216), (3, 2, 2, 15809, None)],
+SPAN_ALGEBRAS = [
+    M22,
+    matrix_algebra(2, 3),
+    matrix_algebra(2, 4),
+    matrix_algebra(1, 3, 3),
+    truncated_local_algebra(3, 1, 2, 1, 1),
+    truncated_local_algebra(4, 1, 1, 1, 3),
+    product_algebra(F4, M22),
+    product_algebra(matrix_algebra(1, 3), truncated_local_algebra(3, 1, 1, 1, 2)),
+]
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.sampled_from(SPAN_ALGEBRAS),
+    st.lists(st.integers(0, 1 << 16), max_size=2),
+    st.lists(st.integers(0, 1 << 16), max_size=2),
 )
-def test_closure_counts_of_exhaustive_oracle(monkeypatch, n, q, k, closures, naive_closures):
+def test_coset_representatives_inside_a_closure_span_its_rows_off_the_pivots(alg, s_idx, t_idx):
+    """For closed S inside T, the rows of T whose pivots are not pivots of S span
+    exactly the coset representatives of S that lie in T: the skip set of the
+    last level of brute_gen_count."""
+    eng = alg._eng()
+    S = finalg._close(eng, [], eng.scalars + [eng.flat_of_index(i % alg.size) for i in s_idx])
+    T = finalg._close(eng, list(S), [eng.flat_of_index(i % alg.size) for i in t_idx])
+    pivots = {eng.pivot(r) for r in S}
+    assert pivots <= {eng.pivot(r) for r in T}
+    span = eng.span_elements([r for r in T if eng.pivot(r) not in pivots])
+    inside = [x for x in finalg._coset_flats(eng, S) if eng.insert(list(T), x) is None]
+    assert len(span) == len(set(span)) == eng.p ** (len(T) - len(S))
+    assert set(span) == set(inside)
+
+
+def local_count_k1(q, f, e):
+    """Generating elements of F_{q^f}[u]/(u^e) over F_q: a generator of the residue
+    field plus a u-coefficient that is not zero, the higher coefficients free."""
+    head = gen_count_twisted(1, 1, q, f)
+    return head if e == 1 else head * (q**f - 1) * q ** (f * (e - 2))
+
+
+K1_CASES = [
+    (matrix_algebra(1, 3), gen_count_exact(1, 1, 3)),
+    (M22, gen_count_exact(1, 2, 2)),
+    (matrix_algebra(2, 3), gen_count_exact(1, 2, 3)),
+    (matrix_algebra(3, 2), gen_count_exact(1, 3, 2)),
+    (matrix_algebra(1, 2, 3), gen_count_twisted(1, 1, 2, 3)),
+    (matrix_algebra(1, 2, 4), gen_count_twisted(1, 1, 2, 4)),
+    (matrix_algebra(1, 3, 2), gen_count_twisted(1, 1, 3, 2)),
+    (matrix_algebra(1, 4, 2), gen_count_twisted(1, 1, 4, 2)),
+    (matrix_algebra(2, 2, 2), gen_count_twisted(1, 2, 2, 2)),
+    (truncated_local_algebra(2, 1, 1, 1, 3), local_count_k1(2, 1, 3)),
+    (truncated_local_algebra(2, 2, 1, 1, 2), local_count_k1(2, 2, 2)),
+    (truncated_local_algebra(3, 2, 1, 1, 2), local_count_k1(3, 2, 2)),
+    (truncated_local_algebra(4, 1, 1, 1, 3), local_count_k1(4, 1, 3)),
+    (truncated_local_algebra(2, 1, 2, 1, 1), 0),  # not commutative
+    (
+        product_algebra(matrix_algebra(1, 2, 2), matrix_algebra(1, 2, 3)),
+        gen_count_twisted(1, 1, 2, 2) * gen_count_twisted(1, 1, 2, 3),
+    ),
+    (
+        product_algebra(matrix_algebra(1, 3), matrix_algebra(1, 3, 2)),
+        gen_count_exact(1, 1, 3) * gen_count_twisted(1, 1, 3, 2),
+    ),
+    (product_algebra(matrix_algebra(1, 2), truncated_local_algebra(2, 2, 1, 1, 2)), 2 * local_count_k1(2, 2, 2)),
+    (product_algebra(F4, M22), 0),
+]
+
+
+@pytest.mark.parametrize("alg,count", K1_CASES, ids=[alg.label for alg, _ in K1_CASES])
+def test_single_generators_match_closed_forms(alg, count):
+    """k = 1, where the root itself is the last level and every closure may skip.
+
+    A product of algebras with no common simple quotient is generated exactly
+    by pairs of generators (P. Hall's product relation)."""
+    assert brute_gen_count(alg, 1) == count
+
+
+CLOSURE_COUNT_CASES = [
+    (M22, 2, 45, 145),
+    (M22, 3, 87, 321),
+    (matrix_algebra(2, 3), 2, 143, 1216),
+    (matrix_algebra(3, 2), 2, 7834, None),  # 98 305 per-element closures: too slow to repeat here
+    (product_algebra(M22, M22), 2, 1924, None),  # 29 441 per-element closures
+]
+
+
+@pytest.mark.parametrize(
+    "alg,k,closures,naive_closures",
+    CLOSURE_COUNT_CASES,
+    ids=[f"{alg.label}-k{k}" for alg, k, _, _ in CLOSURE_COUNT_CASES],
+)
+def test_closure_counts_of_exhaustive_oracle(monkeypatch, alg, k, closures, naive_closures):
+    """Closures of the coset enumerator, which skips the last-level cosets inside
+    a proper closure; without that it made 172 on M_2(F_3), 15 809 on M_3(F_2)
+    and 5 073 on M_2(F_2)^2 at k = 2."""
     calls = [0]
     close = finalg._close
 
@@ -653,10 +863,9 @@ def test_closure_counts_of_exhaustive_oracle(monkeypatch, n, q, k, closures, nai
         return close(*args)
 
     monkeypatch.setattr(finalg, "_close", counted)
-    alg = matrix_algebra(n, q)
     value = brute_gen_count(alg, k)
     assert calls[0] == closures
-    if naive_closures is None:  # 98 305 closures: too slow to repeat here
+    if naive_closures is None:
         return
     calls[0] = 0
     assert naive_gen_count(alg, k) == value
