@@ -1,21 +1,20 @@
 """Exact counts of generating k-tuples for matrix algebras over finite fields.
 
-Everything here is closed-form, arbitrary-precision integer arithmetic: the
-plain counts for matrix sizes n <= 3, a certified lower bound for every n,
-the twisted counts for algebras M_n(F_{q^r}) viewed over the subfield F_q,
-and the product formula for m identical simple factors.  Quotients of group
-orders that are exact are checked with `divmod`; the twisted lower bound rounds
-its `fractions.Fraction` corrections up.
+Every count is exact, in arbitrary-precision arithmetic: the plain counts of
+M_n(F_q), by closed forms for n <= 3 and by a recursion for absolutely
+irreducible modules for larger n, the twisted counts for algebras M_n(F_{q^r})
+viewed over the subfield F_q, and the product formula for m identical simple
+factors.  Quotients that must be exact are checked with `divmod` or a
+`fractions.Fraction` denominator and raise CertificateError when they are not.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import isqrt
 
-from .errors import CertificateError, UnsupportedRank
+from .errors import CertificateError
 
 MAX_K_SCAN = 512
 
@@ -69,8 +68,56 @@ def pgl_order(n: int, q: int) -> int:
     return order
 
 
+@lru_cache(maxsize=128)
+def _absolutely_irreducible(k: int, n: int, q: int) -> int:
+    """Number of absolutely irreducible n-dimensional modules of the free F_q-algebra on k letters.
+
+    Modules are counted up to isomorphism, for any n >= 1, by the one-vertex
+    case of M. Reineke, "Counting rational points of quiver moduli" (IMRN
+    2006).  With F_m = q^(km^2)/|GL_m(q)|, the series s solves
+    s o F = 1 in the ring where t^a o t^b = q^((k-1)ab) t^(a+b), because the
+    Moebius function over the semisimple submodules of a nonzero module sums
+    to 0.  Its logarithm is -sum c_(e,a) sum_j t^(ej) / (j (q^(aj) - 1)), where
+    c_(e,a) counts the simple modules of dimension e with endomorphism field
+    F_(q^a), and Galois descent gives
+    c_(e,a) = (1/a) sum_(b|a) mu(a/b) a_(e/a)(q^b).  The term c_(n,1) is the
+    answer; every other term of t^n comes from smaller dimensions.
+
+    One call reaches a few dozen (n, q) pairs for n <= 90, so 128 recent
+    entries hold every repeat within it, and the cache does not grow with the
+    number of primes a density pass visits.
+    """
+    weights = [Fraction(1)] + [Fraction(q ** (k * b * b), gl_order(b, q)) for b in range(1, n + 1)]
+    s = [Fraction(1)]
+    for m in range(1, n + 1):
+        s.append(-sum(s[a] * weights[m - a] * q ** ((k - 1) * a * (m - a)) for a in range(m)))
+    log = [Fraction(0)]
+    for m in range(1, n + 1):
+        log.append(s[m] - Fraction(sum(i * log[i] * s[m - i] for i in range(1, m)), m))
+    rest = -log[n]
+    for e in divisors(n):
+        j = n // e
+        for a in divisors(e):
+            if e == n and a == 1:
+                continue
+            orbits = sum(mobius(a // b) * _absolutely_irreducible(k, e // a, q**b) for b in divisors(a))
+            simples, rem = divmod(orbits, a)
+            if rem:
+                raise CertificateError(f"Galois orbits of size {a} do not divide at k={k}, n={e // a}, q={q}")
+            rest -= Fraction(simples, j * (q ** (a * j) - 1))
+    value = rest * (q - 1)
+    if value.denominator != 1 or value < 0:
+        raise CertificateError(f"absolutely irreducible count {value} is not a natural number at k={k}, n={n}, q={q}")
+    return value.numerator
+
+
 def gen_count_exact(k: int, n: int, q: int) -> int:
-    """Number of k-tuples generating M_n(F_q) as a unital F_q-algebra (n <= 3)."""
+    """Number of k-tuples generating M_n(F_q) as a unital F_q-algebra.
+
+    Closed forms for n <= 3.  For larger n, by Burnside's theorem a tuple
+    generates M_n(F_q) exactly when it makes F_q^n absolutely irreducible, so
+    the count is the number of such modules times |PGL_n(q)|.
+    """
     assert k >= 1 and q >= 2
     if n == 1:
         return q**k
@@ -95,7 +142,7 @@ def gen_count_exact(k: int, n: int, q: int) -> int:
             * (q**k - 1)
             * tail
         )
-    raise UnsupportedRank(f"no closed form for n={n}; use gen_count_lower")
+    return _absolutely_irreducible(k, n, q) * pgl_order(n, q)
 
 
 def _deficiency_coeff(n: int) -> int:
@@ -105,38 +152,15 @@ def _deficiency_coeff(n: int) -> int:
     return isqrt((1 << (n + 6)) - 1) + 1
 
 
-@dataclass(frozen=True)
-class CountBound:
-    """Certified lower bound for a generating count, with the exact value when known."""
-
-    lower: int
-    exact: int | None = None
-
-    def __post_init__(self) -> None:
-        assert self.lower >= 0
-        if self.exact is not None:
-            assert self.lower <= self.exact
-
-
-def gen_count_lower(k: int, n: int, q: int) -> CountBound:
-    """Certified lower bound q^{kn^2} - ceil(2^{(n+6)/2}) q^{n^2 k - (k-1)(n-1)}, any n."""
-    assert k >= 1 and n >= 1 and q >= 2
-    raw = q ** (k * n * n) - _deficiency_coeff(n) * q ** (n * n * k - (k - 1) * (n - 1))
-    exact = gen_count_exact(k, n, q) if n <= 3 else None
-    return CountBound(lower=max(0, raw), exact=exact)
-
-
 @lru_cache(maxsize=None)
 def gen_count_twisted(k: int, n: int, q: int, r: int) -> int:
-    """Number of k-tuples generating M_n(F_{q^r}) as a unital F_q-algebra (n <= 3).
+    """Number of k-tuples generating M_n(F_{q^r}) as a unital F_q-algebra.
 
     The Moebius sum over the subfields F_{q^s}, s | r, of
     mu(r/s) * gen_count_exact(k, n, q^s) * [PGL_n(q^r) : PGL_n(q^s)], in integers:
     PGL_n(F_{q^s}) is a subgroup of PGL_n(F_{q^r}), so each index is exact.
     """
     assert k >= 1 and r >= 1 and q >= 2
-    if n > 3:
-        raise UnsupportedRank(f"no closed form for n={n}; use gen_count_twisted_lower")
     if r == 1:
         return gen_count_exact(k, n, q)
     pgl_top = pgl_order(n, q**r)
@@ -155,34 +179,13 @@ def gen_count_twisted(k: int, n: int, q: int, r: int) -> int:
 
 
 @lru_cache(maxsize=None)
-def gen_count_twisted_lower(k: int, n: int, q: int, r: int) -> int:
-    """Certified lower bound for the twisted count, valid for every n >= 1."""
-    assert k >= 1 and r >= 1 and q >= 2
-    pgl_top = pgl_order(n, q**r)
-    total = gen_count_lower(k, n, q**r).lower
-    for s in divisors(r):
-        if s == r:
-            continue
-        # Each correction term is at most (pgl_top / pgl_s) * q^{skn^2}.
-        term = Fraction(pgl_top * q ** (s * k * n * n), pgl_order(n, q**s))
-        total -= -((-term.numerator) // term.denominator)
-    return max(0, total)
-
-
-@lru_cache(maxsize=None)
 def twisted_capacity(k: int, n: int, q: int, s: int) -> int:
     """floor(g_k(n,q,s) / (s |PGL_n(F_{q^s})|)): max copies generated by k elements."""
     return gen_count_twisted(k, n, q, s) // (s * pgl_order(n, q**s))
 
 
-@lru_cache(maxsize=None)
-def twisted_capacity_lower(k: int, n: int, q: int, s: int) -> int:
-    """Certified lower bound for the capacity, valid for every n >= 1."""
-    return gen_count_twisted_lower(k, n, q, s) // (s * pgl_order(n, q**s))
-
-
 def gen_count_power(k: int, n: int, q: int, s: int, m: int) -> int:
-    """Number of k-tuples generating the m-th power of M_n(F_{q^s}) over F_q (n <= 3)."""
+    """Number of k-tuples generating the m-th power of M_n(F_{q^s}) over F_q."""
     assert m >= 1
     if m > twisted_capacity(k, n, q, s):
         return 0
@@ -197,19 +200,9 @@ def gen_count_power(k: int, n: int, q: int, s: int, m: int) -> int:
 
 @lru_cache(maxsize=None)
 def min_k_for_copies(n: int, q: int, s: int, m: int) -> int:
-    """Smallest k whose capacity for (n, q, s) reaches m copies (n <= 3)."""
+    """Smallest k whose capacity for (n, q, s) reaches m copies."""
     assert m >= 1
     for k in range(1, MAX_K_SCAN + 1):
         if twisted_capacity(k, n, q, s) >= m:
-            return k
-    raise AssertionError(f"capacity scan exhausted at k={MAX_K_SCAN}")
-
-
-@lru_cache(maxsize=None)
-def min_k_for_copies_bound(n: int, q: int, s: int, m: int) -> int:
-    """Smallest k whose certified capacity lower bound reaches m copies (any n)."""
-    assert m >= 1
-    for k in range(1, MAX_K_SCAN + 1):
-        if twisted_capacity_lower(k, n, q, s) >= m:
             return k
     raise AssertionError(f"capacity scan exhausted at k={MAX_K_SCAN}")

@@ -28,7 +28,8 @@ class InvalidCount(OrdgenError):
 
 
 class InvalidTable(OrdgenError):
-    """A structure-constant table has the wrong shape or breaks the unit law or associativity."""
+    """A structure-constant table has the wrong shape or breaks the unit law or associativity,
+    or a radical or ideal basis does not span a nilpotent two-sided ideal."""
 
 
 class InvalidElement(OrdgenError):
@@ -36,16 +37,18 @@ class InvalidElement(OrdgenError):
 
 
 class BudgetExceeded(OrdgenError):
-    """An enumeration would exceed the configured work budget.
+    """A request would exceed the configured work budget or a fixed size limit.
 
     The attribute ``required`` holds the number of tuples the request covers:
     |A|^k for an exhaustive count over an algebra A (its closure calls are
-    usually far fewer), the sample count for a Monte Carlo estimate, or
-    |I|^k for a lift count over an ideal I.  A count of 2^8192 or more is
-    held, and printed, as the power "q^e" it was given as.
+    usually far fewer), the sample count for a Monte Carlo estimate, |I|^k
+    for a lift count over an ideal I, or the q^(r k n^2 m) tuples among which
+    the `count` command counts.  A count of 2^8192 or more is held, and
+    printed, as the power "q^e" it was given as.  ``budget`` holds the budget;
+    for `count` it is the fixed limit "2^8192", held as that power too.
     """
 
-    def __init__(self, required: int | str, budget: int):
+    def __init__(self, required: int | str, budget: int | str):
         super().__init__(f"request needs {required} tuples, budget is {budget}")
         self.required = required
         self.budget = budget
@@ -57,10 +60,6 @@ class NotGenerating(OrdgenError):
 
 class NotMonic(OrdgenError):
     """A polynomial that must be monic is not."""
-
-
-class UnsupportedRank(OrdgenError):
-    """An exact matrix-rank count was requested beyond the closed-form range (n > 3)."""
 
 
 class IndexNotDividingDegree(OrdgenError):

@@ -383,7 +383,7 @@ def _coset_flats(eng, rows) -> list:
 def _nilpotent_ideal_rows(eng, basis, name: str) -> list:
     """Echelon basis of the F_q-span of basis, checked to be a nilpotent two-sided ideal.
 
-    Raises ValueError, naming the span, when it is not one.
+    Raises InvalidTable, naming the span, when it is not one.
     """
     rows: list = []
     for v in basis:
@@ -395,7 +395,7 @@ def _nilpotent_ideal_rows(eng, basis, name: str) -> list:
         for r in rows:
             for prod in (eng.mul(ba, r), eng.mul(r, ba)):
                 if eng.insert(list(rows), prod) is not None:
-                    raise ValueError(f"{name} is not a two-sided ideal")
+                    raise InvalidTable(f"{name} is not a two-sided ideal")
     # The products of two F_q-spans span an F_q-space, so no scalars are needed here.
     current = rows
     while current:
@@ -404,7 +404,7 @@ def _nilpotent_ideal_rows(eng, basis, name: str) -> list:
             for y in current:
                 eng.insert(nxt, eng.mul(x, y))
         if len(nxt) >= len(current):
-            raise ValueError(f"{name} is not nilpotent")
+            raise InvalidTable(f"{name} is not nilpotent")
         current = nxt
     return rows
 

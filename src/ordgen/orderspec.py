@@ -14,7 +14,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 
 from . import polys
-from .counting import min_k_for_copies, min_k_for_copies_bound, gen_count_power
+from .counting import gen_count_power, min_k_for_copies
 from .errors import (
     EmptySpec,
     ExceptionalPrimeNeedsOverride,
@@ -433,13 +433,11 @@ def min_k_local(cls: ClassifiedLocal) -> int:
     The capacity search settles every k >= 2; the only extra constraint is
     that a ramified division part (index m > 1, radical correction c = 0,
     standing for 1) kills all single generators, since the generated
-    subalgebra of one element is commutative.  Exact for capacities n <= 3;
-    for n >= 4 the certified lower bound is used, which can only overestimate.
+    subalgebra of one element is commutative.  Exact for every block size n.
     """
     best = 1
     for (n, r), members in cls.groups:
-        search = min_k_for_copies if n <= 3 else min_k_for_copies_bound
-        best = max(best, search(n, cls.p, r, _copies(members)))
+        best = max(best, min_k_for_copies(n, cls.p, r, _copies(members)))
         if any(c == 0 for _, c, _ in members):
             best = max(best, 2)
     return best

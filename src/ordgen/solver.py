@@ -16,12 +16,8 @@ from dataclasses import dataclass, fields, is_dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .counting import (
-    _deficiency_coeff,
-    twisted_capacity,
-    twisted_capacity_lower,
-)
-from .errors import BoundTooSmall, CertificateError, NoCutoff, SpecError, UnsupportedRank
+from .counting import _deficiency_coeff, twisted_capacity
+from .errors import BoundTooSmall, CertificateError, NoCutoff, SpecError
 from .finfield import is_prime
 from .orderspec import (
     ClassifiedLocal,
@@ -153,14 +149,10 @@ def prime_cutoff(spec: OrderSpec, k: int) -> CutoffCertificate:
     for _ in range(8):
         margins = []
         for i, s in enumerate(shapes):
-            if s.n <= 3:
-                cap = twisted_capacity(k, s.n, p, s.r)
-            else:
-                cap = twisted_capacity_lower(k, s.n, p, s.r)
-            margin = cap - s.copies_bound
+            margin = twisted_capacity(k, s.n, p, s.r) - s.copies_bound
             if margin < 0:
                 raise CertificateError(f"capacity deficit at sweep prime {p} for shape {s}")
-            if s.n <= 3 and previous[i] is not None and margin < previous[i]:
+            if previous[i] is not None and margin < previous[i]:
                 raise CertificateError(f"margin not monotone at {p} for {s}")
             margins.append(margin)
         sweep.append((p, tuple(margins)))
@@ -217,7 +209,6 @@ def smallest_h(spec: OrderSpec, *, _table: dict[int, ClassifiedLocal] | None = N
         k += 1
 
     critical = tuple(p for p in _primes_below(certificate.q0) if mk(p) == h)
-    bound_mode = any(n >= 4 for cls in table.values() for (n, _), _ in cls.groups)
     notes = []
     refined = None
     if h == 1:
@@ -249,11 +240,6 @@ def smallest_h(spec: OrderSpec, *, _table: dict[int, ClassifiedLocal] | None = N
         notes.append(
             "no prime below the cutoff attains h; the bound is driven by the "
             "generic split primes beyond it"
-        )
-    if bound_mode:
-        notes.append(
-            "blocks of size >= 4 use certified capacity lower bounds, which can "
-            "only overstate h"
         )
     return Verdict(
         h=h,
@@ -367,11 +353,6 @@ def density(spec: OrderSpec, k: int, bound: int | None = None) -> DensityInterva
                 "1 - 1/p + O(1/p^2) at k=2, so the product diverges to zero"
             ),
             note="; ".join(note_parts),
-        )
-    if any(f.degree >= 4 for f in spec.factors):
-        raise UnsupportedRank(
-            "factors of reduced degree >= 4 have no exact local counts; "
-            "the Euler product cannot be evaluated"
         )
     minimum = _tail_floor(spec)
     if bound is None:

@@ -5,11 +5,13 @@ import os
 import pathlib
 import subprocess
 import sys
+import time
 
 import pytest
 
 import ordgen
 from ordgen.cli import main
+from ordgen.counting import gen_count_exact
 
 DATA = pathlib.Path(__file__).parent / "data"
 
@@ -52,15 +54,51 @@ def test_count_copies_use_power_formula(capsys):
 
 
 def test_count_large_rank_prints_lower_bound(capsys):
+    # n >= 4 once printed a lower bound; it prints the exact count now.
     code, out, _ = run(capsys, "count", "--k", "2", "--n", "4", "--q", "2")
     assert code == 0
-    assert out.strip().startswith(">=")
+    assert out.strip() == "2745630720"
 
 
 def test_count_exact_mode_refuses_large_rank(capsys):
-    code, _, err = run(capsys, "count", "--k", "2", "--n", "4", "--q", "2", "--exact")
-    assert code == 3
-    assert "no exact closed form" in err
+    # --exact once refused n >= 4 with exit 3; it is accepted and changes nothing.
+    code, out, err = run(capsys, "count", "--k", "3", "--n", "4", "--q", "2", "--exact")
+    assert code == 0
+    assert out.strip() == "265052207185920"
+    assert err == ""
+
+
+@pytest.mark.parametrize(
+    "argv,value",
+    [
+        (("--k", "8192", "--n", "1", "--q", "2"), lambda: 2**8192),
+        (("--k", "2", "--n", "64", "--q", "2"), lambda: gen_count_exact(2, 64, 2)),
+        (("--k", "1", "--n", "2", "--q", "2", "--r", "1024", "--m", "2"), lambda: 0),
+    ],
+)
+def test_count_at_the_size_limit_prints(capsys, argv, value):
+    code, out, err = run(capsys, "count", *argv)
+    assert code == 0
+    assert err == ""
+    assert out.strip() == str(value())
+
+
+@pytest.mark.parametrize(
+    "argv,required",
+    [
+        (("--k", "8193", "--n", "1", "--q", "2"), "2^8193"),
+        (("--k", "2", "--n", "65", "--q", "2"), "2^8450"),
+        (("--k", "2", "--n", "2", "--q", "3", "--r", "2", "--m", "324"), "3^5184"),
+        (("--k", "2", "--n", "100000", "--q", "2"), "2^20000000000"),
+    ],
+)
+def test_count_beyond_the_size_limit_is_refused(capsys, argv, required):
+    start = time.perf_counter()
+    code, out, err = run(capsys, "count", *argv)
+    assert time.perf_counter() - start < 0.1
+    assert code == 4
+    assert out == ""
+    assert err == f"error: request needs {required} tuples, budget is 2^8192\n"
 
 
 def test_count_rejects_non_prime_power(capsys):
@@ -77,11 +115,34 @@ def test_count_machine_document(capsys):
 
 
 def test_count_machine_lower_bound_document(capsys):
+    # n >= 4 once gave "value": null and "lower": 0; the value is exact now.
     code, out, _ = run(capsys, "count", "--k", "2", "--n", "4", "--q", "2", "--format", "machine")
     assert code == 0
-    doc = json.loads(out)
-    assert doc["value"] is None
-    assert doc["lower"] == 0
+    assert json.loads(out) == {"command": "count", "k": 2, "m": 1, "n": 4, "q": 2, "r": 1, "value": 2745630720}
+    assert machine_roundtrips(out)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("count", "--k", "2", "--n", "4", "--q", "2"),
+        ("analyze", "--spec", str(DATA / "m4q.json")),
+    ],
+    ids=["count", "analyze"],
+)
+def test_degree_four_output_is_the_same_under_optimisation(argv):
+    env = dict(os.environ, PYTHONPATH=str(pathlib.Path(ordgen.__file__).parent.parent))
+    procs = [
+        subprocess.run(
+            [sys.executable, *flags, "-m", "ordgen.cli", *argv],
+            capture_output=True, text=True, env=env, timeout=60,
+        )
+        for flags in ([], ["-O"])
+    ]
+    plain, optimised = procs
+    assert plain.returncode == optimised.returncode == 0
+    assert plain.stdout == optimised.stdout != ""
+    assert plain.stderr == optimised.stderr == ""
 
 
 # ---------------------------------------------------------------- oracle

@@ -1,30 +1,66 @@
-"""Closed-form generating-tuple counts, bounds, capacities, inversion."""
+"""Exact generating-tuple counts, capacities, inversion, and the lower bounds as oracles."""
 
 from fractions import Fraction
+from math import sqrt
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ordgen.counting import (
-    CountBound,
+    _absolutely_irreducible,
+    _deficiency_coeff,
     divisors,
     gen_count_exact,
-    gen_count_lower,
     gen_count_power,
     gen_count_twisted,
-    gen_count_twisted_lower,
     gl_order,
     min_k_for_copies,
-    min_k_for_copies_bound,
     mobius,
     pgl_order,
     twisted_capacity,
-    twisted_capacity_lower,
 )
 from ordgen import counting
-from ordgen.errors import CertificateError, UnsupportedRank
-from ordgen.finalg import brute_gen_count, matrix_algebra
+from ordgen.errors import CertificateError
+from ordgen.finalg import brute_gen_count, matrix_algebra, sample_gen_fraction
 
 PRIME_POWERS = (2, 3, 4, 5, 7, 8, 9)
+PRIME_POWERS_TO_32 = (2, 3, 4, 5, 7, 8, 9, 11, 13, 16, 17, 19, 23, 25, 27, 29, 31, 32)
+
+
+# The certified lower bounds that verdicts for n >= 4 once rested on; they are
+# oracles now, each at most the exact count.
+
+
+def count_lower(k, n, q):
+    """Lower bound q^{kn^2} - ceil(2^{(n+6)/2}) q^{n^2 k - (k-1)(n-1)} on gen_count_exact, any n."""
+    raw = q ** (k * n * n) - _deficiency_coeff(n) * q ** (n * n * k - (k - 1) * (n - 1))
+    return max(0, raw)
+
+
+def twisted_lower(k, n, q, r):
+    """Lower bound on gen_count_twisted: each subfield correction rounded up, any n."""
+    pgl_top = pgl_order(n, q**r)
+    total = count_lower(k, n, q**r)
+    for s in divisors(r):
+        if s == r:
+            continue
+        # Each correction term is at most (pgl_top / pgl_s) * q^{skn^2}.
+        term = Fraction(pgl_top * q ** (s * k * n * n), pgl_order(n, q**s))
+        total -= -((-term.numerator) // term.denominator)
+    return max(0, total)
+
+
+def capacity_lower(k, n, q, s):
+    return twisted_lower(k, n, q, s) // (s * pgl_order(n, q**s))
+
+
+def min_k_bound(n, q, s, m):
+    """Smallest k whose capacity lower bound reaches m copies: at least min_k_for_copies."""
+    for k in range(1, counting.MAX_K_SCAN + 1):
+        if capacity_lower(k, n, q, s) >= m:
+            return k
+    raise AssertionError(f"capacity scan exhausted at k={counting.MAX_K_SCAN}")
 
 
 def test_divisors_sorted():
@@ -60,8 +96,49 @@ def test_exact_count_matches_oracle_beyond_frozen_grid():
 
 
 def test_exact_count_refuses_large_rank():
-    with pytest.raises(UnsupportedRank):
-        gen_count_exact(2, 4, 2)
+    # n = 4 once raised; the recursion now gives the count, 0.6393 of all pairs.
+    assert gen_count_exact(2, 4, 2) == 2745630720
+    assert gen_count_exact(3, 4, 2) == 265052207185920
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 6), st.integers(1, 3), st.sampled_from(PRIME_POWERS_TO_32))
+def test_recursion_matches_closed_forms(k, n, q):
+    assert _absolutely_irreducible(k, n, q) * pgl_order(n, q) == gen_count_exact(k, n, q)
+
+
+@pytest.mark.parametrize("q", (2, 3, 4))
+def test_single_element_never_generates_a_matrix_block(q):
+    # one element generates a commutative subalgebra
+    assert _absolutely_irreducible(1, 1, q) == q
+    assert [_absolutely_irreducible(1, n, q) for n in range(2, 9)] == [0] * 7
+
+
+@pytest.mark.parametrize("n", range(4, 9))
+def test_count_lies_between_lower_bound_and_tuple_space(n):
+    for q in (2, 3):
+        for k in (2, 3):
+            assert 0 <= count_lower(k, n, q) <= gen_count_exact(k, n, q) <= q ** (k * n * n)
+
+
+def test_recursion_raises_a_certificate_error_on_a_fractional_count(monkeypatch):
+    # A wrong group order makes the recursion's value fractional; no value
+    # computed with it may stay in the cache.
+    _absolutely_irreducible.cache_clear()
+    monkeypatch.setattr(counting, "gl_order", lambda n, q: q**n + 1)
+    try:
+        with pytest.raises(CertificateError, match="not a natural number"):
+            _absolutely_irreducible(2, 2, 2)
+    finally:
+        _absolutely_irreducible.cache_clear()
+
+
+@pytest.mark.parametrize("q,samples,density", [(2, 1000, 0.63927), (3, 300, 0.89449)])
+def test_sampled_fraction_agrees_with_the_recursion(q, samples, density):
+    assert gen_count_exact(2, 4, q) / q**32 == pytest.approx(density, abs=5e-6)
+    est = sample_gen_fraction(matrix_algebra(4, q), 2, samples, seed=1)
+    sigma = sqrt(density * (1 - density) / samples)
+    assert abs(est.fraction - density) <= 5 * sigma
 
 
 def test_exact_count_never_exceeds_tuple_space():
@@ -75,28 +152,18 @@ def test_count_bound_orders_lower_below_exact():
     for q in PRIME_POWERS:
         for n in (2, 3):
             for k in (2, 3, 4):
-                bound = gen_count_lower(k, n, q)
-                assert isinstance(bound, CountBound)
-                assert 0 <= bound.lower <= bound.exact == gen_count_exact(k, n, q)
+                assert 0 <= count_lower(k, n, q) <= gen_count_exact(k, n, q)
 
 
 def test_count_bound_available_for_large_rank():
-    bound = gen_count_lower(3, 4, 3)
-    assert bound.exact is None
-    assert bound.lower > 0
-
-
-def test_count_bound_rejects_inconsistent_fields():
-    with pytest.raises(AssertionError):
-        CountBound(lower=-1)
-    with pytest.raises(AssertionError):
-        CountBound(lower=5, exact=3)
+    assert 0 < count_lower(3, 4, 3) <= gen_count_exact(3, 4, 3)
 
 
 def test_count_bound_is_asymptotically_tight():
     # the lower bound captures the leading term: ratio to exact tends to 1
-    assert gen_count_lower(3, 2, 101).lower > 0.99 * gen_count_exact(3, 2, 101)
-    assert gen_count_lower(2, 2, 10007).lower > 0.99 * gen_count_exact(2, 2, 10007)
+    assert count_lower(3, 2, 101) > 0.99 * gen_count_exact(3, 2, 101)
+    assert count_lower(2, 2, 10007) > 0.99 * gen_count_exact(2, 2, 10007)
+    assert count_lower(2, 4, 101) > 0.99 * gen_count_exact(2, 4, 101)
 
 
 def test_twisted_count_frozen_values():
@@ -165,8 +232,11 @@ def test_twisted_lower_bounds_twisted_count():
         for n in (1, 2, 3):
             for r in (1, 2, 3):
                 for k in (2, 3):
-                    lo = gen_count_twisted_lower(k, n, q, r)
+                    lo = twisted_lower(k, n, q, r)
                     assert 0 <= lo <= gen_count_twisted(k, n, q, r)
+    for q in (2, 3):
+        for k in (2, 3):
+            assert 0 < twisted_lower(k, 4, q, 2) <= gen_count_twisted(k, 4, q, 2)
 
 
 def test_capacity_counts_conjugacy_copies():
@@ -188,7 +258,7 @@ def test_capacity_lower_never_exceeds_capacity():
         for n in (1, 2, 3):
             for s in (1, 2):
                 for k in (2, 3, 4):
-                    assert twisted_capacity_lower(k, n, q, s) <= twisted_capacity(k, n, q, s)
+                    assert capacity_lower(k, n, q, s) <= twisted_capacity(k, n, q, s)
 
 
 def test_power_count_multiplies_distinct_conjugacy_slots():
@@ -222,9 +292,9 @@ def test_min_k_bound_is_conservative():
     for q in (2, 3, 5):
         for n in (2, 3):
             for m in (1, 2, 7):
-                assert min_k_for_copies_bound(n, q, 1, m) >= min_k_for_copies(n, q, 1, m)
+                assert min_k_bound(n, q, 1, m) >= min_k_for_copies(n, q, 1, m)
 
 
 def test_min_k_bound_covers_large_rank():
-    k = min_k_for_copies_bound(4, 5, 1, 1)
-    assert k >= 2  # blocks of size >= 2 are never singly generated
+    # blocks of size >= 2 are never singly generated, and pairs generate M_4(F_5)
+    assert min_k_bound(4, 5, 1, 1) >= min_k_for_copies(4, 5, 1, 1) == 2

@@ -682,7 +682,7 @@ def test_span_that_is_not_an_ideal_is_refused(q):
     alg = matrix_algebra(2, q)
     e11 = matrix_element(alg, [[1, 0], [0, 0]])
     for call, name in _span_checkers(alg, [e11]):
-        with pytest.raises(ValueError, match=f"^{name} is not a two-sided ideal$"):
+        with pytest.raises(InvalidTable, match=f"^{name} is not a two-sided ideal$"):
             call()
 
 
@@ -691,8 +691,17 @@ def test_ideal_that_is_not_nilpotent_is_refused(q):
     field = matrix_algebra(1, q)
     alg = product_algebra(field, field)
     for call, name in _span_checkers(alg, [(1, 0)]):  # the factor F_q x 0
-        with pytest.raises(ValueError, match=f"^{name} is not nilpotent$"):
+        with pytest.raises(InvalidTable, match=f"^{name} is not nilpotent$"):
             call()
+
+
+def test_radical_basis_that_is_not_nilpotent_raises_a_typed_error():
+    f2 = matrix_algebra(1, 2)
+    diagonal = product_algebra(product_algebra(f2, f2), f2)  # F_2^3
+    with pytest.raises(InvalidTable, match="^radical span of F_2\\^3 is not nilpotent$") as info:
+        FiniteAlgebra(diagonal.base, diagonal.table, diagonal.unit, [(0, 1, 0)], "F_2^3")
+    assert isinstance(info.value, OrdgenError)
+    assert not isinstance(info.value, ValueError)
 
 
 def test_lift_counts_sum_to_total_count():

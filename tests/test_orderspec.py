@@ -23,7 +23,6 @@ from ordgen.errors import (
     NotMonic,
     NotPrime,
     SpecError,
-    UnsupportedRank,
 )
 from ordgen.counting import gen_count_power
 from ordgen.finalg import brute_gen_count
@@ -399,10 +398,11 @@ def test_local_count_refuses_large_blocks():
         free_over_base=True,
         overrides={},
     )
-    with pytest.raises(UnsupportedRank):
-        gen_count_local(2, classify(local_data(spec, 5)))
-    # the minimum-k scan still works through certified lower bounds
-    assert min_k_local(classify(local_data(spec, 5))) >= 2
+    # n = 4 blocks once raised UnsupportedRank here; their counts are exact now.
+    cls = classify(local_data(spec, 5))
+    assert gen_count_local(2, cls) == 22803629062500000000000
+    assert gen_count_local(1, cls) == 0
+    assert min_k_local(cls) == 2
 
 
 @pytest.mark.parametrize(

@@ -21,7 +21,6 @@ from ordgen.errors import (
     NotPrime,
     OrdgenError,
     SpecError,
-    UnsupportedRank,
 )
 from ordgen.finfield import is_prime
 from ordgen.orderspec import (
@@ -191,9 +190,23 @@ def test_matrix2_spec_blocked_from_refinement():
 
 
 def test_large_rank_verdict_flags_bound_mode():
+    # M_4(Z) once read h = 3 from capacity lower bounds; the counts are exact now.
     v = smallest_h(rank4_spec())
-    assert v.h >= 2
-    assert "capacity lower bounds" in v.note
+    assert (v.h, v.kind, v.refined) == (2, "TWO_OR_THREE", 2)
+    assert (v.cutoff, v.critical_primes) == (6, (2, 3, 5))
+    assert "capacity lower bounds" not in v.note
+
+
+@pytest.mark.parametrize("n", (4, 5, 6))
+def test_matrix_orders_of_every_degree_are_generated_by_two(n):
+    from ordgen.orderspec import spec_from_dict
+
+    doc = json.loads((DATA / "m4q.json").read_text())
+    doc["factors"][0]["degree"] = n
+    rep = solver.report(spec_from_dict(doc))
+    assert (rep.verdict.h, rep.verdict.refined) == (2, 2)
+    assert "capacity lower bounds" not in rep.verdict.note
+    assert "smallest h       2 (refined: exactly 2)" in solver.render_text(rep)
 
 
 # ---------------------------------------------------------------- density
@@ -267,8 +280,12 @@ def test_density_rejects_bound_below_validity_floor():
 
 
 def test_density_refuses_large_rank():
-    with pytest.raises(UnsupportedRank):
-        density(rank4_spec(), 2)
+    # degree 4 once raised UnsupportedRank; the Euler product is evaluated now.
+    d = density(rank4_spec(), 2)
+    assert (d.bound, d.minimum_bound, d.tail_coefficient) == (66, 66, Fraction(16, 33))
+    assert d.factors[0] == (2, Fraction(2745630720, 2**32))
+    assert abs(float(d.lower) - 0.549825) < 1e-5
+    assert abs(float(d.upper) - 0.553894) < 1e-5
 
 
 def test_density_interval_validates_ordering():
@@ -315,8 +332,6 @@ def fold_density(spec, k, bound=None):
             ),
             note="; ".join(note_parts),
         )
-    if any(f.degree >= 4 for f in spec.factors):
-        raise UnsupportedRank("no exact local counts")
     minimum = solver._tail_floor(spec)
     if bound is None:
         bound = minimum
