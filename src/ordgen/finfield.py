@@ -108,9 +108,9 @@ class FiniteField:
         self.modulus = _find_modulus(self.p, self.e)
         self._exp: list[int] | None = None
         self._log: list[int] | None = None
+        self.generator = self._find_generator()
         if self.q <= LOG_TABLE_CAP:
             self._build_tables()
-        self.generator = self._find_generator()
 
     # -- encoding ---------------------------------------------------------
 
@@ -210,37 +210,20 @@ class FiniteField:
     # -- construction helpers ----------------------------------------------
 
     def _build_tables(self):
-        # Discrete-log tables built on a provisional generator search; the
-        # power basis root x (encoding p) generates F_q as a ring, and its
-        # powers enumerated by repeated slow multiplication fill the table
-        # once a multiplicative generator is known.
+        # Discrete-log tables filled from the powers of the generator, by
+        # repeated slow multiplication.
         q = self.q
-        for g in range(1, q):
-            seen = 1
-            acc = g
-            while acc != 1:
-                acc = self._mul_slow(acc, g)
-                seen += 1
-                if seen > q - 1:
-                    raise AssertionError("element order overflow")
-            if seen == q - 1:
-                exp = [0] * (q - 1)
-                log = [0] * q
-                acc = 1
-                for i in range(q - 1):
-                    exp[i] = acc
-                    log[acc] = i
-                    acc = self._mul_slow(acc, g)
-                self._exp = exp
-                self._log = log
-                return
-        raise AssertionError("no multiplicative generator found")
+        exp = [0] * (q - 1)
+        log = [0] * q
+        acc = 1
+        for i in range(q - 1):
+            exp[i] = acc
+            log[acc] = i
+            acc = self._mul_slow(acc, self.generator)
+        self._exp = exp
+        self._log = log
 
     def _find_generator(self) -> int:
-        if self.q == 2:
-            return 1
-        if self._exp is not None:
-            return self._exp[1]
         for g in range(1, self.q):
             if self.multiplicative_order(g) == self.q - 1:
                 return g

@@ -14,7 +14,6 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, fields, is_dataclass
 from fractions import Fraction
-from functools import lru_cache
 
 from .counting import _deficiency_coeff, twisted_capacity
 from .errors import BoundTooSmall, CertificateError, NoCutoff, SpecError
@@ -85,7 +84,6 @@ class CutoffCertificate:
     sweep: tuple[tuple[int, tuple[int, ...]], ...]
 
 
-@lru_cache(maxsize=None)
 def _shape_threshold(n: int, r: int, copies: int, k: int) -> int:
     """Least q0 such that capacity(k, n, q, r) >= copies certifiably holds for all q >= q0.
 
@@ -175,14 +173,15 @@ class Verdict:
     certificate: CutoffCertificate
 
 
-def _classified(spec: OrderSpec, table: dict[int, ClassifiedLocal], p: int) -> ClassifiedLocal:
-    """The classified local data of the spec at a sieved prime p, classified once per table."""
+def _classified(spec: OrderSpec, table: dict[int, tuple[ClassifiedLocal, int]], p: int) -> tuple[ClassifiedLocal, int]:
+    """The classified local data of the spec at a sieved prime p and its local minimum, once per table."""
     if p not in table:
-        table[p] = classify(local_data(spec, p, _known_prime=True))
+        cls = classify(local_data(spec, p, _known_prime=True))
+        table[p] = (cls, min_k_local(cls))
     return table[p]
 
 
-def smallest_h(spec: OrderSpec, *, _table: dict[int, ClassifiedLocal] | None = None) -> Verdict:
+def smallest_h(spec: OrderSpec, *, _table: dict[int, tuple[ClassifiedLocal, int]] | None = None) -> Verdict:
     """Smallest k such that every localization admits k generators, with verdict.
 
     Primes are classified once into `_table`, which `report` shares.
@@ -193,15 +192,11 @@ def smallest_h(spec: OrderSpec, *, _table: dict[int, ClassifiedLocal] | None = N
     has_delta2 = any(f.degree == 2 for f in spec.factors)
 
     def mk(p: int) -> int:
-        return min_k_local(_classified(spec, table, p))
+        return _classified(spec, table, p)[1]
 
-    k = 1
+    k = r_k  # with a matrix factor, k = 1 has no cutoff
     while True:
-        try:
-            certificate = prime_cutoff(spec, k)
-        except NoCutoff:
-            k += 1
-            continue
+        certificate = prime_cutoff(spec, k)
         small = _primes_below(certificate.q0)
         if all(mk(p) <= k for p in small):
             h = k
@@ -529,13 +524,13 @@ def report(
     density_bound: int | None = None,
 ) -> Report:
     """Full analysis of a spec: verdict, local detail below the cutoff, optional density."""
-    table: dict[int, ClassifiedLocal] = {}
+    table: dict[int, tuple[ClassifiedLocal, int]] = {}
     verdict = smallest_h(spec, _table=table)
     details = []
     for p in _primes_below(verdict.cutoff):
-        cls = _classified(spec, table, p)
+        cls, min_k = _classified(spec, table, p)
         groups = tuple((n, r, sum(count for _, _, count in members)) for (n, r), members in cls.groups)
-        details.append(PrimeDetail(p=p, min_k=min_k_local(cls), groups=groups))
+        details.append(PrimeDetail(p=p, min_k=min_k, groups=groups))
     interval = None
     if density_k is not None:
         interval = density(spec, density_k, density_bound)

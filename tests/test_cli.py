@@ -102,9 +102,7 @@ def test_count_beyond_the_size_limit_is_refused(capsys, argv, required):
 
 
 def test_count_rejects_non_prime_power(capsys):
-    code, _, err = run(capsys, "count", "--k", "2", "--n", "2", "--q", "6")
-    assert code == 2
-    assert "not a prime power" in err
+    assert run(capsys, "count", "--k", "2", "--n", "2", "--q", "6") == (2, "", "error: q=6 is not a prime power\n")
 
 
 def test_count_machine_document(capsys):
@@ -181,9 +179,8 @@ def test_oracle_sampling_text_is_frozen(capsys):
 
 
 def test_oracle_sampling_requires_seed(capsys):
-    code, _, err = run(capsys, "oracle", "--alg", "M(2,2)", "--k", "2", "--samples", "500")
-    assert code == 2
-    assert "--seed is required" in err
+    argv = ("oracle", "--alg", "M(2,2)", "--k", "2", "--samples", "500")
+    assert run(capsys, *argv) == (2, "", "error: --seed is required with --samples\n")
 
 
 def test_oracle_sampling_worker_independent(capsys):
@@ -257,10 +254,12 @@ def no_algebra_built(monkeypatch):
         ("P(M(3,2),TW(q=2,f=2,m=1,e=3))", "2", f"error: request needs {2 ** 30} tuples, budget is 67108864\n"),
         ("TW(q=2,f=3,m=2,s=1,e=2)", "1", "error: request needs 16777216 tuples, budget is 100\n"),
         ("M(100000,2)", "3", "error: request needs 2^30000000000 tuples, budget is 67108864\n"),
+        ("M(10,2)", "1 --samples 101 --seed 1", "error: request needs 101 tuples, budget is 100\n"),
     ],
 )
 def test_oracle_refuses_over_budget_before_building(capsys, no_algebra_built, expr, k, err):
-    argv = ["oracle", "--alg", expr, "--k", k] + (["--budget", "100"] if "budget is 100" in err else [])
+    # k may carry the sampling options after the tuple length
+    argv = ["oracle", "--alg", expr, "--k", *k.split()] + (["--budget", "100"] if "budget is 100" in err else [])
     assert run(capsys, *argv) == (4, "", err)
 
 

@@ -3,6 +3,10 @@
 from fractions import Fraction
 from math import sqrt
 
+import os
+import subprocess
+import sys
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -21,8 +25,8 @@ from ordgen.counting import (
     twisted_capacity,
 )
 from ordgen import counting
-from ordgen.errors import CertificateError
-from ordgen.finalg import brute_gen_count, matrix_algebra, sample_gen_fraction
+from ordgen.errors import CertificateError, InvalidCount
+from ordgen.finalg import brute_gen_count, matrix_algebra, product_algebra, sample_gen_fraction
 
 PRIME_POWERS = (2, 3, 4, 5, 7, 8, 9)
 PRIME_POWERS_TO_32 = (2, 3, 4, 5, 7, 8, 9, 11, 13, 16, 17, 19, 23, 25, 27, 29, 31, 32)
@@ -121,6 +125,13 @@ def test_count_lies_between_lower_bound_and_tuple_space(n):
             assert 0 <= count_lower(k, n, q) <= gen_count_exact(k, n, q) <= q ** (k * n * n)
 
 
+def test_single_generator_count_is_zero_without_the_recursion():
+    before = _absolutely_irreducible.cache_info().misses
+    for q in (2, 3):
+        assert [gen_count_exact(1, n, q) for n in range(2, 91)] == [0] * 89
+    assert _absolutely_irreducible.cache_info().misses == before
+
+
 def test_recursion_raises_a_certificate_error_on_a_fractional_count(monkeypatch):
     # A wrong group order makes the recursion's value fractional; no value
     # computed with it may stay in the cache.
@@ -137,6 +148,23 @@ def test_recursion_raises_a_certificate_error_on_a_fractional_count(monkeypatch)
 def test_sampled_fraction_agrees_with_the_recursion(q, samples, density):
     assert gen_count_exact(2, 4, q) / q**32 == pytest.approx(density, abs=5e-6)
     est = sample_gen_fraction(matrix_algebra(4, q), 2, samples, seed=1)
+    sigma = sqrt(density * (1 - density) / samples)
+    assert abs(est.fraction - density) <= 5 * sigma
+
+
+@pytest.mark.parametrize(
+    "m,count,samples,density",
+    [
+        (2, gen_count_exact(2, 4, 2) * gen_count_exact(2, 2, 2), 1000, 0.23973),
+        (4, gen_count_power(2, 4, 2, 1, 2), 400, 0.40866),
+    ],
+)
+def test_sampled_pairs_of_m4_times_mm_agree_with_hall(m, count, samples, density):
+    # P. Hall's product relation: M_4 and M_2 have no common simple quotient,
+    # so a pair generates their product exactly when it generates each factor;
+    # two copies of M_4 need generating pairs in two distinct conjugacy classes.
+    assert count / 2 ** (2 * (16 + m * m)) == pytest.approx(density, abs=5e-6)
+    est = sample_gen_fraction(product_algebra(matrix_algebra(4, 2), matrix_algebra(m, 2)), 2, samples, seed=1)
     sigma = sqrt(density * (1 - density) / samples)
     assert abs(est.fraction - density) <= 5 * sigma
 
@@ -298,3 +326,55 @@ def test_min_k_bound_is_conservative():
 def test_min_k_bound_covers_large_rank():
     # blocks of size >= 2 are never singly generated, and pairs generate M_4(F_5)
     assert min_k_bound(4, 5, 1, 1) >= min_k_for_copies(4, 5, 1, 1) == 2
+
+
+INVALID_CALLS = [
+    (gen_count_exact, (0, 2, 2)),
+    (gen_count_exact, (2, 0, 2)),
+    (gen_count_exact, (2, 2, 1)),
+    (gen_count_twisted, (0, 2, 2, 1)),
+    (gen_count_twisted, (2, 2, 2, 0)),
+    (twisted_capacity, (2, 2, 2, 0)),
+    (gen_count_power, (2, 2, 2, 1, 0)),
+    (gen_count_power, (2, 2, 0, 1, 1)),
+    (min_k_for_copies, (2, 2, 1, 0)),
+    (min_k_for_copies, (0, 2, 1, 1)),
+]
+
+
+@pytest.mark.parametrize("func,args", INVALID_CALLS, ids=[f"{f.__name__}{a}" for f, a in INVALID_CALLS])
+def test_counts_refuse_arguments_out_of_range(func, args):
+    with pytest.raises(InvalidCount, match="must be at least 1"):
+        func(*args)
+
+
+def test_counts_refuse_arguments_out_of_range_under_optimization():
+    # Asserts are stripped under -O; these once returned -0.0 and 1.
+    code = (
+        "from ordgen.counting import gen_count_exact, gen_count_power\n"
+        "from ordgen.errors import InvalidCount\n"
+        "for call in (lambda: gen_count_exact(0, 2, 2), lambda: gen_count_power(2, 2, 2, 1, 0)):\n"
+        "    try:\n"
+        "        print(call())\n"
+        "    except InvalidCount:\n"
+        "        print('refused')\n"
+    )
+    src = os.path.dirname(os.path.dirname(counting.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "refused\nrefused\n"
+
+
+def test_group_order_remainder_is_a_certificate_error(monkeypatch):
+    monkeypatch.setattr(counting, "gl_order", lambda n, q: q**n + 1)
+    with pytest.raises(CertificateError, match="does not divide"):
+        pgl_order.__wrapped__(2, 4)
+
+
+def test_negative_power_count_is_a_certificate_error(monkeypatch):
+    # Only a wrong count or group order can make a factor negative.
+    monkeypatch.setattr(counting, "gen_count_twisted", lambda k, n, q, r: -10)
+    monkeypatch.setattr(counting, "pgl_order", lambda n, q: -3)
+    with pytest.raises(CertificateError, match="negative power count"):
+        gen_count_power(2, 2, 2, 1, 3)

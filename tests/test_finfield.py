@@ -6,6 +6,7 @@ import pytest
 
 from ordgen.errors import CapExceeded, NotPrime
 from ordgen.finfield import (
+    LOG_TABLE_CAP,
     PrimePower,
     build_field,
     factorize,
@@ -130,3 +131,25 @@ def test_factorize_known_values():
     assert factorize(360) == {2: 3, 3: 2, 5: 1}
     assert factorize(97) == {97: 1}
     assert factorize(1) == {}
+
+
+def walked_generator_and_powers(field):
+    """The oracle: the least element whose powers, walked one product at a time, reach order q - 1."""
+    q = field.q
+    for g in range(1, q):
+        powers = [1]
+        acc = field._mul_slow(1, g)
+        while acc != 1:
+            powers.append(acc)
+            acc = field._mul_slow(acc, g)
+        if len(powers) == q - 1:
+            return g, powers
+    raise AssertionError("no multiplicative generator found")
+
+
+@pytest.mark.parametrize("q", [q for q in range(2, 513) if len(factorize(q)) == 1])
+def test_generator_and_log_tables_match_the_power_walk(q):
+    field = field_of(q)
+    assert q <= LOG_TABLE_CAP
+    assert (field.generator, field._exp) == walked_generator_and_powers(field)
+    assert all(field._log[a] == i for i, a in enumerate(field._exp))

@@ -155,6 +155,22 @@ def test_quaternion_order_verdict():
     assert "reduced degree 2 blocks refinement" in v.note
 
 
+def test_verdict_search_starts_at_two_for_a_matrix_factor(monkeypatch):
+    spec = fixture("quat2.json")
+    levels = []
+    original = solver.prime_cutoff
+
+    def recording_cutoff(spec, k):
+        levels.append(k)
+        return original(spec, k)
+
+    monkeypatch.setattr(solver, "prime_cutoff", recording_cutoff)
+    assert smallest_h(spec).h == 2
+    assert levels == [2]
+    with pytest.raises(NoCutoff):
+        original(spec, 1)
+
+
 def test_quaternion_seventh_power_verdict():
     v = smallest_h(fixture("quat2x7.json"))
     assert (v.h, v.kind, v.refined) == (3, "EXACT", None)
@@ -603,10 +619,19 @@ def test_report_classifies_each_prime_once(monkeypatch, name):
         seen.append(data.p)
         return original(data)
 
+    minima = []
+    original_min_k = solver.min_k_local
+
+    def counting_min_k(cls):
+        minima.append(cls.p)
+        return original_min_k(cls)
+
     monkeypatch.setattr(solver, "classify", counting_classify)
+    monkeypatch.setattr(solver, "min_k_local", counting_min_k)
     rep = report(fixture(name))
     assert sorted(seen) == [p for p in range(2, rep.verdict.cutoff) if is_prime(p)]
     assert [detail.p for detail in rep.details] == sorted(seen)
+    assert sorted(minima) == sorted(seen)
 
 
 # ---------------------------------------------------------------- rendering
