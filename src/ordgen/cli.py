@@ -25,6 +25,7 @@ from .finalg import (
     FiniteAlgebra,
     brute_gen_count,
     check_sample_budget,
+    check_table_budget,
     check_tuple_budget,
     matrix_algebra,
     matrix_algebra_base,
@@ -211,6 +212,7 @@ def _cmd_oracle(args) -> int:
     if args.seed is None:
         raise SpecError("--seed is required with --samples")
     check_sample_budget(args.samples, args.budget)  # before any table is built
+    check_table_budget(dim, args.budget)
     est = sample_gen_fraction(
         build(), args.k, args.samples, seed=args.seed, budget=args.budget, workers=args.workers
     )

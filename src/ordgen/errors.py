@@ -46,10 +46,12 @@ class BudgetExceeded(OrdgenError):
     the `count` command counts.  A count of 2^8192 or more is held, and
     printed, as the power "q^e" it was given as.  ``budget`` holds the budget;
     for `count` it is the fixed limit "2^8192", held as that power too.
+    ``unit`` names what is counted: "tuples", or "table entries" for the
+    dim^3 coordinates of a structure table that a sampled request would build.
     """
 
-    def __init__(self, required: int | str, budget: int | str):
-        super().__init__(f"request needs {required} tuples, budget is {budget}")
+    def __init__(self, required: int | str, budget: int | str, unit: str = "tuples"):
+        super().__init__(f"request needs {required} {unit}, budget is {budget}")
         self.required = required
         self.budget = budget
 

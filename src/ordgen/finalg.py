@@ -9,6 +9,14 @@ when p = 2 and one b-bit lane per coordinate for odd p.
 A unital F_q-subalgebra is exactly an F_p-subalgebra that contains the scalars
 F_q * 1, so every closure starts from those scalars and never works over F_q.
 
+Every closure runs through one kernel, ``_close``.  It multiplies only on the
+right by a generator g, through g's right operator: the D packed rows e_i * g,
+built at g's first use in a closure from a column-sparse copy of the
+structure table.  It
+keeps a dict from pivot to a semi-reduced row, whose pivot no other row has,
+and forms the canonical (fully reduced, sorted) echelon rows once, at return,
+and only for a proper subalgebra; a full closure returns the standard basis.
+
 The enumeration oracle counts generating k-tuples by exhaustive search with
 memoization on the closed subalgebra S reached by each tuple prefix; it extends
 S by one element per coset of S and weights each branch by |S|.  At the last
@@ -33,6 +41,7 @@ from dataclasses import dataclass, field
 from .errors import (
     BaseMismatch,
     BudgetExceeded,
+    CertificateError,
     InvalidCount,
     InvalidElement,
     InvalidTable,
@@ -96,6 +105,14 @@ def check_sample_budget(samples: int, budget: int | None = None) -> None:
         raise BudgetExceeded(samples, limit)
 
 
+def check_table_budget(dim: int, budget: int | None = None) -> None:
+    """Raise BudgetExceeded when the structure table of a dim-dimensional algebra,
+    dim^3 coordinates, exceeds the budget, resolved as in resolve_budget."""
+    limit = resolve_budget(budget)
+    if dim**3 > limit:
+        raise BudgetExceeded(dim**3, limit, "table entries")
+
+
 # -- prime-field linear algebra engines -----------------------------------
 
 
@@ -126,15 +143,25 @@ class _Engine:
     root of the base field's modulus.  A flat vector is a Python int with one
     b-bit lane per flat coordinate, coordinate 0 in the lowest lane; for p = 2
     the lanes are single bits.  ``tbl[a][b]`` holds the product of flat basis
-    vectors a and b.  ``scalars`` is the flat F_p-basis x^t * unit (t < e) of
-    the scalars F_q * 1.  An F_p-subalgebra that contains them is closed under
-    multiplication by F_q, so it is an F_q-subalgebra: every closure seeded
-    with ``scalars`` works over F_p alone.
+    vectors a and b, and ``cols[b]`` lists the pairs (a, tbl[a][b]) whose
+    product is not zero: a matrix unit has n of them.  ``scalars`` is the flat
+    F_p-basis x^t * unit (t < e) of the scalars F_q * 1.  An F_p-subalgebra
+    that contains them is closed under multiplication by F_q, so it is an
+    F_q-subalgebra: every closure seeded with ``scalars`` works over F_p alone.
 
-    The encoding, the pivots and the tables live here; the subclasses supply
-    the lane width (``_lane_width``) and the arithmetic: ``mul``, ``insert``,
-    ``add`` and ``span_elements``.  Echelon bases are fully reduced and
-    canonical, so equal spans give equal row lists.
+    Closures multiply on the right only.  ``right_op(g)`` is the right
+    operator of g, the list of the D rows e_i * g, summed from the columns
+    that g's non-zero coordinates pick out; ``apply(op, x)`` is then x * g at
+    one packed addition per non-zero coordinate of x.  ``mul`` is the general
+    product, kept for the table checks and ``multiply``.
+
+    A working basis is a dict from pivot (``pivot``) to a row whose pivot no
+    other row has.  ``insert`` reduces a vector against it only while its
+    pivot is taken, so the rows stay semi-reduced: zero before their pivot,
+    arbitrary after it.  ``echelon`` forms the fully reduced rows in canonical
+    order, so equal spans give equal row lists; ``standard`` is that list for
+    the whole algebra.  The subclasses supply the lane width (``_lane_width``)
+    and the arithmetic.
     """
 
     def __init__(self, alg: FiniteAlgebra):
@@ -156,7 +183,9 @@ class _Engine:
                         s = xpow[t + u]
                         row.append(flat(tuple(F.mul(c, s) for c in alg.table[i][j])))
                 self.tbl.append(row)
+        self.cols = [[(a, row[j]) for a, row in enumerate(self.tbl) if row[j]] for j in range(self.D)]
         self.scalars = [flat(tuple(F.mul(c, xpow[t]) for c in alg.unit)) for t in range(e)]
+        self.standard = self.echelon({i: 1 << (i * self.b) for i in range(self.D)})
         self.size = alg.size
 
     def flatten(self, coords) -> int:
@@ -200,7 +229,7 @@ class _Engine:
 
 class _Gf2Engine(_Engine):
     """F_2: one bit per coordinate, so addition is XOR.  A row's pivot is its
-    highest bit, and rows are kept in decreasing order."""
+    highest bit, and canonical rows are in decreasing order."""
 
     def _lane_width(self) -> int:
         return 1
@@ -219,26 +248,55 @@ class _Gf2Engine(_Engine):
                 w ^= lw
         return acc
 
+    def right_op(self, g: int) -> list[int]:
+        op = [0] * self.D
+        cols = self.cols
+        while g:
+            low = g & -g
+            for i, t in cols[low.bit_length() - 1]:
+                op[i] ^= t
+            g ^= low
+        return op
+
+    @staticmethod
+    def apply(op: list[int], x: int) -> int:
+        acc = 0
+        while x:
+            low = x & -x
+            acc ^= op[low.bit_length() - 1]
+            x ^= low
+        return acc
+
     def add(self, u: int, v: int) -> int:
         return u ^ v
 
     @staticmethod
-    def insert(rows: list[int], v: int):
-        """Insert into a fully reduced echelon basis; returns the reduced vector or None."""
-        for r in rows:
-            if v & (1 << (r.bit_length() - 1)):
-                v ^= r
-        if v == 0:
-            return None
-        pb = 1 << (v.bit_length() - 1)
-        for i, r in enumerate(rows):
-            if r & pb:
-                rows[i] = r ^ v
-        pos = 0
-        while pos < len(rows) and rows[pos] > v:
-            pos += 1
-        rows.insert(pos, v)
-        return v
+    def insert(piv: dict, v: int):
+        """Reduce v while its top bit is a pivot; store and return the rest, or None when it is 0."""
+        while v:
+            top = v.bit_length() - 1
+            r = piv.get(top)
+            if r is None:
+                piv[top] = v
+                return v
+            v ^= r
+        return None
+
+    @staticmethod
+    def echelon(piv: dict) -> list[int]:
+        """The fully reduced rows of the span, highest pivot first.
+
+        A reduced row is zero above its pivot and at every other pivot, so
+        clearing the pivots below a row, in any order, touches no other pivot.
+        """
+        done: list = []
+        for t in sorted(piv):
+            r = piv[t]
+            for u, s in done:
+                if r >> u & 1:
+                    r ^= s
+            done.append((t, r))
+        return [r for _, r in reversed(done)]
 
     def span_elements(self, rows: list[int]) -> list[int]:
         out = [0]
@@ -255,15 +313,18 @@ class _GfpEngine(_Engine):
     x - p * ((x * magic) >> shift), the quotient read through a mask.  The
     width b leaves room for ``top * magic`` in a lane, so neither the product
     by the magic nor the sums before it carry into the next lane.  A row's
-    pivot is its lowest non-zero lane, where it holds 1, and rows are kept in
-    increasing pivot order.
+    pivot is its lowest non-zero lane, where it holds 1, and canonical rows
+    are in increasing pivot order.
+
+    The lazy sums, each within ``top``: ``mul`` adds D*D terms of at most
+    (p-1)^2 in a lane; a right operator row and an application add at most D
+    such terms; ``insert`` starts from a reduced vector and adds one per pivot
+    it clears, at most D; ``echelon`` adds at most D - 1 to a reduced row.
     """
 
     def _lane_width(self) -> int:
         """Fix ``top`` and the reduction constants from p and D; return the lane width b."""
         p, D = self.p, self.D
-        # The largest lazy lane: a product sums D*D terms (ui*vj mod p) * entry;
-        # reducing a vector against D rows adds at most D*(p-1)^2 to p-1.
         top = max(D * D, D + 1) * (p - 1) ** 2
         shift = p.bit_length()
         while True:
@@ -295,34 +356,76 @@ class _GfpEngine(_Engine):
             i += 1
         return self._reduce(acc)
 
+    def right_op(self, g: int) -> list[int]:
+        b, lane, cols = self.b, self.lane, self.cols
+        op = [0] * self.D
+        j = 0
+        while g:
+            c = g & lane
+            if c:
+                for i, t in cols[j]:
+                    op[i] += c * t
+            g >>= b
+            j += 1
+        return [self._reduce(r) for r in op]
+
+    def apply(self, op: list[int], x: int) -> int:
+        b, lane = self.b, self.lane
+        acc = 0
+        i = 0
+        while x:
+            c = x & lane
+            if c:
+                acc += c * op[i]
+            x >>= b
+            i += 1
+        return self._reduce(acc)
+
     def add(self, u: int, v: int) -> int:
         return self._reduce(u + v)
 
-    def insert(self, rows: list[int], v: int):
-        """Insert into a fully reduced echelon basis; returns the reduced vector or None."""
-        p, lane = self.p, self.lane
-        for r in rows:
-            c = ((v >> ((r & -r).bit_length() - 1)) & lane) % p
+    def insert(self, piv: dict, v: int):
+        """Reduce v, whose lanes lie in [0, p), while its lowest non-zero lane
+        is a pivot; store and return the rest scaled to 1 there, or None when it is 0.
+
+        Only the lowest lane is read mod p: it is cleared, and a non-zero
+        residue c there either takes (p - c) times the pivot's row off the
+        pivot, or makes a new pivot.
+        """
+        p, b, lane = self.p, self.b, self.lane
+        while v:
+            j = ((v & -v).bit_length() - 1) // b
+            s = j * b
+            c = (v >> s) & lane
+            v -= c << s
+            c %= p
             if c:
-                v += (p - c) * r
-        v = self._reduce(v)
-        if v == 0:
-            return None
-        s = (v & -v).bit_length() - 1
-        s -= s % self.b  # the start of the lowest non-zero lane
-        low = 1 << s
-        c = (v >> s) & lane
-        if c != 1:
-            v = self._reduce(v * pow(c, p - 2, p))
-        for i, r in enumerate(rows):
-            c = (r >> s) & lane
-            if c:
-                rows[i] = self._reduce(r + (p - c) * v)
-        pos = 0
-        while pos < len(rows) and rows[pos] & -rows[pos] < low:
-            pos += 1
-        rows.insert(pos, v)
-        return v
+                r = piv.get(j)
+                if r is None:
+                    v = self._reduce(v)
+                    v = (1 << s) + (v if c == 1 else self._reduce(v * pow(c, p - 2, p)))
+                    piv[j] = v
+                    return v
+                v += (p - c) * (r - (1 << s))
+        return None
+
+    def echelon(self, piv: dict) -> list[int]:
+        """The fully reduced rows of the span, lowest pivot first.
+
+        A reduced row is zero below its pivot and at every other pivot, so
+        the lanes of a row at the pivots above its own are cleared from their
+        values as stored, with one reduction at the end.
+        """
+        p, b, lane = self.p, self.b, self.lane
+        done: list = []
+        for j in sorted(piv, reverse=True):
+            r = acc = piv[j]
+            for u, s in done:
+                c = (r >> (u * b)) & lane
+                if c:
+                    acc += (p - c) * s
+            done.append((j, self._reduce(acc)))
+        return [r for _, r in reversed(done)]
 
     def span_elements(self, rows: list[int]) -> list[int]:
         out = [0]
@@ -331,8 +434,8 @@ class _GfpEngine(_Engine):
         return out
 
 
-def _close(eng, base_rows: list, new_flats) -> list:
-    """Echelon basis of the F_p-subalgebra generated by a closed base span plus new elements.
+def _close(eng, base_rows, new_flats) -> list:
+    """Canonical echelon rows of the F_p-subalgebra generated by a closed base span plus new elements.
 
     The subalgebra generated by a set G is the span of the words in G, the
     empty word being the unit.  So when the unit lies in the base span or
@@ -344,32 +447,49 @@ def _close(eng, base_rows: list, new_flats) -> list:
     is multiplied by every generator.  Multiplying by the unit changes
     nothing, so the unit is neither a generator nor a vector to multiply.
 
+    A product x * g costs one packed addition per non-zero coordinate of x:
+    it applies g's right operator, built at g's first use and at most once
+    per call.  The working rows are semi-reduced, in a dict keyed by pivot
+    (see ``_Engine``); for odd p each product arrives reduced, and insertion
+    adds at most D multiples of (p-1)^2 to a lane before reducing it, within
+    the engine's ``top``.  ``base_rows`` must be canonical rows, as this
+    function returns them, and is not changed.  A closure that reaches the
+    whole algebra returns ``eng.standard`` at once; a proper one forms its
+    canonical rows once, at return, since the memo keys, ``closure().basis``
+    and the skip span of ``brute_gen_count`` read them.
+
     Every caller seeds the unit, through ``eng.scalars`` in the base span or
     among the new elements; with the scalars the result is also the
     F_q-subalgebra they generate.
     """
-    rows = list(base_rows)
     D = eng.D
     unit = eng.scalars[0]
+    insert, apply = eng.insert, eng.apply
+    piv = {eng.pivot(r): r for r in base_rows}
     new = []
     for v in new_flats:
-        if len(rows) == D:
-            return rows
-        red = eng.insert(rows, v)
+        if len(piv) == D:
+            break
+        red = insert(piv, v)
         if red is not None and red != unit:
             new.append(red)
-    old = [s for s in base_rows if s != unit]
-    gens = old + new
-    work = [(s, new) for s in old] + [(x, gens) for x in new]  # (vector, generators to multiply it by)
-    while work and len(rows) < D:
-        x, by = work.pop()
-        for g in by:
-            red = eng.insert(rows, eng.mul(x, g))
-            if red is not None:
-                if len(rows) == D:
-                    return rows
-                work.append((red, gens))
-    return rows
+    if new and len(piv) < D:
+        old = [s for s in base_rows if s != unit]
+        gens = old + new
+        work = [(s, new) for s in old] + [(x, gens) for x in new]  # (vector, generators to multiply it by)
+        ops: dict = {}  # generator -> its right operator, built at first use
+        while work:
+            x, by = work.pop()
+            for g in by:
+                op = ops.get(g)
+                if op is None:
+                    op = ops[g] = eng.right_op(g)
+                red = insert(piv, apply(op, x))
+                if red is not None:
+                    if len(piv) == D:
+                        return list(eng.standard)
+                    work.append((red, gens))
+    return list(eng.standard) if len(piv) == D else eng.echelon(piv)
 
 
 def _coset_flats(eng, rows) -> list:
@@ -388,32 +508,32 @@ def _coset_flats(eng, rows) -> list:
 
 
 def _nilpotent_ideal_rows(eng, basis, name: str) -> list:
-    """Echelon basis of the F_q-span of basis, checked to be a nilpotent two-sided ideal.
+    """Canonical echelon rows of the F_q-span of basis, checked to be a nilpotent two-sided ideal.
 
     Raises InvalidTable, naming the span, when it is not one.
     """
-    rows: list = []
+    rows: dict = {}
     for v in basis:
         flat = eng.flatten(tuple(v))
         for s in eng.scalars:
             eng.insert(rows, eng.mul(s, flat))
     for a in range(eng.D):
         ba = eng.flat_of_index(eng.p**a)
-        for r in rows:
+        for r in rows.values():
             for prod in (eng.mul(ba, r), eng.mul(r, ba)):
-                if eng.insert(list(rows), prod) is not None:
+                if eng.insert(dict(rows), prod) is not None:
                     raise InvalidTable(f"{name} is not a two-sided ideal")
     # The products of two F_q-spans span an F_q-space, so no scalars are needed here.
-    current = rows
+    current = list(rows.values())
     while current:
-        nxt: list = []
+        nxt: dict = {}
         for x in current:
             for y in current:
                 eng.insert(nxt, eng.mul(x, y))
         if len(nxt) >= len(current):
             raise InvalidTable(f"{name} is not nilpotent")
-        current = nxt
-    return rows
+        current = list(nxt.values())
+    return eng.echelon(rows)
 
 
 # -- the algebra type ------------------------------------------------------
@@ -506,7 +626,8 @@ def closure(alg: FiniteAlgebra, elements) -> SubalgebraBasis:
     eng = alg._eng()
     flats = [eng.flatten(tuple(v)) for v in elements]
     rows = _close(eng, [], eng.scalars + flats)
-    assert len(rows) % eng.e == 0
+    if len(rows) % eng.e:
+        raise CertificateError(f"the closure has F_{eng.p}-rank {len(rows)}, which is not a multiple of {eng.e}")
     return SubalgebraBasis(alg, tuple(eng.unflatten(r) for r in rows), len(rows) // eng.e)
 
 
@@ -561,14 +682,14 @@ def brute_gen_count(alg: FiniteAlgebra, k: int, *, budget: int | None = None) ->
             for flat in _coset_flats(eng, state):
                 if flat in skip:
                     continue
-                rows = _close(eng, list(state), [flat])
+                rows = _close(eng, state, [flat])
                 if len(rows) == D:
                     total += 1
                 else:
                     skip.update(eng.span_elements([r for r in rows if eng.pivot(r) not in pivots]))
         else:
             for flat in _coset_flats(eng, state):
-                total += rec(tuple(_close(eng, list(state), [flat])), depth + 1)
+                total += rec(tuple(_close(eng, state, [flat])), depth + 1)
         total *= eng.p ** len(state)
         memo[key] = total
         return total
@@ -625,11 +746,11 @@ def _sample_range(alg: FiniteAlgebra, k: int, start: int, stop: int, seed: int) 
     eng = alg._eng()
     D = eng.D
     size = alg.size
-    base = list(_close(eng, [], eng.scalars))
+    base = _close(eng, [], eng.scalars)
     hits = 0
     for t in range(start, stop):
         flats = [eng.flat_of_index(splitmix64_stream(seed, t * k + j + 1) % size) for j in range(k)]
-        if len(_close(eng, list(base), flats)) == D:
+        if len(_close(eng, base, flats)) == D:
             hits += 1
     return hits
 

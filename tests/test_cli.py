@@ -255,12 +255,22 @@ def no_algebra_built(monkeypatch):
         ("TW(q=2,f=3,m=2,s=1,e=2)", "1", "error: request needs 16777216 tuples, budget is 100\n"),
         ("M(100000,2)", "3", "error: request needs 2^30000000000 tuples, budget is 67108864\n"),
         ("M(10,2)", "1 --samples 101 --seed 1", "error: request needs 101 tuples, budget is 100\n"),
+        # a sampled request builds the dim^3 structure table, which counts against the budget
+        ("M(10,2)", "1 --samples 100 --seed 1", "error: request needs 1000000 table entries, budget is 100\n"),
+        ("M(100000,2)", "2 --samples 10 --seed 1", f"error: request needs {10**30} table entries, budget is 67108864\n"),
     ],
 )
 def test_oracle_refuses_over_budget_before_building(capsys, no_algebra_built, expr, k, err):
     # k may carry the sampling options after the tuple length
     argv = ["oracle", "--alg", expr, "--k", *k.split()] + (["--budget", "100"] if "budget is 100" in err else [])
     assert run(capsys, *argv) == (4, "", err)
+
+
+def test_oracle_sampling_builds_a_table_at_the_budget(capsys):
+    """M_2(F_2) has a 4^3-entry table."""
+    argv = ["oracle", "--alg", "M(2,2)", "--k", "2", "--samples", "10", "--seed", "1", "--budget"]
+    assert run(capsys, *argv, "64")[0] == 0
+    assert run(capsys, *argv, "63") == (4, "", "error: request needs 64 table entries, budget is 63\n")
 
 
 @pytest.mark.parametrize(

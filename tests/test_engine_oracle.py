@@ -1,12 +1,21 @@
-"""The packed engines and the right-multiplying closure against the code they replaced.
+"""The packed engines and the closure kernel against the code they replaced.
 
-The oracles below are the tuple engine for odd p and the two-sided closure
-that ``finalg`` used before odd-p vectors were packed into integer lanes and
-``_close`` multiplied only on the right.  Swapped into an algebra, they must
-give the same rows, bases, coset representatives and counts as ``finalg``.
+The oracles below come from two earlier designs of ``finalg``:
+
+- the tuple engine for odd p and the two-sided closure, used before odd-p
+  vectors were packed into integer lanes and ``_close`` multiplied only on
+  the right;
+- the right-multiplying closure on fully reduced, sorted row lists
+  (``right_close``), with its two insertions (``gf2_insert``, ``gfp_insert``)
+  and its ideal check, used before ``_close`` applied right operators to
+  pivot-keyed, semi-reduced rows.
+
+Swapped into an algebra, they must give the same rows, bases, coset
+representatives and counts as ``finalg``.
 """
 
 import contextlib
+import functools
 import itertools
 import random
 
@@ -15,6 +24,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ordgen import finalg
+from ordgen.errors import InvalidTable
 from ordgen.finalg import (
     brute_gen_count,
     closure,
@@ -132,15 +142,124 @@ class TupleGfpEngine:
         return out
 
 
+def gf2_insert(rows, v):
+    """Insert into a fully reduced echelon basis over F_2, kept in decreasing
+    order; returns the reduced vector or None."""
+    for r in rows:
+        if v & (1 << (r.bit_length() - 1)):
+            v ^= r
+    if v == 0:
+        return None
+    pb = 1 << (v.bit_length() - 1)
+    for i, r in enumerate(rows):
+        if r & pb:
+            rows[i] = r ^ v
+    pos = 0
+    while pos < len(rows) and rows[pos] > v:
+        pos += 1
+    rows.insert(pos, v)
+    return v
+
+
+def gfp_insert(eng, rows, v):
+    """Insert into a fully reduced echelon basis of packed odd-p rows, kept in
+    increasing pivot order; returns the reduced vector or None."""
+    p, lane = eng.p, eng.lane
+    for r in rows:
+        c = ((v >> ((r & -r).bit_length() - 1)) & lane) % p
+        if c:
+            v += (p - c) * r
+    v = eng._reduce(v)
+    if v == 0:
+        return None
+    s = (v & -v).bit_length() - 1
+    s -= s % eng.b  # the start of the lowest non-zero lane
+    low = 1 << s
+    c = (v >> s) & lane
+    if c != 1:
+        v = eng._reduce(v * pow(c, p - 2, p))
+    for i, r in enumerate(rows):
+        c = (r >> s) & lane
+        if c:
+            rows[i] = eng._reduce(r + (p - c) * v)
+    pos = 0
+    while pos < len(rows) and rows[pos] & -rows[pos] < low:
+        pos += 1
+    rows.insert(pos, v)
+    return v
+
+
+def list_insert(eng):
+    """The fully reduced insertion into a row list for an engine: the tuple
+    engine's own, else the packed one for its p."""
+    if isinstance(eng, TupleGfpEngine):
+        return eng.insert
+    return gf2_insert if eng.p == 2 else functools.partial(gfp_insert, eng)
+
+
+def right_close(eng, base_rows, new_flats):
+    """The right-multiplying closure on a fully reduced row list, one ``mul`` per product."""
+    insert = list_insert(eng)
+    rows = list(base_rows)
+    D = eng.D
+    unit = eng.scalars[0]
+    new = []
+    for v in new_flats:
+        if len(rows) == D:
+            return rows
+        red = insert(rows, v)
+        if red is not None and red != unit:
+            new.append(red)
+    old = [s for s in base_rows if s != unit]
+    gens = old + new
+    work = [(s, new) for s in old] + [(x, gens) for x in new]
+    while work and len(rows) < D:
+        x, by = work.pop()
+        for g in by:
+            red = insert(rows, eng.mul(x, g))
+            if red is not None:
+                if len(rows) == D:
+                    return rows
+                work.append((red, gens))
+    return rows
+
+
+def list_nilpotent_ideal_rows(eng, basis, name):
+    """The ideal check on a fully reduced row list."""
+    insert = list_insert(eng)
+    rows = []
+    for v in basis:
+        flat = eng.flatten(tuple(v))
+        for s in eng.scalars:
+            insert(rows, eng.mul(s, flat))
+    for a in range(eng.D):
+        ba = eng.flat_of_index(eng.p**a)
+        for r in rows:
+            for prod in (eng.mul(ba, r), eng.mul(r, ba)):
+                if insert(list(rows), prod) is not None:
+                    raise InvalidTable(f"{name} is not a two-sided ideal")
+    current = rows
+    while current:
+        nxt = []
+        for x in current:
+            for y in current:
+                insert(nxt, eng.mul(x, y))
+        if len(nxt) >= len(current):
+            raise InvalidTable(f"{name} is not nilpotent")
+        current = nxt
+    return rows
+
+
 def two_sided_close(eng, base_rows, new_flats):
     """Echelon basis of the span closed under products on both sides with every rep."""
+    insert = list_insert(eng)
     rows = list(base_rows)
     reps = list(base_rows)
     work = []
     D = eng.D
 
     def add(vec):
-        red = eng.insert(rows, vec)
+        red = insert(rows, vec)
         if red is not None:
             reps.append(red)
             work.append(red)
@@ -196,7 +315,17 @@ def old_code(alg):
         mp.setattr(alg, "_engine", reference_engine(alg))
         mp.setattr(finalg, "_close", two_sided_close)
         mp.setattr(finalg, "_coset_flats", tuple_coset_flats)
+        mp.setattr(finalg, "_nilpotent_ideal_rows", list_nilpotent_ideal_rows)
         yield alg._engine
+
+
+@contextlib.contextmanager
+def previous_kernel():
+    """Run finalg's public functions through the row-list closure and ideal check."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(finalg, "_close", right_close)
+        mp.setattr(finalg, "_nilpotent_ideal_rows", list_nilpotent_ideal_rows)
+        yield
 
 
 def candidate_algebras(q):
@@ -264,7 +393,9 @@ def test_close_from_random_bases_matches_two_sided_tuple_oracle(alg):
     out the products of base rows with the new elements would differ."""
     rng = random.Random(alg.size)
     for _ in range(150):
-        check_close(alg, elements(alg, rng, rng.randint(1, 2)), elements(alg, rng, 1))
+        base, new = elements(alg, rng, rng.randint(1, 2)), elements(alg, rng, 1)
+        check_close(alg, base, new)
+        check_kernel(alg, base, new)
 
 
 @settings(max_examples=60, deadline=None)
@@ -323,10 +454,133 @@ def test_insert_matches_tuple_oracle_on_dense_vectors(p):
     alg = matrix_algebra(3, p)
     eng, tup = finalg._GfpEngine(alg), TupleGfpEngine(alg)
     rng = random.Random(p)
-    rows, ref_rows = [], []
+    rows, ref_rows = {}, []
     for _ in range(2 * eng.D):
         vec = [rng.randrange(1, p) for _ in range(eng.D)]
         got = eng.insert(rows, pack(eng, vec))
         want = tup.insert(ref_rows, tuple(vec))
         assert (got is None) == (want is None)
-        assert [eng.unflatten(r) for r in rows] == [tup.unflatten(r) for r in ref_rows]
+        assert [eng.unflatten(r) for r in eng.echelon(rows)] == [tup.unflatten(r) for r in ref_rows]
+
+
+@pytest.mark.parametrize("p", [3, 5, 7, 101, 1009])
+def test_insert_at_the_largest_lazy_lane(p):
+    """The most that insertion leaves unreduced in a lane: a reduced value plus
+    one (p-1)^2 for every pivot it clears.
+
+    Row j is 1 at lane j and p - 1 above it, and lane j of the vector is
+    1 - j mod p for j < D - 1.  So each of m rows in turn meets residue 1 at
+    its pivot and adds (p-1)^2 to every lane above, and the top lane ends at
+    its value plus m(p-1)^2.  With m = D - 1 that lane is read as the new
+    pivot, and a residue of 0 there puts the vector in the span; with
+    m = D - 2 it passes through the reduction before lane D - 2 becomes the
+    new pivot."""
+    alg = matrix_algebra(3, p)
+    tup = TupleGfpEngine(alg)
+    D = tup.D
+    for m in (D - 1, D - 2):
+        for last in sorted({p - 1, (-m) % p, (1 - m) % p}):
+            eng = finalg._GfpEngine(alg)
+            rows, ref_rows = {}, []
+            for j in range(m):
+                row = [0] * j + [1] + [p - 1] * (D - 1 - j)
+                eng.insert(rows, pack(eng, row))
+                tup.insert(ref_rows, tuple(row))
+            vec = [(1 - j) % p for j in range(D - 1)] + [last]
+            largest = last + m * (p - 1) ** 2
+            assert largest <= eng.top
+            seen = [0]
+            reduce = eng._reduce
+
+            def recorded(v):
+                seen[0] = max([seen[0]] + [(v >> (i * eng.b)) & eng.lane for i in range(D)])
+                return reduce(v)
+
+            eng._reduce = recorded
+            got = eng.insert(rows, pack(eng, vec))
+            del eng._reduce
+            if m == D - 2:
+                assert seen[0] == largest
+            want = tup.insert(ref_rows, tuple(vec))
+            assert (got is None) == (want is None) == (m == D - 1 and last == (-m) % p)
+            assert got is None or eng.unflatten(got) == tup.unflatten(want)
+            assert [eng.unflatten(r) for r in eng.echelon(rows)] == [tup.unflatten(r) for r in ref_rows]
+
+
+@pytest.mark.parametrize("p", LANE_PRIMES)
+def test_operator_at_the_largest_lane_sum(p):
+    """Every table entry at p - 1 in every lane, g and x at p - 1: a row of the
+    right operator sums D terms (p-1)^2, and so does its application."""
+    eng = finalg._GfpEngine(matrix_algebra(2, p))
+    full = pack(eng, [p - 1] * eng.D)
+    eng.tbl = [[full] * eng.D for _ in range(eng.D)]
+    eng.cols = [[(i, full) for i in range(eng.D)] for _ in range(eng.D)]
+    op = eng.right_op(full)
+    assert op == [pack(eng, [eng.D * (p - 1) ** 2 % p] * eng.D)] * eng.D
+    assert eng.apply(op, full) == eng.mul(full, full)
+
+
+# -- the closure kernel against the row-list closure --------------------------
+
+
+def check_kernel(alg, base_elems, new_elems):
+    """_close from the scalars and from a closed base, and closure(), against right_close."""
+    eng = alg._eng()
+    base = finalg._close(eng, [], eng.scalars + [eng.flatten(x) for x in base_elems])
+    assert base == right_close(eng, [], eng.scalars + [eng.flatten(x) for x in base_elems])
+    for start in ([], base):
+        seed = [] if start else eng.scalars
+        new = seed + [eng.flatten(x) for x in new_elems]
+        assert finalg._close(eng, list(start), new) == right_close(eng, list(start), new)
+    got = closure(alg, base_elems + new_elems)
+    with previous_kernel():
+        want = closure(alg, base_elems + new_elems)
+    assert (got.basis, got.rank) == (want.basis, want.rank)
+
+
+@settings(max_examples=200, deadline=None)
+@given(algebra_cases(), st.integers(0, 3), st.integers(0, 3))
+def test_close_matches_row_list_closure(case, extra, base_size):
+    alg, rng = case
+    check_kernel(alg, elements(alg, rng, base_size), elements(alg, rng, extra))
+
+
+@settings(max_examples=60, deadline=None)
+@given(algebra_cases(max_size=2**12))
+def test_counts_and_coset_representatives_match_row_list_closure(case):
+    alg, _ = case
+    k = max(k for k in (1, 2, 3) if k == 1 or alg.size**k <= 2**12)
+    got_count = brute_gen_count(alg, k)
+    got_reps = coset_representatives(alg, alg.radical_basis)
+    with previous_kernel():
+        assert brute_gen_count(alg, k) == got_count
+        assert coset_representatives(alg, alg.radical_basis) == got_reps
+
+
+@settings(max_examples=150, deadline=None)
+@given(algebra_cases(), st.integers(1, 40))
+def test_insert_and_echelon_match_fully_reduced_insert(case, count):
+    """Random vectors, some of them dense, inserted into a pivot-keyed basis
+    and into a fully reduced row list."""
+    alg, rng = case
+    eng = alg._eng()
+    rows, ref_rows = {}, []
+    for _ in range(count):
+        vec = eng.flat_of_index(rng.randrange(alg.size))
+        if rng.random() < 0.5:  # a sparse vector: one in span more often
+            vec = eng.flat_of_index(rng.choice([0, 1, rng.randrange(alg.size)]) * eng.p ** rng.randrange(eng.D))
+        got = eng.insert(rows, vec)
+        want = list_insert(eng)(ref_rows, vec)
+        assert (got is None) == (want is None)
+        assert got is None or eng.pivot(got) == eng.pivot(want)
+        assert eng.echelon(rows) == ref_rows
+
+
+@settings(max_examples=100, deadline=None)
+@given(algebra_cases())
+def test_right_operators_match_products(case):
+    alg, rng = case
+    eng = alg._eng()
+    for _ in range(5):
+        x, g = (eng.flat_of_index(rng.randrange(alg.size)) for _ in range(2))
+        assert eng.apply(eng.right_op(g), x) == eng.mul(x, g)

@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 from ordgen import finalg
 from ordgen.errors import (
     BudgetExceeded,
+    CertificateError,
     InvalidCount,
     InvalidElement,
     InvalidTable,
@@ -258,7 +259,7 @@ def test_matrix_algebra_tables_are_frozen(n, q, r):
 
 def in_span(alg, basis, v):
     eng = alg._eng()
-    rows = []
+    rows = {}
     for b in basis:
         eng.insert(rows, eng.flatten(b))
     return eng.insert(rows, eng.flatten(v)) is None
@@ -797,7 +798,7 @@ def test_coset_representatives_inside_a_closure_span_its_rows_off_the_pivots(alg
     pivots = {eng.pivot(r) for r in S}
     assert pivots <= {eng.pivot(r) for r in T}
     span = eng.span_elements([r for r in T if eng.pivot(r) not in pivots])
-    inside = [x for x in finalg._coset_flats(eng, S) if eng.insert(list(T), x) is None]
+    inside = [x for x in finalg._coset_flats(eng, S) if eng.insert({eng.pivot(r): r for r in T}, x) is None]
     assert len(span) == len(set(span)) == eng.p ** (len(T) - len(S))
     assert set(span) == set(inside)
 
@@ -882,23 +883,53 @@ def test_closure_counts_of_exhaustive_oracle(monkeypatch, alg, k, closures, naiv
 
 
 @pytest.mark.parametrize(
-    "n,q,samples,hits,products",
-    [(3, 3, 3000, 2334, 29343), (3, 2, 6000, 2967, 60919)],
+    "n,q,samples,hits,applications,builds",
+    [(3, 3, 3000, 2334, 29302, 5996), (3, 2, 6000, 2967, 60702, 11929)],
 )
-def test_engine_products_of_sampling(monkeypatch, n, q, samples, hits, products):
-    """Products of the right-multiplying closure; the two-sided one made 78 805 and 215 735."""
+def test_engine_products_of_sampling(monkeypatch, n, q, samples, hits, applications, builds):
+    """Right-operator applications and builds of the closure kernel.  The
+    closure that called ``mul`` once per product made 29 343 and 60 919
+    products; the two-sided one made 78 805 and 215 735."""
     alg = matrix_algebra(n, q)
-    calls = [0]
-    engine = type(alg._eng())
-    mul = engine.mul
+    eng = alg._eng()
+    calls = {"apply": 0, "right_op": 0}
 
-    def counted(self, u, v):
-        calls[0] += 1
-        return mul(self, u, v)
+    def counting(name):
+        method = getattr(eng, name)
 
-    monkeypatch.setattr(engine, "mul", counted)
+        def counted(*args):
+            calls[name] += 1
+            return method(*args)
+
+        return counted
+
+    for name in calls:
+        monkeypatch.setattr(eng, name, counting(name))
+    monkeypatch.setattr(eng, "mul", None)  # the kernel makes no general product
     assert sample_gen_fraction(alg, 2, samples, seed=123).hits == hits
-    assert calls[0] == products
+    assert calls == {"apply": applications, "right_op": builds}
+
+
+def test_closure_of_a_rank_that_is_not_an_fq_span_is_refused(monkeypatch):
+    """A kernel whose rows do not span an F_q-space fails loudly, also under python -O."""
+    alg = matrix_algebra(2, 4)
+    close = finalg._close
+    monkeypatch.setattr(finalg, "_close", lambda *args: close(*args)[1:])
+    with pytest.raises(CertificateError, match="F_2-rank 1, which is not a multiple of 2"):
+        closure(alg, [])
+    src = os.path.dirname(os.path.dirname(finalg.__file__))
+    code = (
+        "from ordgen import finalg\n"
+        "close = finalg._close\n"
+        "finalg._close = lambda *args: close(*args)[1:]\n"
+        "try:\n"
+        "    finalg.closure(finalg.matrix_algebra(1, 4), [])\n"
+        "except finalg.CertificateError as exc:\n"
+        "    print('refused:', exc)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-O", "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout == "refused: the closure has F_2-rank 1, which is not a multiple of 2\n"
 
 
 @pytest.mark.parametrize(
