@@ -209,17 +209,6 @@ class _Engine:
             out.append(acc)
         return tuple(out)
 
-    def flat_of_index(self, idx: int) -> int:
-        """The flat vector of the element with the given index: its base-p digits, one per lane."""
-        p, b = self.p, self.b
-        if b == 1:  # p = 2: the binary digits are the lanes
-            return idx
-        acc = 0
-        for pos in range(self.D):
-            idx, c = divmod(idx, p)
-            acc |= c << (pos * b)
-        return acc
-
     def pivot(self, row: int) -> int:
         """The flat coordinate of a basis row's pivot: its highest bit for p = 2,
         its lowest non-zero lane for odd p."""
@@ -233,6 +222,11 @@ class _Gf2Engine(_Engine):
 
     def _lane_width(self) -> int:
         return 1
+
+    @staticmethod
+    def flat_of_index(idx: int) -> int:
+        """The flat vector of the element with the given index: its binary digits are the lanes."""
+        return idx
 
     def mul(self, u: int, v: int) -> int:
         acc = 0
@@ -322,8 +316,11 @@ class _GfpEngine(_Engine):
     it clears, at most D; ``echelon`` adds at most D - 1 to a reduced row.
     """
 
+    # Most entries of the digit table that flat_of_index reads c base-p digits through.
+    CHUNK_ENTRIES = 256
+
     def _lane_width(self) -> int:
-        """Fix ``top`` and the reduction constants from p and D; return the lane width b."""
+        """Fix ``top``, the reduction constants and the digit table from p and D; return the lane width b."""
         p, D = self.p, self.D
         top = max(D * D, D + 1) * (p - 1) ** 2
         shift = p.bit_length()
@@ -336,7 +333,28 @@ class _GfpEngine(_Engine):
         self.top, self.magic, self.shift = top, magic, shift
         self.lane = (1 << b) - 1
         self.quot = sum(((1 << (b - shift)) - 1) << (i * b) for i in range(D))
+        c = 1
+        while p ** (c + 1) <= self.CHUNK_ENTRIES:
+            c += 1
+        self.chunk_base, self.chunk_bits, self.flat_mask = p**c, c * b, (1 << (D * b)) - 1
+        self.chunks = [0]
+        for t in range(c):  # the entries below p^(t+1) from those below p^t
+            self.chunks = [x | (d << (t * b)) for d in range(p) for x in self.chunks]
         return b
+
+    def flat_of_index(self, idx: int) -> int:
+        """The flat vector of the element with the given index: its low D base-p digits, one per lane.
+
+        The digits are read c at a time, with p^c <= CHUNK_ENTRIES (or c = 1),
+        through ``chunks``, whose entry i holds the c digits of i in packed lanes.
+        """
+        base, step, chunks = self.chunk_base, self.chunk_bits, self.chunks
+        acc = shift = 0
+        while idx:
+            idx, r = divmod(idx, base)
+            acc |= chunks[r] << shift
+            shift += step
+        return acc & self.flat_mask
 
     def _reduce(self, v: int) -> int:
         return v - self.p * (((v * self.magic) >> self.shift) & self.quot)

@@ -16,9 +16,11 @@ from dataclasses import dataclass, field
 from . import polys
 from .counting import gen_count_power, min_k_for_copies
 from .errors import (
+    CertificateError,
     EmptySpec,
     ExceptionalPrimeNeedsOverride,
     IndexNotDividingDegree,
+    InvalidCount,
     NotMonic,
     NotPrime,
     SpecError,
@@ -95,7 +97,8 @@ def _pattern(coeffs: tuple[int, ...], p: int) -> DegreePattern:
 def _full_pattern(coeffs: tuple[int, ...], p: int) -> DegreePattern:
     """degree_pattern without the shortcut, valid at every prime: factor and certify in full."""
     fbar = polys.reduce_mod(coeffs, p)
-    assert polys.degree(fbar) == len(coeffs) - 1
+    if polys.degree(fbar) != len(coeffs) - 1:
+        raise CertificateError(f"reduction of {list(coeffs)} mod {p} lost degree")
     parts = polys.squarefree_decomposition(fbar, p)
     pattern = []
     radical: polys.Poly = (1,)
@@ -104,9 +107,11 @@ def _full_pattern(coeffs: tuple[int, ...], p: int) -> DegreePattern:
         for deg, cnt in sorted(polys.distinct_degree_counts(part, p).items()):
             pattern.extend([(deg, mult)] * cnt)
     pattern.sort()
-    assert sum(deg * mult for deg, mult in pattern) == len(coeffs) - 1
+    if sum(deg * mult for deg, mult in pattern) != len(coeffs) - 1:
+        raise CertificateError(f"factor degrees {pattern} of {list(coeffs)} mod {p} do not sum to its degree")
     cofactor, rem = polys.divmod_poly(fbar, radical, p)
-    assert not rem
+    if rem:
+        raise CertificateError(f"radical of {list(coeffs)} mod {p} does not divide it")
     common = polys.gcd(radical, cofactor, p)
     if polys.degree(common) <= 0:
         certified = True
@@ -114,7 +119,8 @@ def _full_pattern(coeffs: tuple[int, ...], p: int) -> DegreePattern:
         lifted = _int_mul(list(radical), list(cofactor))
         lifted += [0] * (len(coeffs) - len(lifted))
         diff = [x - y for x, y in zip(lifted, coeffs)]
-        assert all(c % p == 0 for c in diff)
+        if any(c % p for c in diff):
+            raise CertificateError(f"lifted factors of {list(coeffs)} do not agree with it mod {p}")
         tbar = polys.reduce_mod(tuple(c // p for c in diff), p)
         certified = polys.degree(polys.gcd(tbar, common, p)) <= 0
     return DegreePattern(tuple(pattern), certified)
@@ -365,7 +371,9 @@ def local_data(spec: OrderSpec, p: int, *, _known_prime: bool = False) -> LocalP
                 raise IndexNotDividingDegree(f"index {m} does not divide degree {fac.degree}")
             counts[fac.degree // m, m, e, fdeg] += fac.copies
     data = LocalPrimeData(p, tuple(counts.items()), False)
-    assert sum(count * e * f * m * m * n * n for (n, m, e, f), count in data.entries) == spec.dimension
+    total = sum(count * e * f * m * m * n * n for (n, m, e, f), count in data.entries)
+    if total != spec.dimension:
+        raise CertificateError(f"local entries at p={p} have total dimension {total}, expected {spec.dimension}")
     return data
 
 
@@ -397,6 +405,25 @@ def classify(data: LocalPrimeData) -> ClassifiedLocal:
     return ClassifiedLocal(data.p, groups)
 
 
+def _classified_at(spec: OrderSpec, p: int, shapes: dict) -> ClassifiedLocal:
+    """classify(local_data(spec, p)) at a sieved prime p, built once per splitting shape.
+
+    Away from the listed primes the local data depends on p only through the
+    splitting pattern of each factor's center, so `shapes` maps the tuple of
+    those patterns, one per factor in order, to the groups of the first prime
+    that had it.  Listed primes always take the full path, and an uncertified
+    pattern is never stored: `classify` raises for it, naming p.  The caller
+    owns `shapes` and keeps it for one density or one analysis.
+    """
+    if p in spec.overrides or any(p in f.local_indices for f in spec.factors):
+        return classify(local_data(spec, p, _known_prime=True))
+    key = tuple([_pattern(f.center_minpoly, p) for f in spec.factors])
+    groups = shapes.get(key)
+    if groups is None:
+        groups = shapes[key] = classify(local_data(spec, p, _known_prime=True)).groups
+    return ClassifiedLocal(p, groups)
+
+
 def _copies(members) -> int:
     return sum(count for _, _, count in members)
 
@@ -408,7 +435,8 @@ def gen_count_local(k: int, cls: ClassifiedLocal) -> int:
     p^(k n^2 r (em-2)) * (p^(k n^2 r) - p^(n^2 r - c)) per copy of a member;
     members with c None (m = e = 1) contribute 1.
     """
-    assert k >= 1
+    if k < 1:
+        raise InvalidCount(f"tuple length k must be at least 1, got {k}")
     p = cls.p
     total = 1
     for (n, r), members in cls.groups:
@@ -452,7 +480,8 @@ def local_quotient_algebra(data: LocalPrimeData) -> FiniteAlgebra:
     """
     if data.exceptional:
         raise ExceptionalPrimeNeedsOverride(data.p, "splitting not certifiable; supply override rows")
-    assert data.entries
+    if not data.entries:
+        raise SpecError(f"no local entries at p={data.p}")
     algs = [
         matrix_over(truncated_local_algebra(data.p, f, m, 1, e), n)
         for (n, m, e, f), count in data.entries

@@ -12,6 +12,7 @@ estimate, so every reported number is a statement, not a sample.
 from __future__ import annotations
 
 import json
+from bisect import bisect_left
 from dataclasses import dataclass, fields, is_dataclass
 from fractions import Fraction
 
@@ -22,9 +23,8 @@ from .orderspec import (
     ClassifiedLocal,
     OrderSpec,
     SimpleFactorSpec,
-    classify,
+    _classified_at,
     gen_count_local,
-    local_data,
     min_k_local,
 )
 
@@ -55,6 +55,20 @@ def _primes_below(n: int) -> tuple[int, ...]:
             for m in range(p * p, n, p):
                 flags[m] = 0
     return tuple(i for i in range(2, n) if flags[i])
+
+
+def _primes_in_order(n: int):
+    """The primes below n in increasing order, sieved over doubling ranges.
+
+    A caller that stops at some prime has sieved at most about twice as far,
+    never up to n, which may be far too large to sieve.
+    """
+    lo, hi = 2, 64
+    while lo < n:
+        hi = min(hi, n)
+        primes = _primes_below(hi)
+        yield from primes[bisect_left(primes, lo) :]
+        lo, hi = hi, 2 * hi
 
 
 def _next_prime(n: int) -> int:
@@ -124,8 +138,11 @@ def _worst_shapes(spec: OrderSpec) -> tuple[tuple[int, int, int], ...]:
     return tuple(shapes)
 
 
-def prime_cutoff(spec: OrderSpec, k: int) -> CutoffCertificate:
-    """Certified Q0 such that every prime p >= Q0 passes the capacity test at level k."""
+def _cutoff_shapes(spec: OrderSpec, k: int) -> tuple[tuple[ShapeBound, ...], int]:
+    """The worst-case shapes with their thresholds at level k, and the cutoff q0 they give.
+
+    q0 is the largest threshold, but above every listed prime; no sweep is run.
+    """
     if k < 1:
         raise SpecError("candidate k must be a positive integer")
     shape_data = _worst_shapes(spec)
@@ -138,8 +155,13 @@ def prime_cutoff(spec: OrderSpec, k: int) -> CutoffCertificate:
         ShapeBound(n, r, copies, _shape_threshold(n, r, copies, k))
         for n, r, copies in shape_data
     )
-    listed = spec.listed_primes
-    q0 = max([2] + [s.threshold for s in shapes] + [p + 1 for p in listed])
+    q0 = max([2] + [s.threshold for s in shapes] + [p + 1 for p in spec.listed_primes])
+    return shapes, q0
+
+
+def prime_cutoff(spec: OrderSpec, k: int) -> CutoffCertificate:
+    """Certified Q0 such that every prime p >= Q0 passes the capacity test at level k."""
+    shapes, q0 = _cutoff_shapes(spec, k)
     sweep = []
     previous: list[int | None] = [None] * len(shapes)
     p = _next_prime(q0)
@@ -173,35 +195,33 @@ class Verdict:
     certificate: CutoffCertificate
 
 
-def _classified(spec: OrderSpec, table: dict[int, tuple[ClassifiedLocal, int]], p: int) -> tuple[ClassifiedLocal, int]:
-    """The classified local data of the spec at a sieved prime p and its local minimum, once per table."""
-    if p not in table:
-        cls = classify(local_data(spec, p, _known_prime=True))
-        table[p] = (cls, min_k_local(cls))
-    return table[p]
-
-
 def smallest_h(spec: OrderSpec, *, _table: dict[int, tuple[ClassifiedLocal, int]] | None = None) -> Verdict:
     """Smallest k such that every localization admits k generators, with verdict.
 
-    Primes are classified once into `_table`, which `report` shares.
+    Each prime is classified once, by `_classified_at`, into `_table` with its
+    local minimum; on return the table holds every prime below the cutoff, and
+    `report` reads its details from it.  Each candidate k first gets its cutoff
+    q0, then the primes below q0 are tried in increasing order up to the first
+    that needs more than k generators, and only the k that passes is swept
+    for its certificate.  So a k whose q0 is far too large to sieve up to, as
+    for a huge copy count, costs nothing once a small prime rules it out.
     """
     table = {} if _table is None else _table
+    shapes: dict = {}
     commutative = all(f.degree == 1 for f in spec.factors)
     r_k = 1 if commutative else 2
     has_delta2 = any(f.degree == 2 for f in spec.factors)
 
     def mk(p: int) -> int:
-        return _classified(spec, table, p)[1]
+        if p not in table:
+            cls = _classified_at(spec, p, shapes)
+            table[p] = (cls, min_k_local(cls))
+        return table[p][1]
 
-    k = r_k  # with a matrix factor, k = 1 has no cutoff
-    while True:
-        certificate = prime_cutoff(spec, k)
-        small = _primes_below(certificate.q0)
-        if all(mk(p) <= k for p in small):
-            h = k
-            break
-        k += 1
+    h = r_k  # with a matrix factor, k = 1 has no cutoff
+    while not all(mk(p) <= h for p in _primes_in_order(_cutoff_shapes(spec, h)[1])):
+        h += 1
+    certificate = prime_cutoff(spec, h)
 
     critical = tuple(p for p in _primes_below(certificate.q0) if mk(p) == h)
     notes = []
@@ -325,6 +345,7 @@ def density(spec: OrderSpec, k: int, bound: int | None = None) -> DensityInterva
     Each prime's factor is reduced on its own; their numerators and their
     denominators are multiplied in two product trees and reduced by one gcd at
     the end, which gives the same fraction as multiplying them one at a time.
+    The classified local data is built once per splitting shape for the call.
     """
     if k < 1:
         raise SpecError("k must be a positive integer")
@@ -359,8 +380,9 @@ def density(spec: OrderSpec, k: int, bound: int | None = None) -> DensityInterva
     factors = []
     numerators = []
     denominators = []
+    shapes: dict = {}
     for p in _primes_below(bound + 1):
-        cls = classify(local_data(spec, p, _known_prime=True))
+        cls = _classified_at(spec, p, shapes)
         count, whole = gen_count_local(k, cls), p ** (d * k)
         if not 0 <= count <= whole:
             raise CertificateError(f"local count {count} at p={p} is outside [0, p^{d * k}]")
@@ -528,7 +550,7 @@ def report(
     verdict = smallest_h(spec, _table=table)
     details = []
     for p in _primes_below(verdict.cutoff):
-        cls, min_k = _classified(spec, table, p)
+        cls, min_k = table[p]
         groups = tuple((n, r, sum(count for _, _, count in members)) for (n, r), members in cls.groups)
         details.append(PrimeDetail(p=p, min_k=min_k, groups=groups))
     interval = None

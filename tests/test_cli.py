@@ -391,6 +391,23 @@ def test_analyze_rejects_mistyped_spec_without_traceback(tmp_path, mutate):
     assert "Traceback" not in proc.stderr
 
 
+def test_analyze_huge_copy_count_finishes(tmp_path):
+    # k = 2 has a cutoff near 1.15e40 here, but p = 2 alone already needs 333 generators.
+    doc = json.loads((DATA / "quat2.json").read_text())
+    doc["factors"][0]["copies"] = 10**200
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(doc))
+    env = dict(os.environ, PYTHONPATH=str(pathlib.Path(ordgen.__file__).parent.parent))
+    proc = subprocess.run(
+        [sys.executable, "-m", "ordgen.cli", "analyze", "--spec", str(path), "--format", "machine"],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    verdict = json.loads(proc.stdout)["verdict"]
+    assert (verdict["h"], verdict["kind"], verdict["cutoff"]) == (333, "EXACT", 3)
+    assert verdict["critical_primes"] == [2]
+
+
 def test_analyze_machine_document(capsys):
     code, out, _ = run(capsys, "analyze", "--spec", str(DATA / "zi.json"), "--format", "machine")
     assert code == 0

@@ -1,6 +1,6 @@
 """The packed engines and the closure kernel against the code they replaced.
 
-The oracles below come from two earlier designs of ``finalg``:
+The oracles below come from earlier designs of ``finalg``:
 
 - the tuple engine for odd p and the two-sided closure, used before odd-p
   vectors were packed into integer lanes and ``_close`` multiplied only on
@@ -8,7 +8,9 @@ The oracles below come from two earlier designs of ``finalg``:
 - the right-multiplying closure on fully reduced, sorted row lists
   (``right_close``), with its two insertions (``gf2_insert``, ``gfp_insert``)
   and its ideal check, used before ``_close`` applied right operators to
-  pivot-keyed, semi-reduced rows.
+  pivot-keyed, semi-reduced rows;
+- the digit-by-digit ``flat_of_index`` for odd p (``digit_flat_of_index``),
+  used before it read several digits at a time through a table.
 
 Swapped into an algebra, they must give the same rows, bases, coset
 representatives and counts as ``finalg``.
@@ -584,3 +586,36 @@ def test_right_operators_match_products(case):
     for _ in range(5):
         x, g = (eng.flat_of_index(rng.randrange(alg.size)) for _ in range(2))
         assert eng.apply(eng.right_op(g), x) == eng.mul(x, g)
+
+
+def digit_flat_of_index(eng, idx):
+    """The oracle: flat_of_index as it was, one divmod per base-p digit."""
+    p, b = eng.p, eng.b
+    acc = 0
+    for pos in range(eng.D):
+        idx, c = divmod(idx, p)
+        acc |= c << (pos * b)
+    return acc
+
+
+def bare_gfp_engine(p, D):
+    """An odd-p engine with lanes and digit table for D flat coordinates, but no algebra."""
+    eng = object.__new__(finalg._GfpEngine)
+    eng.p, eng.D = p, D
+    eng.b = eng._lane_width()
+    return eng
+
+
+@pytest.mark.parametrize("e", (1, 2, 3))
+@pytest.mark.parametrize("p", (3, 5, 7, 11, 101, 1009))
+def test_flat_of_index_matches_digit_loop(p, e):
+    # D = 4e flat coordinates, as for M_2 over F_(p^e)
+    eng = bare_gfp_engine(p, 4 * e)
+    assert len(eng.chunks) == eng.chunk_base <= max(p, finalg._GfpEngine.CHUNK_ENTRIES) < eng.chunk_base * p
+    size = p**eng.D
+    rng = random.Random(p * 10 + e)
+    for idx in [0, 1, p - 1, p, size - 1] + [rng.randrange(size) for _ in range(200)]:
+        assert eng.flat_of_index(idx) == digit_flat_of_index(eng, idx)
+    # digits from the D-th on are dropped, as the insertion tests rely on
+    for idx in [size, size * p + 1, (size - 1) * p ** (eng.D - 1)]:
+        assert eng.flat_of_index(idx) == digit_flat_of_index(eng, idx)

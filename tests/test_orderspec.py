@@ -202,6 +202,53 @@ def test_composite_modulus_raises_not_prime_in_every_mode(optimise):
     assert proc.stdout == "NotPrime\n" * 3
 
 
+# Each case breaks one invariant of the local data, through a bad argument or a
+# patched helper; the checks were asserts once, and python -O stripped them.
+INVARIANT_CALLS = """
+import contextlib
+from unittest import mock
+from ordgen import orderspec, polys
+from ordgen.errors import OrdgenError
+from ordgen.orderspec import DegreePattern, LocalPrimeData, _full_pattern, classify, gen_count_local
+from ordgen.orderspec import load_spec, local_data, local_quotient_algebra
+zi = load_spec(ZI)
+cls = classify(local_data(zi, 5))
+cases = [
+    (None, lambda: _full_pattern((1, 0, 2), 2)),
+    (None, lambda: gen_count_local(0, cls)),
+    (None, lambda: local_quotient_algebra(LocalPrimeData(7, (), False))),
+    ((polys, "distinct_degree_counts", lambda f, p: {1: 5}), lambda: _full_pattern((1, 0, 1), 3)),
+    ((polys, "squarefree_decomposition", lambda f, p: [((2, 0, 1), 1)]), lambda: _full_pattern((1, 0, 1), 3)),
+    ((orderspec, "_int_mul", lambda a, b: [0, 0, 1]), lambda: _full_pattern((1, 0, 1), 2)),
+    ((orderspec, "_pattern", lambda f, p: DegreePattern(((1, 1),), True)), lambda: local_data(zi, 5)),
+]
+for patch, call in cases:
+    with mock.patch.object(*patch) if patch else contextlib.nullcontext():
+        try:
+            call()
+        except OrdgenError as exc:
+            print(type(exc).__name__, exc)
+"""
+
+
+@pytest.mark.parametrize("optimise", [False, True], ids=["plain", "-O"])
+def test_local_invariants_raise_typed_errors_in_every_mode(optimise):
+    script = f"ZI = {str(DATA / 'zi.json')!r}\n" + INVARIANT_CALLS
+    env = dict(os.environ, PYTHONPATH=str(pathlib.Path(ordgen.__file__).parent.parent))
+    flags = ["-O"] if optimise else []
+    proc = subprocess.run([sys.executable, *flags, "-c", script], capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    kinds = [line.split(" ", 1) for line in proc.stdout.splitlines()]
+    assert [kind for kind, _ in kinds] == [
+        "CertificateError", "InvalidCount", "SpecError",
+        "CertificateError", "CertificateError", "CertificateError", "CertificateError",
+    ]
+    assert "p=7" in kinds[2][1]
+    assert "lost degree" in kinds[0][1] and "do not sum" in kinds[3][1]
+    assert "does not divide" in kinds[4][1] and "do not agree" in kinds[5][1]
+    assert "p=5" in kinds[6][1]
+
+
 # ---------------------------------------------------------------- validation
 
 

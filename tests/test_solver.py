@@ -31,6 +31,7 @@ from ordgen.orderspec import (
     load_spec,
     local_data,
     min_k_local,
+    spec_from_dict,
 )
 from ordgen.solver import (
     DensityInterval,
@@ -413,9 +414,53 @@ def outcome(fn, *args):
 
 
 FIXTURES = sorted(path.name for path in DATA.glob("*.json"))
+
+# Specs kept out of tests/data, so that the other grids over its files do not grow.
+INLINE_SPECS = {
+    # a quadratic field, M_2(Q) and a quaternion order ramified at {3, 5}
+    "three_factor": {
+        "factors": [
+            {"name": "gauss", "center_minpoly": [1, 0, 1], "degree": 1},
+            {"name": "matrix2", "center_minpoly": [0, 1], "degree": 2},
+            {"name": "quaternion", "center_minpoly": [0, 1], "degree": 2, "local_indices": {"3": [2], "5": [2]}},
+        ],
+        "free_over_base": False,
+    },
+    # Dedekind's cubic x^3 - x^2 - 2x - 8: Z[x]/(f) is not maximal at 2, where
+    # three primes of degree 1 lie; every other prime takes one of its patterns.
+    "dedekind": {
+        "factors": [{"name": "dedekind", "center_minpoly": [-8, -2, -1, 1], "degree": 1}],
+        "free_over_base": True,
+        "overrides": {"2": [[1, 1, 1, 1]] * 3},
+    },
+    # Q(sqrt 2) and Q(i) split independently, so a prime's shape is the pair of patterns.
+    "two_quadratics": {
+        "factors": [
+            {"name": "sqrt2", "center_minpoly": [-2, 0, 1], "degree": 1},
+            {"name": "gauss", "center_minpoly": [1, 0, 1], "degree": 1},
+        ],
+        "free_over_base": True,
+    },
+    # Z[3i] is maximal at 2 but not at 3, the second prime met.
+    "late_exceptional": {
+        "factors": [
+            {"name": "sqrt2", "center_minpoly": [-2, 0, 1], "degree": 1},
+            {"name": "threei", "center_minpoly": [9, 0, 1], "degree": 1},
+        ],
+        "free_over_base": True,
+    },
+}
+
+
+def spec_named(name):
+    if name in INLINE_SPECS:
+        return spec_from_dict(INLINE_SPECS[name])
+    return fixture(name)
+
+
 FOLD_CASES = [
     (name, k, bound)
-    for name in FIXTURES
+    for name in FIXTURES + sorted(INLINE_SPECS)
     for k in (1, 2, 3)
     for bound in (None, 1000, 4000)
 ]
@@ -423,7 +468,7 @@ FOLD_CASES = [
 
 @pytest.mark.parametrize("name,k,bound", FOLD_CASES)
 def test_density_matches_per_prime_fold(name, k, bound):
-    spec = fixture(name)
+    spec = spec_named(name)
     got = outcome(density, spec, k, bound)
     assert got == outcome(fold_density, spec, k, bound)
     if isinstance(got, DensityInterval):
@@ -432,7 +477,7 @@ def test_density_matches_per_prime_fold(name, k, bound):
 
 def test_fold_grid_reaches_every_branch():
     def at(name, k, bound):
-        return outcome(fold_density, fixture(name), k, bound)
+        return outcome(fold_density, spec_named(name), k, bound)
 
     assert ("exceptional.json", 2, 1000) in FOLD_CASES
     assert at("exceptional.json", 2, 1000)[0] is ExceptionalPrimeNeedsOverride
@@ -443,6 +488,37 @@ def test_fold_grid_reaches_every_branch():
     assert degenerate.lower == 0 < degenerate.upper and degenerate.tail_coefficient is None
     interval = at("zi.json", 2, 4000)
     assert 0 < interval.lower < interval.upper < 1
+    late = at("late_exceptional", 2, 1000)
+    assert late[0] is ExceptionalPrimeNeedsOverride and "at p=3 " in late[1]
+    assert 0 < at("three_factor", 3, 4000).lower
+    dedekind = spec_named("dedekind")
+    patterns = {orderspec._pattern(dedekind.factors[0].center_minpoly, p) for p in solver._primes_below(4001)}
+    assert len(patterns) == 5 and not all(pattern.certified for pattern in patterns)
+    # F_2^3 is generated by the pairs whose three coordinate points in F_2^2 are distinct
+    assert at("dedekind", 2, 4000).factors[0] == (2, Fraction(4 * 3 * 2, 4**3))
+
+
+@pytest.mark.parametrize("name,k,calls", [("zi.json", 2, 3), ("quat2.json", 3, 2), ("dedekind", 2, 5)])
+def test_density_builds_local_data_once_per_shape(monkeypatch, name, k, calls):
+    spec = spec_named(name)
+    seen = []
+    original = orderspec.local_data
+
+    def counting_local_data(spec, p, **kwargs):
+        seen.append(p)
+        return original(spec, p, **kwargs)
+
+    monkeypatch.setattr(orderspec, "local_data", counting_local_data)
+    got = density(spec, k, 4000)
+    keys = {
+        tuple(orderspec._pattern(f.center_minpoly, p) for f in spec.factors)
+        for p in solver._primes_below(4001)
+        if p not in spec.listed_primes
+    }
+    # one call per splitting shape, plus one per listed prime
+    assert len(seen) == len(keys) + len(spec.listed_primes) == calls
+    assert len(set(seen)) == len(seen)
+    assert got == fold_density(spec, k, 4000)
 
 
 @settings(max_examples=300, deadline=None)
@@ -613,7 +689,7 @@ def test_quaternion_search_refuses_decreasing_h(monkeypatch):
 @pytest.mark.parametrize("name", ["m2q.json", "quat2x7.json"])
 def test_report_classifies_each_prime_once(monkeypatch, name):
     seen = []
-    original = solver.classify
+    original = orderspec.classify
 
     def counting_classify(data):
         seen.append(data.p)
@@ -626,12 +702,16 @@ def test_report_classifies_each_prime_once(monkeypatch, name):
         minima.append(cls.p)
         return original_min_k(cls)
 
-    monkeypatch.setattr(solver, "classify", counting_classify)
+    monkeypatch.setattr(orderspec, "classify", counting_classify)
     monkeypatch.setattr(solver, "min_k_local", counting_min_k)
-    rep = report(fixture(name))
-    assert sorted(seen) == [p for p in range(2, rep.verdict.cutoff) if is_prime(p)]
-    assert [detail.p for detail in rep.details] == sorted(seen)
-    assert sorted(minima) == sorted(seen)
+    spec = fixture(name)
+    rep = report(spec)
+    primes = [p for p in range(2, rep.verdict.cutoff) if is_prime(p)]
+    # one classification per splitting shape (a linear center has one), plus one per listed prime
+    assert len(seen) == 1 + len(spec.listed_primes)
+    assert len(set(seen)) == len(seen) and set(spec.listed_primes) <= set(seen) <= set(primes)
+    assert [detail.p for detail in rep.details] == primes
+    assert sorted(minima) == primes
 
 
 # ---------------------------------------------------------------- rendering
