@@ -20,8 +20,6 @@ from math import isqrt
 
 from .errors import CertificateError, InvalidCount
 
-MAX_K_SCAN = 512
-
 
 def divisors(n: int) -> tuple[int, ...]:
     """All positive divisors of n in increasing order."""
@@ -213,9 +211,14 @@ def gen_count_power(k: int, n: int, q: int, s: int, m: int) -> int:
 
 
 def min_k_for_copies(n: int, q: int, s: int, m: int) -> int:
-    """Smallest k whose capacity for (n, q, s) reaches m copies."""
+    """Smallest k whose capacity for (n, q, s) reaches m copies.
+
+    The scan has no cap and still ends: a generating k-tuple stays generating
+    when any element is added, so the capacity does not fall as k grows, and
+    it grows without bound.
+    """
     _check_arguments(1, n, q, s, m)
-    for k in range(1, MAX_K_SCAN + 1):
-        if twisted_capacity(k, n, q, s) >= m:
-            return k
-    raise AssertionError(f"capacity scan exhausted at k={MAX_K_SCAN}")
+    k = 1
+    while twisted_capacity(k, n, q, s) < m:
+        k += 1
+    return k

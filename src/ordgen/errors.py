@@ -42,12 +42,14 @@ class BudgetExceeded(OrdgenError):
     The attribute ``required`` holds the number of tuples the request covers:
     |A|^k for an exhaustive count over an algebra A (its closure calls are
     usually far fewer), the sample count for a Monte Carlo estimate, |I|^k
-    for a lift count over an ideal I, or the q^(r k n^2 m) tuples among which
-    the `count` command counts.  A count of 2^8192 or more is held, and
+    for a lift count over an ideal I, the q^(r k n^2 m) tuples among which
+    the `count` command counts, or the bound + 1 entries of the prime sieve
+    behind a density interval.  A count of 2^8192 or more is held, and
     printed, as the power "q^e" it was given as.  ``budget`` holds the budget;
     for `count` it is the fixed limit "2^8192", held as that power too.
-    ``unit`` names what is counted: "tuples", or "table entries" for the
-    dim^3 coordinates of a structure table that a sampled request would build.
+    ``unit`` names what is counted: "tuples", "table entries" for the dim^3
+    coordinates of a structure table that a sampled request would build, or
+    "sieve entries" for the sieve.
     """
 
     def __init__(self, required: int | str, budget: int | str, unit: str = "tuples"):

@@ -9,13 +9,15 @@ when p = 2 and one b-bit lane per coordinate for odd p.
 A unital F_q-subalgebra is exactly an F_p-subalgebra that contains the scalars
 F_q * 1, so every closure starts from those scalars and never works over F_q.
 
-Every closure runs through one kernel, ``_close``.  It multiplies only on the
-right by a generator g, through g's right operator: the D packed rows e_i * g,
-built at g's first use in a closure from a column-sparse copy of the
-structure table.  It
-keeps a dict from pivot to a semi-reduced row, whose pivot no other row has,
-and forms the canonical (fully reduced, sorted) echelon rows once, at return,
-and only for a proper subalgebra; a full closure returns the standard basis.
+The engines have one product: x * y is x applied to y's right operator, the
+D packed rows e_i * y, summed from a column-sparse copy of the structure
+table.  The table checks, the ideal check, ``multiply`` and every closure use
+it.  Every closure runs through one kernel, ``_close``.  It multiplies only on
+the right by a generator g, building g's right operator at its first use in
+the closure.  It keeps a dict from pivot to a semi-reduced row, whose pivot no
+other row has, and forms the canonical (fully reduced, sorted) echelon rows
+once, at return, and only for a proper subalgebra; a full closure returns the
+standard basis.
 
 The enumeration oracle counts generating k-tuples by exhaustive search with
 memoization on the closed subalgebra S reached by each tuple prefix; it extends
@@ -124,7 +126,7 @@ def _inv_matrix_mod_p(cols: list[list[int]], p: int) -> list[list[int]]:
     for col in range(n):
         piv = next((r for r in range(row, n) if aug[r][col] % p), None)
         if piv is None:
-            raise AssertionError("singular matrix")
+            raise CertificateError("singular matrix")
         aug[row], aug[piv] = aug[piv], aug[row]
         inv = pow(aug[row][col], p - 2, p)
         aug[row] = [x * inv % p for x in aug[row]]
@@ -137,23 +139,22 @@ def _inv_matrix_mod_p(cols: list[list[int]], p: int) -> list[list[int]]:
 
 
 class _Engine:
-    """The multiplication table of an algebra on flattened, packed F_p vectors.
+    """The multiplication of an algebra on flattened, packed F_p vectors.
 
     Flat coordinate i*e + t stands for x^t times the i-th basis vector, x the
     root of the base field's modulus.  A flat vector is a Python int with one
     b-bit lane per flat coordinate, coordinate 0 in the lowest lane; for p = 2
-    the lanes are single bits.  ``tbl[a][b]`` holds the product of flat basis
-    vectors a and b, and ``cols[b]`` lists the pairs (a, tbl[a][b]) whose
-    product is not zero: a matrix unit has n of them.  ``scalars`` is the flat
-    F_p-basis x^t * unit (t < e) of the scalars F_q * 1.  An F_p-subalgebra
-    that contains them is closed under multiplication by F_q, so it is an
-    F_q-subalgebra: every closure seeded with ``scalars`` works over F_p alone.
+    the lanes are single bits.  ``cols[b]`` lists the pairs (a, e_a * e_b) of
+    flat basis vectors whose product is not zero: a matrix unit has n of
+    them.  ``scalars`` is the flat F_p-basis x^t * unit (t < e) of the scalars
+    F_q * 1.  An F_p-subalgebra that contains them is closed under
+    multiplication by F_q, so it is an F_q-subalgebra: every closure seeded
+    with ``scalars`` works over F_p alone.
 
-    Closures multiply on the right only.  ``right_op(g)`` is the right
-    operator of g, the list of the D rows e_i * g, summed from the columns
-    that g's non-zero coordinates pick out; ``apply(op, x)`` is then x * g at
-    one packed addition per non-zero coordinate of x.  ``mul`` is the general
-    product, kept for the table checks and ``multiply``.
+    The one product is the right operator.  ``right_op(g)`` is the list of
+    the D rows e_i * g, summed from the columns that g's non-zero coordinates
+    pick out; ``apply(op, x)`` is then x * g at one packed addition per
+    non-zero coordinate of x.
 
     A working basis is a dict from pivot (``pivot``) to a row whose pivot no
     other row has.  ``insert`` reduces a vector against it only while its
@@ -174,16 +175,15 @@ class _Engine:
         self.b = self._lane_width()
         xpow = [F.pow(F.p, s) for s in range(2 * e - 1)] if e > 1 else [1]
         flat = self.flatten
-        self.tbl = []
-        for i in range(dim):
+        self.cols = [[] for _ in range(self.D)]
+        for i, row in enumerate(alg.table):
             for t in range(e):
-                row = []
-                for j in range(dim):
+                for j, v in enumerate(row):
                     for u in range(e):
                         s = xpow[t + u]
-                        row.append(flat(tuple(F.mul(c, s) for c in alg.table[i][j])))
-                self.tbl.append(row)
-        self.cols = [[(a, row[j]) for a, row in enumerate(self.tbl) if row[j]] for j in range(self.D)]
+                        prod = flat(tuple(F.mul(c, s) for c in v))
+                        if prod:
+                            self.cols[j * e + u].append((i * e + t, prod))
         self.scalars = [flat(tuple(F.mul(c, xpow[t]) for c in alg.unit)) for t in range(e)]
         self.standard = self.echelon({i: 1 << (i * self.b) for i in range(self.D)})
         self.size = alg.size
@@ -227,20 +227,6 @@ class _Gf2Engine(_Engine):
     def flat_of_index(idx: int) -> int:
         """The flat vector of the element with the given index: its binary digits are the lanes."""
         return idx
-
-    def mul(self, u: int, v: int) -> int:
-        acc = 0
-        tbl = self.tbl
-        while u:
-            low = u & -u
-            row = tbl[low.bit_length() - 1]
-            u ^= low
-            w = v
-            while w:
-                lw = w & -w
-                acc ^= row[lw.bit_length() - 1]
-                w ^= lw
-        return acc
 
     def right_op(self, g: int) -> list[int]:
         op = [0] * self.D
@@ -310,9 +296,9 @@ class _GfpEngine(_Engine):
     pivot is its lowest non-zero lane, where it holds 1, and canonical rows
     are in increasing pivot order.
 
-    The lazy sums, each within ``top``: ``mul`` adds D*D terms of at most
-    (p-1)^2 in a lane; a right operator row and an application add at most D
-    such terms; ``insert`` starts from a reduced vector and adds one per pivot
+    The lazy sums, each within ``top`` = (D+1)(p-1)^2: a right operator row
+    and an application add at most D terms of at most (p-1)^2 in a lane;
+    ``insert`` starts from a reduced vector and adds one such term per pivot
     it clears, at most D; ``echelon`` adds at most D - 1 to a reduced row.
     """
 
@@ -322,7 +308,7 @@ class _GfpEngine(_Engine):
     def _lane_width(self) -> int:
         """Fix ``top``, the reduction constants and the digit table from p and D; return the lane width b."""
         p, D = self.p, self.D
-        top = max(D * D, D + 1) * (p - 1) ** 2
+        top = (D + 1) * (p - 1) ** 2
         shift = p.bit_length()
         while True:
             magic = -(-(1 << shift) // p)
@@ -358,21 +344,6 @@ class _GfpEngine(_Engine):
 
     def _reduce(self, v: int) -> int:
         return v - self.p * (((v * self.magic) >> self.shift) & self.quot)
-
-    def mul(self, u: int, v: int) -> int:
-        p, b, lane, tbl = self.p, self.b, self.lane, self.tbl
-        vs = [(j, c) for j in range(self.D) if (c := (v >> (j * b)) & lane)]
-        acc = 0
-        i = 0
-        while u:
-            ui = u & lane
-            if ui:
-                row = tbl[i]
-                for j, c in vs:
-                    acc += (ui * c % p) * row[j]
-            u >>= b
-            i += 1
-        return self._reduce(acc)
 
     def right_op(self, g: int) -> list[int]:
         b, lane, cols = self.b, self.lane, self.cols
@@ -530,24 +501,27 @@ def _nilpotent_ideal_rows(eng, basis, name: str) -> list:
 
     Raises InvalidTable, naming the span, when it is not one.
     """
+    apply, right_op = eng.apply, eng.right_op
     rows: dict = {}
     for v in basis:
-        flat = eng.flatten(tuple(v))
+        op = right_op(eng.flatten(tuple(v)))
         for s in eng.scalars:
-            eng.insert(rows, eng.mul(s, flat))
+            eng.insert(rows, apply(op, s))
+    ops = [(r, right_op(r)) for r in rows.values()]
     for a in range(eng.D):
-        ba = eng.flat_of_index(eng.p**a)
-        for r in rows.values():
-            for prod in (eng.mul(ba, r), eng.mul(r, ba)):
+        op_a = right_op(eng.flat_of_index(eng.p**a))
+        for r, op in ops:
+            for prod in (op[a], apply(op_a, r)):  # e_a * r and r * e_a
                 if eng.insert(dict(rows), prod) is not None:
                     raise InvalidTable(f"{name} is not a two-sided ideal")
     # The products of two F_q-spans span an F_q-space, so no scalars are needed here.
     current = list(rows.values())
     while current:
         nxt: dict = {}
+        ops = [right_op(y) for y in current]
         for x in current:
-            for y in current:
-                eng.insert(nxt, eng.mul(x, y))
+            for op in ops:
+                eng.insert(nxt, apply(op, x))
         if len(nxt) >= len(current):
             raise InvalidTable(f"{name} is not nilpotent")
         current = list(nxt.values())
@@ -593,29 +567,38 @@ class FiniteAlgebra:
 
         The engine's product is the F_q-bilinear extension of ``table`` (flat
         entry (i, t)(j, u) is x^(t+u) table[i][j]), so the dim unit checks and
-        the dim^3 basis triples decide both laws on every element.
+        the dim^3 basis triples decide both laws on every element.  With R_b
+        the right operator of basis vector b, row a*e of R_b is a * b, so
+        (a * b) * c is R_c applied to that row and a * (b * c) is row a*e of
+        the right operator of b * c.  A failure names the first failing
+        triple (a, b, c) in lexicographic order: once one is found, a later
+        pair (b, c) is checked only on the rows a below it.
         """
         eng = self._eng()
-        basis = [eng.flat_of_index(eng.p ** (i * eng.e)) for i in range(self.dim)]
+        e, apply, right_op = eng.e, eng.apply, eng.right_op
+        basis = [eng.flat_of_index(eng.p ** (i * e)) for i in range(self.dim)]
+        ops = [right_op(bb) for bb in basis]
         u = eng.scalars[0]  # x^0 * unit
+        op_u = right_op(u)
         for a, ba in enumerate(basis):
-            if eng.mul(u, ba) != ba or eng.mul(ba, u) != ba:
+            if apply(ops[a], u) != ba or op_u[a * e] != ba:
                 raise InvalidTable(f"unit law fails on basis vector {a} of {self.label}")
-        for a, ba in enumerate(basis):
-            for b, bb in enumerate(basis):
-                ab = eng.mul(ba, bb)
-                for c, bc in enumerate(basis):
-                    if eng.mul(ab, bc) != eng.mul(ba, eng.mul(bb, bc)):
-                        raise InvalidTable(f"associativity fails on basis triple ({a},{b},{c}) of {self.label}")
+        failed = None
+        rows = self.dim  # the rows a still worth checking
+        for b, op_b in enumerate(ops):
+            for c, op_c in enumerate(ops):
+                op_bc = right_op(op_c[b * e])  # the right operator of b * c
+                for a in range(rows):
+                    if apply(op_c, op_b[a * e]) != op_bc[a * e]:
+                        failed, rows = f"({a},{b},{c})", a
+                        break
+        if failed is not None:
+            raise InvalidTable(f"associativity fails on basis triple {failed} of {self.label}")
         _nilpotent_ideal_rows(eng, self.radical_basis, f"radical span of {self.label}")
-
-    def validate(self):
-        """Re-run the construction-time checks."""
-        self._verify()
 
     def multiply(self, x, y) -> tuple[int, ...]:
         eng = self._eng()
-        return eng.unflatten(eng.mul(eng.flatten(x), eng.flatten(y)))
+        return eng.unflatten(eng.apply(eng.right_op(eng.flatten(y)), eng.flatten(x)))
 
     def __getstate__(self):
         state = dict(self.__dict__)
@@ -861,7 +844,8 @@ def _subfield_embedding(F: FiniteField, E: FiniteField) -> Sequence[int]:
         if acc == 0:
             roots.append(a)
         a = E.mul(a, g)
-    assert roots, "modulus has no root in the extension"
+    if not roots:
+        raise CertificateError("modulus has no root in the extension")
     rho = min(roots)
     table = []
     for a in range(F.q):

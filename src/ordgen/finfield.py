@@ -229,26 +229,6 @@ class FiniteField:
                 return g
         raise AssertionError("no multiplicative generator found")
 
-    # -- verification -------------------------------------------------------
-
-    def validate(self):
-        """Exhaustively check the field axioms; intended for q small enough to afford q^3 triples."""
-        els = self.elements()
-        for a in els:
-            assert self.add(a, 0) == a and self.mul(a, 1) == a
-            assert self.add(a, self.neg(a)) == 0
-            if a != 0:
-                assert self.mul(a, self.inv(a)) == 1
-            for b in els:
-                assert self.add(a, b) == self.add(b, a)
-                assert self.mul(a, b) == self.mul(b, a)
-        for a in els:
-            for b in els:
-                for c in els:
-                    assert self.add(self.add(a, b), c) == self.add(a, self.add(b, c))
-                    assert self.mul(self.mul(a, b), c) == self.mul(a, self.mul(b, c))
-                    assert self.mul(a, self.add(b, c)) == self.add(self.mul(a, b), self.mul(a, c))
-
     def __eq__(self, other) -> bool:
         return isinstance(other, FiniteField) and self.prime_power == other.prime_power
 

@@ -11,13 +11,15 @@ estimate, so every reported number is a statement, not a sample.
 
 from __future__ import annotations
 
+import itertools
 import json
 from bisect import bisect_left
 from dataclasses import dataclass, fields, is_dataclass
 from fractions import Fraction
 
 from .counting import _deficiency_coeff, twisted_capacity
-from .errors import BoundTooSmall, CertificateError, NoCutoff, SpecError
+from .errors import BoundTooSmall, BudgetExceeded, CertificateError, NoCutoff, SpecError
+from .finalg import resolve_budget
 from .finfield import is_prime
 from .orderspec import (
     ClassifiedLocal,
@@ -52,9 +54,8 @@ def _primes_below(n: int) -> tuple[int, ...]:
     flags[0] = flags[1] = 0
     for p in range(2, int(n**0.5) + 1):
         if flags[p]:
-            for m in range(p * p, n, p):
-                flags[m] = 0
-    return tuple(i for i in range(2, n) if flags[i])
+            flags[p * p :: p] = bytes(len(range(p * p, n, p)))
+    return tuple(itertools.compress(range(n), flags))
 
 
 def _primes_in_order(n: int):
@@ -346,6 +347,9 @@ def density(spec: OrderSpec, k: int, bound: int | None = None) -> DensityInterva
     denominators are multiplied in two product trees and reduced by one gcd at
     the end, which gives the same fraction as multiplying them one at a time.
     The classified local data is built once per splitting shape for the call.
+    A bound whose sieve, bound + 1 flags, exceeds the work budget
+    (``finalg.resolve_budget``) raises BudgetExceeded before any prime is
+    sieved.
     """
     if k < 1:
         raise SpecError("k must be a positive integer")
@@ -375,6 +379,9 @@ def density(spec: OrderSpec, k: int, bound: int | None = None) -> DensityInterva
         bound = minimum
     if bound < minimum:
         raise BoundTooSmall(bound, minimum)
+    limit = resolve_budget()
+    if bound + 1 > limit:
+        raise BudgetExceeded(bound + 1, limit, "sieve entries")
 
     d = spec.dimension
     factors = []

@@ -408,6 +408,35 @@ def test_analyze_huge_copy_count_finishes(tmp_path):
     assert verdict["critical_primes"] == [2]
 
 
+def huge_rational_spec(tmp_path):
+    """z.json, the one factor Q of degree 1, with 10^200 copies."""
+    doc = json.loads((DATA / "z.json").read_text())
+    doc["factors"][0]["copies"] = 10**200
+    path = tmp_path / "zhuge.json"
+    path.write_text(json.dumps(doc))
+    return path
+
+
+def test_analyze_copy_count_past_any_fixed_scan(capsys, tmp_path):
+    # The capacity scan once stopped at k = 512 with an AssertionError.
+    code, out, err = run(capsys, "analyze", "--spec", str(huge_rational_spec(tmp_path)), "--format", "machine")
+    assert (code, err) == (0, "")
+    assert json.loads(out)["verdict"]["h"] == 665
+
+
+def test_density_refuses_a_bound_too_large_to_sieve(capsys, monkeypatch, tmp_path):
+    # The default bound is the tail floor, 2 * 10^200 here.
+    monkeypatch.delenv("ORDGEN_BUDGET", raising=False)
+    code, out, err = run(capsys, "density", "--spec", str(huge_rational_spec(tmp_path)), "--k", "2")
+    assert (code, out) == (4, "")
+    assert err == f"error: request needs {2 * 10**200 + 1} sieve entries, budget is {2**26}\n"
+    monkeypatch.setenv("ORDGEN_BUDGET", "1000")
+    code, out, err = run(capsys, "density", "--spec", str(DATA / "zi.json"), "--k", "2", "--bound", "1000")
+    assert (code, out, err) == (4, "", "error: request needs 1001 sieve entries, budget is 1000\n")
+    code, _, _ = run(capsys, "density", "--spec", str(DATA / "zi.json"), "--k", "2", "--bound", "999")
+    assert code == 0
+
+
 def test_analyze_machine_document(capsys):
     code, out, _ = run(capsys, "analyze", "--spec", str(DATA / "zi.json"), "--format", "machine")
     assert code == 0

@@ -61,10 +61,10 @@ def capacity_lower(k, n, q, s):
 
 def min_k_bound(n, q, s, m):
     """Smallest k whose capacity lower bound reaches m copies: at least min_k_for_copies."""
-    for k in range(1, counting.MAX_K_SCAN + 1):
-        if capacity_lower(k, n, q, s) >= m:
-            return k
-    raise AssertionError(f"capacity scan exhausted at k={counting.MAX_K_SCAN}")
+    k = 1
+    while capacity_lower(k, n, q, s) < m:
+        k += 1
+    return k
 
 
 def test_divisors_sorted():

@@ -10,7 +10,12 @@ The oracles below come from earlier designs of ``finalg``:
   and its ideal check, used before ``_close`` applied right operators to
   pivot-keyed, semi-reduced rows;
 - the digit-by-digit ``flat_of_index`` for odd p (``digit_flat_of_index``),
-  used before it read several digits at a time through a table.
+  used before it read several digits at a time through a table;
+- the table product ``mul`` of both packed engines (``TableGf2Engine``,
+  ``TableGfpEngine``), used before the right operator became the engines'
+  only product.  It reads the D x D table of flat basis products that
+  ``flat_table`` builds from the structure table, and the oracles above
+  multiply through it.
 
 Swapped into an algebra, they must give the same rows, bases, coset
 representatives and counts as ``finalg``.
@@ -35,6 +40,74 @@ from ordgen.finalg import (
     product_algebra,
     truncated_local_algebra,
 )
+
+
+def flat_table(alg, eng):
+    """tbl[a][b] = e_a * e_b for the flat basis vectors a, b of alg, packed as eng packs vectors."""
+    F, e = alg.base, eng.e
+    xpow = [F.pow(F.p, s) for s in range(2 * e - 1)] if e > 1 else [1]
+    return [
+        [eng.flatten(tuple(F.mul(c, xpow[t + u]) for c in alg.table[i][j])) for j in range(alg.dim) for u in range(e)]
+        for i in range(alg.dim)
+        for t in range(e)
+    ]
+
+
+class TableGf2Engine(finalg._Gf2Engine):
+    """The bit engine with its table product."""
+
+    def __init__(self, alg):
+        super().__init__(alg)
+        self.tbl = flat_table(alg, self)
+
+    def mul(self, u, v):
+        acc = 0
+        tbl = self.tbl
+        while u:
+            low = u & -u
+            row = tbl[low.bit_length() - 1]
+            u ^= low
+            w = v
+            while w:
+                lw = w & -w
+                acc ^= row[lw.bit_length() - 1]
+                w ^= lw
+        return acc
+
+
+class TableGfpEngine(finalg._GfpEngine):
+    """The packed odd-p engine with its table product.
+
+    The product once summed all D*D terms in a lane before reducing; with
+    lanes that hold (D+1)(p-1)^2 it reduces after each row of the table, D
+    terms of at most (p-1)^2 added to a reduced value.
+    """
+
+    def __init__(self, alg):
+        super().__init__(alg)
+        self.tbl = flat_table(alg, self)
+
+    def mul(self, u, v):
+        p, b, lane, tbl = self.p, self.b, self.lane, self.tbl
+        vs = [(j, c) for j in range(self.D) if (c := (v >> (j * b)) & lane)]
+        acc = 0
+        i = 0
+        while u:
+            ui = u & lane
+            if ui:
+                row = tbl[i]
+                for j, c in vs:
+                    acc += (ui * c % p) * row[j]
+                acc = self._reduce(acc)
+            u >>= b
+            i += 1
+        return acc
+
+
+@functools.cache
+def table_engine(alg):
+    """An engine for alg with the table product ``mul``, packed as alg's own engine."""
+    return TableGf2Engine(alg) if alg.base.p == 2 else TableGfpEngine(alg)
 
 
 class TupleGfpEngine:
@@ -306,8 +379,8 @@ def tuple_coset_flats(eng, rows):
 
 def reference_engine(alg):
     """The engine the oracle runs on: tuples for odd p; for p = 2 the bit engine,
-    whose arithmetic the packing left as it was."""
-    return finalg._Gf2Engine(alg) if alg.base.p == 2 else TupleGfpEngine(alg)
+    whose arithmetic the packing left as it was, with its table product."""
+    return table_engine(alg) if alg.base.p == 2 else TupleGfpEngine(alg)
 
 
 @contextlib.contextmanager
@@ -322,9 +395,10 @@ def old_code(alg):
 
 
 @contextlib.contextmanager
-def previous_kernel():
-    """Run finalg's public functions through the row-list closure and ideal check."""
+def previous_kernel(alg):
+    """Run finalg's public functions on alg through the row-list closure and ideal check."""
     with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(alg, "_engine", table_engine(alg))
         mp.setattr(finalg, "_close", right_close)
         mp.setattr(finalg, "_nilpotent_ideal_rows", list_nilpotent_ideal_rows)
         yield
@@ -437,17 +511,25 @@ def test_lanes_reduce_at_the_largest_lazy_value(p, n):
         assert eng._reduce(pack(eng, lanes)) == pack(eng, [x % p for x in lanes])
 
 
+def full_table_engine(p, n):
+    """The table engine of M_n(F_p) with every table entry at p - 1 in every lane."""
+    eng = TableGfpEngine(matrix_algebra(n, p))
+    full = pack(eng, [p - 1] * eng.D)
+    eng.tbl = [[full] * eng.D for _ in range(eng.D)]
+    eng.cols = [[(i, full) for i in range(eng.D)] for _ in range(eng.D)]
+    return eng, full
+
+
 @pytest.mark.parametrize("p", LANE_PRIMES)
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_product_at_the_largest_lane_sum(p, n):
-    """u at p - 1, v at 1 and every table entry at p - 1 in every lane: each
-    output lane sums D*D terms (p-1)^2 before the one reduction."""
-    eng = finalg._GfpEngine(matrix_algebra(n, p))
-    full = pack(eng, [p - 1] * eng.D)
-    eng.tbl = [[full] * eng.D for _ in range(eng.D)]
-    assert eng.D * eng.D * (p - 1) ** 2 <= eng.top
-    want = eng.D * eng.D * (p - 1) ** 2 % p
-    assert eng.mul(full, pack(eng, [1] * eng.D)) == pack(eng, [want] * eng.D)
+    """x and g at p - 1 and every table entry at p - 1 in every lane: each lane
+    of g's right operator sums D terms (p-1)^2 before its reduction, the most
+    any lazy sum adds to a reduced value, and the lanes hold one more."""
+    eng, full = full_table_engine(p, n)
+    assert eng.top == (eng.D + 1) * (p - 1) ** 2
+    want = eng.D * eng.D * (p - 1) ** 3 % p
+    assert eng.apply(eng.right_op(full), full) == pack(eng, [want] * eng.D) == eng.mul(full, full)
 
 
 @pytest.mark.parametrize("p", [3, 5, 1009])
@@ -513,10 +595,7 @@ def test_insert_at_the_largest_lazy_lane(p):
 def test_operator_at_the_largest_lane_sum(p):
     """Every table entry at p - 1 in every lane, g and x at p - 1: a row of the
     right operator sums D terms (p-1)^2, and so does its application."""
-    eng = finalg._GfpEngine(matrix_algebra(2, p))
-    full = pack(eng, [p - 1] * eng.D)
-    eng.tbl = [[full] * eng.D for _ in range(eng.D)]
-    eng.cols = [[(i, full) for i in range(eng.D)] for _ in range(eng.D)]
+    eng, full = full_table_engine(p, 2)
     op = eng.right_op(full)
     assert op == [pack(eng, [eng.D * (p - 1) ** 2 % p] * eng.D)] * eng.D
     assert eng.apply(op, full) == eng.mul(full, full)
@@ -527,7 +606,7 @@ def test_operator_at_the_largest_lane_sum(p):
 
 def check_kernel(alg, base_elems, new_elems):
     """_close from the scalars and from a closed base, and closure(), against right_close."""
-    eng = alg._eng()
+    eng = table_engine(alg)
     base = finalg._close(eng, [], eng.scalars + [eng.flatten(x) for x in base_elems])
     assert base == right_close(eng, [], eng.scalars + [eng.flatten(x) for x in base_elems])
     for start in ([], base):
@@ -535,7 +614,7 @@ def check_kernel(alg, base_elems, new_elems):
         new = seed + [eng.flatten(x) for x in new_elems]
         assert finalg._close(eng, list(start), new) == right_close(eng, list(start), new)
     got = closure(alg, base_elems + new_elems)
-    with previous_kernel():
+    with previous_kernel(alg):
         want = closure(alg, base_elems + new_elems)
     assert (got.basis, got.rank) == (want.basis, want.rank)
 
@@ -554,7 +633,7 @@ def test_counts_and_coset_representatives_match_row_list_closure(case):
     k = max(k for k in (1, 2, 3) if k == 1 or alg.size**k <= 2**12)
     got_count = brute_gen_count(alg, k)
     got_reps = coset_representatives(alg, alg.radical_basis)
-    with previous_kernel():
+    with previous_kernel(alg):
         assert brute_gen_count(alg, k) == got_count
         assert coset_representatives(alg, alg.radical_basis) == got_reps
 
@@ -582,7 +661,7 @@ def test_insert_and_echelon_match_fully_reduced_insert(case, count):
 @given(algebra_cases())
 def test_right_operators_match_products(case):
     alg, rng = case
-    eng = alg._eng()
+    eng = table_engine(alg)
     for _ in range(5):
         x, g = (eng.flat_of_index(rng.randrange(alg.size)) for _ in range(2))
         assert eng.apply(eng.right_op(g), x) == eng.mul(x, g)

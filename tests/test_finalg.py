@@ -90,7 +90,7 @@ TW2 = truncated_local_algebra(2, 1, 2, 1, 1)  # radical square zero over F_2, re
 
 @pytest.mark.parametrize("n,q,r", [(2, 2, 1), (2, 3, 1), (3, 2, 1), (2, 2, 2), (1, 2, 2)])
 def test_matrix_algebra_passes_structure_axioms(n, q, r):
-    matrix_algebra(n, q, r).validate()
+    matrix_algebra(n, q, r)._verify()
 
 
 @pytest.mark.parametrize("n,q", [(2, 3), (3, 2), (2, 4), (2, 8), (2, 9)])
@@ -315,6 +315,74 @@ def test_verify_refuses_non_associative_table(q, a_squared):
     table = [[one, a, b], [a, (0, 0, a_squared), zero3], [b, a, zero3]]
     with pytest.raises(InvalidTable, match="associativity fails"):
         FiniteAlgebra(field_of(q), table, one)
+
+
+def first_failing_triple(q, table):
+    """The first basis triple (a, b, c), in lexicographic order, with (a*b)*c != a*(b*c),
+    multiplied out coordinate by coordinate; None when the table is associative."""
+    F = field_of(q)
+    d = len(table)
+
+    def mul(x, y):
+        out = [0] * d
+        for i, xi in enumerate(x):
+            for j, yj in enumerate(y):
+                c = F.mul(xi, yj)
+                for t, v in enumerate(table[i][j]):
+                    out[t] = F.add(out[t], F.mul(c, v))
+        return out
+
+    basis = [[int(i == j) for j in range(d)] for i in range(d)]
+    for a, b, c in itertools.product(range(d), repeat=3):
+        if mul(mul(basis[a], basis[b]), basis[c]) != mul(basis[a], mul(basis[b], basis[c])):
+            return a, b, c
+    return None
+
+
+def test_verify_names_the_first_triple_in_abc_order():
+    """Here (1,1,2) fails first in (a, b, c) order and (2,1,1) first in the
+    (b, c, a) order that the check loops in; the error names (1,1,2)."""
+    one, a, b = (1, 0, 0), (0, 1, 0), (0, 0, 1)
+    table = [[one, a, b], [a, (1, 1, 0), (1, 1, 0)], [b, a, (0, 0, 0)]]
+    assert first_failing_triple(2, table) == (1, 1, 2)
+    with pytest.raises(InvalidTable, match=re.escape("associativity fails on basis triple (1,1,2) of algebra(dim=3, q=2)")):
+        FiniteAlgebra(field_of(2), table, one)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from([2, 3, 4]), st.integers(2, 4), st.data())
+def test_verify_names_the_first_failing_triple(q, d, data):
+    """Random tables with basis vector 0 as the unit: construction refuses
+    exactly the non-associative ones and names their first failing triple."""
+    basis = [tuple(int(i == j) for j in range(d)) for i in range(d)]
+    entry = st.tuples(*[st.integers(0, q - 1)] * d)
+    table = [[basis[i + j] if 0 in (i, j) else data.draw(entry) for j in range(d)] for i in range(d)]
+    failed = first_failing_triple(q, table)
+    if failed is None:
+        FiniteAlgebra(field_of(q), table, basis[0])
+    else:
+        triple = "({},{},{})".format(*failed)
+        with pytest.raises(InvalidTable, match=re.escape(f"associativity fails on basis triple {triple} of ")):
+            FiniteAlgebra(field_of(q), table, basis[0])
+
+
+def test_singular_matrix_and_missing_root_raise_certificate_errors_under_optimisation():
+    src = os.path.dirname(os.path.dirname(finalg.__file__))
+    code = (
+        "from ordgen import finalg\n"
+        "from ordgen.errors import CertificateError\n"
+        "from ordgen.finfield import build_field\n"
+        "for call in (lambda: finalg._inv_matrix_mod_p([[1, 2], [2, 4]], 5),\n"
+        "             lambda: finalg._subfield_embedding(build_field(2, 2), build_field(2, 3))):\n"
+        "    try:\n"
+        "        call()\n"
+        "    except CertificateError as exc:\n"
+        "        print(exc)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "singular matrix\nmodulus has no root in the extension\n"
 
 
 @pytest.mark.parametrize("q,unit", [(2, (1, 1, 0)), (2, (0, 0, 1)), (4, (2, 0, 0)), (4, (3, 0, 0))])
@@ -582,7 +650,7 @@ def test_sampled_fraction_tracks_exact_fraction():
 def test_product_algebra_multiplies_componentwise():
     f2 = matrix_algebra(1, 2)
     prod = product_algebra(f2, f2)
-    prod.validate()
+    prod._verify()
     assert prod.dim == 2
     # (1,0) and (0,1) are the two idempotent generators
     assert brute_gen_count(prod, 1) == 2
@@ -596,7 +664,7 @@ def test_product_of_matrix_algebras_count():
 
 def test_truncated_local_algebra_shape():
     alg = truncated_local_algebra(2, 1, 2, 1, 1)
-    alg.validate()
+    alg._verify()
     assert alg.size == 16
     assert len(alg.radical_basis) == 2
     pi = twisted_element(alg, (0, 1))
@@ -621,7 +689,7 @@ def test_truncated_local_algebra_rejects_bad_twist():
 def test_commutative_truncation_matches_polynomial_model():
     # F_3[u]/(u^2): exactly the multiples of u square to zero
     alg = truncated_local_algebra(3, 1, 1, 1, 2)
-    alg.validate()
+    alg._verify()
     assert alg.size == 9
     u = twisted_element(alg, (0, 1))
     assert alg.multiply(u, u) == zero(alg)
@@ -631,7 +699,7 @@ def test_commutative_truncation_matches_polynomial_model():
 def test_matrix_over_wraps_scalar_algebra():
     inner = matrix_algebra(1, 2)
     alg = matrix_over(inner, 2)
-    alg.validate()
+    alg._verify()
     assert alg.size == 16
     assert brute_gen_count(alg, 2) == 96  # same structure as the plain 2x2 algebra
 
@@ -905,7 +973,7 @@ def test_engine_products_of_sampling(monkeypatch, n, q, samples, hits, applicati
 
     for name in calls:
         monkeypatch.setattr(eng, name, counting(name))
-    monkeypatch.setattr(eng, "mul", None)  # the kernel makes no general product
+    assert not hasattr(eng, "mul") and not hasattr(eng, "tbl")  # the right operator is the only product
     assert sample_gen_fraction(alg, 2, samples, seed=123).hits == hits
     assert calls == {"apply": applications, "right_op": builds}
 

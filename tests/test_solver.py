@@ -305,6 +305,12 @@ def test_density_refuses_large_rank():
     assert abs(float(d.upper) - 0.553894) < 1e-5
 
 
+def test_primes_below_matches_trial_division():
+    primes = [p for p in range(2000) if is_prime(p)]
+    for n in range(2001):
+        assert solver._primes_below(n) == tuple(p for p in primes if p < n)
+
+
 def test_density_interval_validates_ordering():
     with pytest.raises(CertificateError):
         DensityInterval(
