@@ -1,8 +1,9 @@
 """Command-line front end: counts, oracles, spec analysis, densities, tables.
 
-Exit codes: 0 success, 2 usage or invalid input, 4 oracle budget or count
-size exceeded, 5 a prime needs explicit local data, 6 internal certificate
-failure.  Code 3 is retired and not reused.  Machine format output is
+Exit codes: 0 success, 2 usage or invalid input, 4 oracle budget, count size
+or printed integer size exceeded, 5 a prime needs explicit local data, 6
+internal certificate failure.  Code 3 is retired and not reused.  Any other
+exception is an internal fault and propagates.  Machine format output is
 canonical JSON (sorted keys, no whitespace) and parses back byte-identically.
 """
 
@@ -92,7 +93,10 @@ class _Cursor:
             self.pos += 1
         if start == self.pos:
             raise SpecError(f"expected an integer at position {start} in algebra expression")
-        return int(self.text[start : self.pos])
+        try:
+            return int(self.text[start : self.pos])
+        except ValueError as exc:  # a digit int() does not read, or past the digit limit
+            raise SpecError(f"bad integer at position {start} in algebra expression: {exc}") from exc
 
 
 def _parse_expr(cur: _Cursor) -> tuple[FiniteField, int, Callable[[], FiniteAlgebra]]:
@@ -176,11 +180,14 @@ def _prime_list(text: str) -> tuple[int, ...]:
         raise argparse.ArgumentTypeError("expected comma-separated integers") from exc
 
 
-def _emit(args, text_value: str, machine_doc) -> None:
-    if args.format == "machine":
-        print(render_json(machine_doc))
-    else:
-        print(text_value)
+def _emit(args, text: Callable[[], str], machine_doc) -> None:
+    """Print text() or the machine document; an integer too long to print is a size limit."""
+    try:
+        out = render_json(machine_doc) if args.format == "machine" else text()
+    except ValueError as exc:  # int-to-str conversion past sys.get_int_max_str_digits()
+        limit = sys.get_int_max_str_digits()
+        raise BudgetExceeded(f"more than {limit}", limit, "digits in one printed integer") from exc
+    print(out)
 
 
 def _is_prime_power(q: int) -> bool:
@@ -196,7 +203,7 @@ def _cmd_count(args) -> int:
         raise BudgetExceeded(f"{args.q}^{exponent}", f"2^{COUNT_MAX_BITS}")
     value = gen_count_power(args.k, args.n, args.q, args.r, args.m)
     doc = {"command": "count", "k": args.k, "n": args.n, "q": args.q, "r": args.r, "m": args.m, "value": value}
-    _emit(args, str(value), doc)
+    _emit(args, lambda: str(value), doc)
     return EXIT_OK
 
 
@@ -207,7 +214,7 @@ def _cmd_oracle(args) -> int:
         check_tuple_budget(base.q, dim * args.k, args.budget)  # |A|^k, before any table is built
         value = brute_gen_count(build(), args.k, budget=args.budget)
         doc["value"] = value
-        _emit(args, str(value), doc)
+        _emit(args, lambda: str(value), doc)
         return EXIT_OK
     if args.seed is None:
         raise SpecError("--seed is required with --samples")
@@ -228,28 +235,28 @@ def _cmd_oracle(args) -> int:
         f"estimate {est.hits}/{est.samples} = {est.fraction:.6f}  "
         f"(95% CI [{est.ci_low:.6f}, {est.ci_high:.6f}], seed {est.seed})"
     )
-    _emit(args, text, doc)
+    _emit(args, lambda: text, doc)
     return EXIT_OK
 
 
 def _cmd_analyze(args) -> int:
     spec = load_spec(args.spec)
     rep = report(spec, density_k=args.density_k, density_bound=args.bound)
-    _emit(args, render_text(rep), rep)
+    _emit(args, lambda: render_text(rep), rep)
     return EXIT_OK
 
 
 def _cmd_density(args) -> int:
     spec = load_spec(args.spec)
     interval = density(spec, args.k, args.bound)
-    _emit(args, density_text(interval), interval)
+    _emit(args, lambda: density_text(interval), interval)
     return EXIT_OK
 
 
 def _cmd_quaternion(args) -> int:
     make_quaternion_spec(args.ramified)  # validate the prime list eagerly
     table = quaternion_example(args.ramified, args.mmax)
-    _emit(args, quaternion_table_text(table), table)
+    _emit(args, lambda: quaternion_table_text(table), table)
     return EXIT_OK
 
 
@@ -322,7 +329,7 @@ def main(argv: list[str] | None = None) -> int:
     except CertificateError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CERTIFICATE
-    except (OrdgenError, OSError, ValueError) as exc:
+    except (OrdgenError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

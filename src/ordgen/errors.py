@@ -48,8 +48,10 @@ class BudgetExceeded(OrdgenError):
     printed, as the power "q^e" it was given as.  ``budget`` holds the budget;
     for `count` it is the fixed limit "2^8192", held as that power too.
     ``unit`` names what is counted: "tuples", "table entries" for the dim^3
-    coordinates of a structure table that a sampled request would build, or
-    "sieve entries" for the sieve.
+    coordinates of a structure table that a sampled request would build,
+    "sieve entries" for the sieve, or "digits in one printed integer" for an
+    output holding an integer past Python's limit on int-to-str conversion
+    (`sys.get_int_max_str_digits`), which also bounds what a reader parses.
     """
 
     def __init__(self, required: int | str, budget: int | str, unit: str = "tuples"):

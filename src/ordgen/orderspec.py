@@ -304,9 +304,17 @@ def spec_from_dict(data: dict) -> OrderSpec:
 
 
 def load_spec(path: str) -> OrderSpec:
-    """Load an OrderSpec from a JSON file."""
+    """Load an OrderSpec from a JSON file.
+
+    A file that is not UTF-8, not JSON, or holds an integer past Python's
+    digit limit for integer conversion raises SpecError.
+    """
     with open(path, encoding="utf-8") as fh:
-        return spec_from_dict(json.load(fh))
+        try:
+            data = json.load(fh)
+        except ValueError as exc:
+            raise SpecError(str(exc)) from exc
+    return spec_from_dict(data)
 
 
 def spec_to_dict(spec: OrderSpec) -> dict:

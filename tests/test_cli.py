@@ -6,12 +6,18 @@ import pathlib
 import subprocess
 import sys
 import time
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import ordgen
-from ordgen.cli import main
+from ordgen import cli, counting
+from ordgen.cli import main, parse_algebra
 from ordgen.counting import gen_count_exact
+from ordgen.errors import OrdgenError
+from ordgen.solver import DENSITY_BITS
 
 DATA = pathlib.Path(__file__).parent / "data"
 
@@ -424,6 +430,30 @@ def test_analyze_copy_count_past_any_fixed_scan(capsys, tmp_path):
     assert json.loads(out)["verdict"]["h"] == 665
 
 
+def test_analyze_copy_count_at_the_json_digit_limit(capsys, monkeypatch, tmp_path):
+    # 10^4299 is the largest power of ten Python's JSON reader accepts by default.
+    doc = json.loads((DATA / "z.json").read_text())
+    doc["factors"][0]["copies"] = 10**4299
+    path = tmp_path / "zlimit.json"
+    path.write_text(json.dumps(doc))
+    calls = []
+    capacity = counting.twisted_capacity
+
+    def counted(*args):
+        calls.append(args)
+        return capacity(*args)
+
+    monkeypatch.setattr(counting, "twisted_capacity", counted)
+    code, out, err = run(capsys, "analyze", "--spec", str(path))
+    assert (code, err) == (0, "")
+    assert "smallest h       14281\n" in out
+    assert 1 <= len(calls) <= 64
+    # its machine document holds capacities of more digits than a reader parses
+    code, out, err = run(capsys, "analyze", "--spec", str(path), "--format", "machine")
+    assert (code, out) == (4, "")
+    assert err == "error: request needs more than 4300 digits in one printed integer, budget is 4300\n"
+
+
 def test_density_refuses_a_bound_too_large_to_sieve(capsys, monkeypatch, tmp_path):
     # The default bound is the tail floor, 2 * 10^200 here.
     monkeypatch.delenv("ORDGEN_BUDGET", raising=False)
@@ -494,6 +524,35 @@ def test_density_machine_document(capsys):
     assert doc["tail_coefficient"] == "5/1"
     assert doc["factors"][0] == [2, "3/4"]
     assert machine_roundtrips(out)
+
+
+def assert_dyadic_bounds(doc):
+    for key in ("lower", "upper"):
+        value = Fraction(doc[key])
+        assert value.denominator & (value.denominator - 1) == 0
+        assert value.denominator <= 2**DENSITY_BITS
+
+
+def test_density_machine_document_past_the_old_digit_limit(capsys):
+    # exact bounds at this bound had about 4800 digits and made this exit 2
+    code, out, err = run(
+        capsys,
+        "density", "--spec", str(DATA / "zi.json"), "--k", "2",
+        "--bound", "7000", "--format", "machine",
+    )
+    assert (code, err) == (0, "")
+    assert machine_roundtrips(out)
+    doc = json.loads(out)
+    assert_dyadic_bounds(doc)
+    assert 0 < Fraction(doc["lower"]) < Fraction(doc["upper"]) < 1
+    code, out, err = run(
+        capsys,
+        "analyze", "--spec", str(DATA / "zi.json"), "--density-k", "2",
+        "--bound", "8000", "--format", "machine",
+    )
+    assert (code, err) == (0, "")
+    assert machine_roundtrips(out)
+    assert_dyadic_bounds(json.loads(out)["density"])
 
 
 # ---------------------------------------------------------------- quaternion
@@ -588,6 +647,49 @@ def test_density_local_count_out_of_range_exits_with_certificate_failure(optimis
     assert proc.stdout == ""
     assert proc.stderr.startswith("error: local count 17 at p=2 is outside [0, p^4]")
     assert "Traceback" not in proc.stderr
+
+
+def test_internal_value_error_is_not_a_usage_error(capsys, monkeypatch):
+    def broken(spec, k, bound):
+        raise ValueError("internal fault")
+
+    monkeypatch.setattr(cli, "density", broken)
+    with pytest.raises(ValueError, match="internal fault"):
+        main(["density", "--spec", str(DATA / "zi.json"), "--k", "2"])
+
+
+@pytest.mark.parametrize(
+    "content",
+    [b'{"factors": [', b'{"factors": [], "\xff": 1}', b'{"free_over_base": true, "x": 1' + b"0" * 5000 + b"}"],
+    ids=["truncated", "not-utf8", "integer-past-digit-limit"],
+)
+def test_unreadable_spec_is_a_usage_error(capsys, tmp_path, content):
+    path = tmp_path / "bad.json"
+    path.write_bytes(content)
+    code, out, err = run(capsys, "analyze", "--spec", str(path))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ")
+
+
+# integers as the expression parser may meet them: plain, superscript, Arabic-Indic, missing, past the digit limit
+ALGEBRA_INTS = st.sampled_from(["0", "1", "2", "3", "4", "\u00b2", "\u0663", "", "x", "9" * 4400])
+ALGEBRA_LEAVES = st.builds(
+    lambda n, q, r: f"M({n},{q}" + ("" if r is None else f";r={r}") + ")",
+    ALGEBRA_INTS, ALGEBRA_INTS, st.none() | ALGEBRA_INTS,
+) | st.builds(
+    lambda items: "TW(" + ",".join(f"{key}={value}" for key, value in items) + ")",
+    st.lists(st.tuples(st.sampled_from(["q", "f", "m", "s", "e", "r"]), ALGEBRA_INTS), max_size=5),
+)
+ALGEBRA_TEXTS = st.recursive(ALGEBRA_LEAVES, lambda inner: st.builds("P({},{})".format, inner, inner), max_leaves=3)
+
+
+@settings(max_examples=400, deadline=None)
+@given(ALGEBRA_TEXTS | st.text(max_size=12))
+def test_parse_algebra_raises_only_ordgen_errors(text):
+    try:
+        parse_algebra(text)
+    except OrdgenError:
+        pass
 
 
 def test_console_entry_point_is_exposed():

@@ -316,6 +316,53 @@ def test_min_k_for_copies_is_minimal():
         assert k == 1 or gen_count_power(k - 1, n, q, s, m) == 0
 
 
+def scan_min_k(n, q, s, m):
+    """The oracle: min_k_for_copies as a scan over k = 1, 2, 3, ..."""
+    k = 1
+    while twisted_capacity(k, n, q, s) < m:
+        k += 1
+    return k
+
+
+def test_min_k_for_copies_matches_the_linear_scan():
+    for n, q, s in ((1, 2, 1), (1, 3, 2), (1, 4, 3), (2, 2, 1), (2, 3, 2), (3, 2, 1), (3, 5, 1), (4, 2, 1)):
+        for m in (1, 2, 3, 5, 16, 17, 100, 1000, 10**6, 10**12, 10**30):
+            assert min_k_for_copies(n, q, s, m) == scan_min_k(n, q, s, m), (n, q, s, m)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.integers(min_value=1, max_value=3),
+    st.sampled_from(PRIME_POWERS),
+    st.integers(min_value=1, max_value=3),
+    st.integers(min_value=1, max_value=10**40),
+)
+def test_min_k_for_copies_matches_the_linear_scan_at_random(n, q, s, m):
+    assert min_k_for_copies(n, q, s, m) == scan_min_k(n, q, s, m)
+
+
+@pytest.mark.parametrize("n,q,s,m", [(1, 2, 1, 10**4299), (1, 3, 2, 10**4299), (2, 2, 1, 10**600), (3, 4, 2, 10**300)])
+def test_min_k_for_copies_takes_logarithmic_steps(monkeypatch, n, q, s, m):
+    calls = []
+    capacity = counting.twisted_capacity
+
+    def counted(*args):
+        calls.append(args[0])
+        return capacity(*args)
+
+    monkeypatch.setattr(counting, "twisted_capacity", counted)
+    k = min_k_for_copies(n, q, s, m)
+    assert capacity(k, n, q, s) >= m > capacity(k - 1, n, q, s)
+    assert len(calls) <= 64
+
+
+def test_ceil_log_is_exact():
+    for base in (2, 3, 4, 10, 27):
+        for value in list(range(1, 300)) + [base**e + d for e in (50, 400, 3000) for d in (-1, 0, 1)]:
+            e = counting._ceil_log(value, base)
+            assert base**e >= value and (e == 0 or base ** (e - 1) < value)
+
+
 def test_min_k_bound_is_conservative():
     for q in (2, 3, 5):
         for n in (2, 3):

@@ -22,6 +22,7 @@ from ordgen.errors import (
     IndexNotDividingDegree,
     NotMonic,
     NotPrime,
+    OrdgenError,
     SpecError,
 )
 from ordgen.counting import gen_count_power
@@ -327,6 +328,75 @@ def test_spec_dict_rejects_wrong_json_types(mutate, fragment):
     mutate(doc)
     with pytest.raises(SpecError, match=re.escape(fragment)):
         spec_from_dict(doc)
+
+
+@pytest.mark.parametrize(
+    "content",
+    [b"", b'{"factors": [', b'{"factors": [], "\xff": 1}', b'{"factors": [], "x": 1' + b"0" * 5000 + b"}"],
+    ids=["empty", "truncated", "not-utf8", "integer-past-digit-limit"],
+)
+def test_load_spec_raises_spec_error_on_unreadable_files(tmp_path, content):
+    path = tmp_path / "bad.json"
+    path.write_bytes(content)
+    with pytest.raises(SpecError):
+        load_spec(str(path))
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 40) | st.floats() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    max_leaves=6,
+)
+
+
+def mostly(valid):
+    """Valid values about seven times in eight, arbitrary JSON otherwise."""
+    return st.integers(0, 7).flatmap(lambda i: JSON_VALUES if i == 0 else valid)
+
+
+PRIME_KEYS = mostly(st.sampled_from(["2", "3", "5"])).map(str)
+MINPOLYS = st.sampled_from([[0, 1], [1, 0, 1], [-2, 0, 1], [1, 1, 1], [9, 0, 1], [-8, -2, -1, 1]])
+INDEX_LISTS = st.lists(st.integers(1, 3), min_size=1, max_size=2)
+FACTORS = st.fixed_dictionaries(
+    {
+        "name": mostly(st.sampled_from(["a", "b", "c"])),
+        "center_minpoly": mostly(MINPOLYS),
+        "degree": mostly(st.integers(1, 3)),
+    },
+    optional={
+        "local_indices": mostly(st.dictionaries(PRIME_KEYS, mostly(INDEX_LISTS), max_size=2)),
+        "copies": mostly(st.integers(1, 4)),
+    },
+)
+SPEC_DICTS = mostly(
+    st.fixed_dictionaries(
+        {"factors": mostly(st.lists(FACTORS, min_size=1, max_size=2))},
+        optional={
+            "free_over_base": mostly(st.booleans()),
+            "overrides": mostly(
+                st.dictionaries(
+                    PRIME_KEYS, mostly(st.lists(st.lists(st.integers(1, 2), min_size=4, max_size=4), max_size=3)),
+                    max_size=1,
+                )
+            ),
+        },
+    )
+)
+
+
+@settings(max_examples=500, deadline=None)
+@given(SPEC_DICTS)
+def test_spec_from_dict_raises_only_ordgen_errors(doc):
+    try:
+        spec = spec_from_dict(doc)
+    except OrdgenError:
+        return
+    assert spec_from_dict(spec_to_dict(spec)) == spec
+    for p in (2, 3):
+        try:
+            min_k_local(classify(local_data(spec, p)))
+        except OrdgenError:
+            pass
 
 
 def test_dimension_counts_copies():

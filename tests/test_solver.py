@@ -1,9 +1,13 @@
 """Global verdicts, certified cutoffs, density intervals, quaternion tables."""
 
+import dataclasses
 import itertools
 import json
 import math
+import os
 import pathlib
+import subprocess
+import sys
 import types
 
 from fractions import Fraction
@@ -259,7 +263,8 @@ def test_density_interval_for_gaussian_integers():
     product = Fraction(1)
     for _, f in d.factors:
         product *= f
-    assert product == d.upper
+    # 168 primes below 1000, each rounding up by less than one unit
+    assert product <= d.upper < product + Fraction(168, 2**solver.DENSITY_BITS)
 
 
 def test_density_interval_tightens_as_bound_doubles():
@@ -326,11 +331,24 @@ def test_density_interval_validates_ordering():
         )
 
 
-def fold_density(spec, k, bound=None):
-    """The oracle: the density interval with `upper` folded one prime at a time.
+def tree_product(values):
+    """Product of the values by a balanced tree of multiplications (1 when empty).
 
-    This is `density` as it was before the product tree, with the range check
-    of each factor as a Fraction comparison.
+    Pairwise products keep both operands of every multiplication about the same
+    size, so the large products run in Python's Karatsuba range rather than as
+    one long chain of small-by-large products.
+    """
+    while len(values) > 1:
+        values = [a * b for a, b in zip(values[::2], values[1::2])] + values[len(values) & ~1 :]
+    return values[0] if values else 1
+
+
+def exact_density(spec, k, bound=None):
+    """The oracle: the density interval with exact Fraction bounds.
+
+    Each prime is classified on its own, each factor is range-checked as a
+    Fraction, and `upper` is the exact product of the factors, from two
+    product trees and one gcd.
     """
     if k < 1:
         raise SpecError("k must be a positive integer")
@@ -362,13 +380,11 @@ def fold_density(spec, k, bound=None):
         raise BoundTooSmall(bound, minimum)
     d = spec.dimension
     factors = []
-    upper = Fraction(1)
     for p in solver._primes_below(bound + 1):
         cls = classify(local_data(spec, p))
         factor = Fraction(gen_count_local(k, cls), p ** (d * k))
         assert 0 <= factor <= 1
         factors.append((p, factor))
-        upper *= factor
         if factor == 0:
             return DensityInterval(
                 k=k,
@@ -382,6 +398,10 @@ def fold_density(spec, k, bound=None):
                 "the local minimum there",
                 note="; ".join(note_parts),
             )
+    upper = Fraction(
+        tree_product([f.numerator for _, f in factors]),
+        tree_product([f.denominator for _, f in factors]),
+    )
     terms = solver._tail_terms(spec, k)
     gated = [t for t in terms if t[1] < 2]
     if gated:
@@ -409,6 +429,23 @@ def fold_density(spec, k, bound=None):
         zero_reason=None,
         note="; ".join(note_parts),
     )
+
+
+def assert_encloses(got, exact):
+    """`got` is `exact` but for its bounds, which are dyadic and enclose exact's closely.
+
+    Each of the pi(bound) primes rounds a bound outward by less than one unit
+    of 2**-DENSITY_BITS, and the tail factor rounds `lower` down by less than
+    one more, so either bound is at most pi(bound) + 1 units from the exact one.
+    """
+    assert dataclasses.replace(got, lower=exact.lower, upper=exact.upper) == exact
+    bits = solver.DENSITY_BITS
+    slack = Fraction(len(solver._primes_below(got.bound + 1)) + 1, 2**bits)
+    assert exact.lower - slack <= got.lower <= exact.lower
+    assert exact.upper <= got.upper <= exact.upper + slack
+    for value in (got.lower, got.upper):
+        assert value.denominator & (value.denominator - 1) == 0
+        assert value.denominator <= 2**bits
 
 
 def outcome(fn, *args):
@@ -476,14 +513,17 @@ FOLD_CASES = [
 def test_density_matches_per_prime_fold(name, k, bound):
     spec = spec_named(name)
     got = outcome(density, spec, k, bound)
-    assert got == outcome(fold_density, spec, k, bound)
-    if isinstance(got, DensityInterval):
-        assert density_text(got) == density_text(fold_density(spec, k, bound))
+    exact = outcome(exact_density, spec, k, bound)
+    if isinstance(exact, DensityInterval):
+        assert_encloses(got, exact)
+        assert density_text(got) == density_text(exact)
+    else:
+        assert got == exact
 
 
 def test_fold_grid_reaches_every_branch():
     def at(name, k, bound):
-        return outcome(fold_density, spec_named(name), k, bound)
+        return outcome(exact_density, spec_named(name), k, bound)
 
     assert ("exceptional.json", 2, 1000) in FOLD_CASES
     assert at("exceptional.json", 2, 1000)[0] is ExceptionalPrimeNeedsOverride
@@ -524,20 +564,54 @@ def test_density_builds_local_data_once_per_shape(monkeypatch, name, k, calls):
     # one call per splitting shape, plus one per listed prime
     assert len(seen) == len(keys) + len(spec.listed_primes) == calls
     assert len(set(seen)) == len(seen)
-    assert got == fold_density(spec, k, 4000)
+    assert_encloses(got, exact_density(spec, k, 4000))
+
+
+DENSITY_GRID = [(name, k) for name in FIXTURES if name != "exceptional.json" for k in (1, 2, 3)]
+
+
+def test_density_upper_never_increases_as_the_bound_grows():
+    # A larger bound folds more factors c/w <= 1 into the same rounded product,
+    # and ceil(hi * c / w) <= hi, so this holds exactly, not up to rounding.
+    for name, k in DENSITY_GRID:
+        spec = fixture(name)
+        floor = solver._tail_floor(spec)
+        uppers = [density(spec, k, b).upper for b in (floor, floor + 1, 100, 101, 1000, 1009, 3000)]
+        assert uppers == sorted(uppers, reverse=True), (name, k)
+
+
+def test_density_bounds_enclose_the_exact_ones_under_optimisation():
+    # The intervals are computed under python -O and checked here, where assert is live.
+    cases = [(name, k, bound) for name, k in DENSITY_GRID for bound in (1000, 3000)]
+    code = (
+        "import sys\n"
+        "from ordgen.orderspec import load_spec\n"
+        "from ordgen.solver import density, render_json\n"
+        f"for name, k, bound in {cases!r}:\n"
+        f"    print(render_json(density(load_spec({str(DATA)!r} + '/' + name), k, bound)))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(pathlib.Path(solver.__file__).parent.parent))
+    proc = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert len(lines) == len(cases)
+    for (name, k, bound), line in zip(cases, lines):
+        got = density(fixture(name), k, bound)
+        assert line == render_json(got)
+        assert_encloses(got, exact_density(fixture(name), k, bound))
 
 
 @settings(max_examples=300, deadline=None)
 @given(st.lists(st.integers(min_value=0, max_value=2**80), max_size=33))
 def test_tree_product_matches_prod(values):
-    assert solver._tree_product(list(values)) == math.prod(values)
+    assert tree_product(list(values)) == math.prod(values)
 
 
 @pytest.mark.parametrize("n", range(0, 18))
 def test_tree_product_of_every_short_length(n):
     values = [3 * i + 2 for i in range(n)]
-    assert solver._tree_product(values) == math.prod(values)
-    assert solver._tree_product(values + [0]) == 0
+    assert tree_product(values) == math.prod(values)
+    assert tree_product(values + [0]) == 0
 
 
 @pytest.mark.parametrize("bad_count", [lambda whole: -1, lambda whole: whole + 1], ids=["negative", "above"])
