@@ -23,7 +23,8 @@ from .errors import CertificateError, InvalidCount
 
 def divisors(n: int) -> tuple[int, ...]:
     """All positive divisors of n in increasing order."""
-    assert n >= 1
+    if n < 1:
+        raise InvalidCount(f"n must be at least 1, got n={n}")
     small = [d for d in range(1, isqrt(n) + 1) if n % d == 0]
     large = [n // d for d in reversed(small) if d * d != n]
     return tuple(small + large)
@@ -31,7 +32,8 @@ def divisors(n: int) -> tuple[int, ...]:
 
 def mobius(n: int) -> int:
     """Moebius function by trial factorization."""
-    assert n >= 1
+    if n < 1:
+        raise InvalidCount(f"n must be at least 1, got n={n}")
     result = 1
     rest = n
     p = 2
@@ -49,7 +51,8 @@ def mobius(n: int) -> int:
 
 def gl_order(n: int, q: int) -> int:
     """Order of GL_n over the field with q elements."""
-    assert n >= 1 and q >= 2
+    if n < 1 or q < 2:
+        raise InvalidCount(f"n must be at least 1 and q at least 2, got n={n}, q={q}")
     qn = q**n
     out = 1
     for i in range(n):

@@ -9,15 +9,16 @@ when p = 2 and one b-bit lane per coordinate for odd p.
 A unital F_q-subalgebra is exactly an F_p-subalgebra that contains the scalars
 F_q * 1, so every closure starts from those scalars and never works over F_q.
 
-The engines have one product: x * y is x applied to y's right operator, the
-D packed rows e_i * y, summed from a column-sparse copy of the structure
-table.  The table checks, the ideal check, ``multiply`` and every closure use
-it.  Every closure runs through one kernel, ``_close``.  It multiplies only on
-the right by a generator g, building g's right operator at its first use in
-the closure.  It keeps a dict from pivot to a semi-reduced row, whose pivot no
-other row has, and forms the canonical (fully reduced, sorted) echelon rows
-once, at return, and only for a proper subalgebra; a full closure returns the
-standard basis.
+The engines have one product on packed vectors: x * y is x applied to y's
+right operator, the D packed rows e_i * y, summed from a column-sparse copy of
+the structure table.  The table checks, the ideal check, ``multiply`` and
+every closure of a single tuple use it, and every such closure runs through
+one kernel, ``_close``; the sampler's batches of lanes (below) multiply term
+by term of the same table.  ``_close`` multiplies only on the right by a
+generator g, building g's right operator at its first use in the closure.  It
+keeps a dict from pivot to a semi-reduced row, whose pivot no other row has,
+and forms the canonical (fully reduced, sorted) echelon rows once, at return,
+and only for a proper subalgebra; a full closure returns the standard basis.
 
 The enumeration oracle counts generating k-tuples by exhaustive search with
 memoization on the closed subalgebra S reached by each tuple prefix; it extends
@@ -28,12 +29,28 @@ inside T: each of them closes inside T as well.  So the cosets of S inside
 every such T are skipped, not closed, and the count stays exact.  The Monte
 Carlo oracle draws index tuples from a counter-based splitmix64 stream so the
 estimate depends only on (seed, sample index), never on worker count.
+
+The Monte Carlo oracle does not call ``_close`` per sample.  It closes B
+samples at once (``_close_batch``), one lane per sample: a vector is D
+slices, slice i an integer whose lane s holds coordinate i of sample s, so
+one big-integer operation acts on every sample.  For p = 2 a lane is one
+bit, the product AND and the sum XOR; for odd p a lane has the engine's b
+bits, a product of two per-sample values goes through the bit masks of one
+of them, and lazy sums are reduced with the engine's magic constant.  Each
+pivot slot holds, in the lanes of the samples that have that pivot, their
+semi-reduced row, under the engines' pivot conventions.  Sweeps multiply the
+rows not yet processed by every generator until no lane has work left, and
+a sample hits when its lane has all D pivots; the hits are exact, the same
+as one closure per sample.  B is SAMPLE_LANES = 256, fewer where a batch's
+slots and generator masks would pass SAMPLE_BITS = 2^23 bits.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
+import operator
 import os
 import warnings
 from collections.abc import Sequence
@@ -56,6 +73,13 @@ from .finfield import FiniteField, PrimePower, build_field, field_of
 DEFAULT_BUDGET = 1 << 26
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
+
+# The sampler closes up to SAMPLE_LANES samples at once, fewer when the
+# working set of a batch would pass SAMPLE_BITS (1 MiB).  That is about
+# (D^2 + g*D*bitlen(p-1)) * B * b bits for D flat coordinates, g generators,
+# B lanes of b bits: D pivot slots of D slices and g generators' bit masks.
+SAMPLE_LANES = 256
+SAMPLE_BITS = 1 << 23
 
 
 def resolve_budget(budget: int | None = None) -> int:
@@ -117,6 +141,9 @@ def check_table_budget(dim: int, budget: int | None = None) -> None:
 
 # -- prime-field linear algebra engines -----------------------------------
 
+# _BIT_CHARS[t] maps a byte to the character "0" or "1" of its bit t.
+_BIT_CHARS = [(b"0" * (1 << t) + b"1" * (1 << t)) * (128 >> t) for t in range(8)]
+
 
 def _inv_matrix_mod_p(cols: list[list[int]], p: int) -> list[list[int]]:
     """Inverse of the matrix whose columns are given, as a list of rows, mod p."""
@@ -136,6 +163,24 @@ def _inv_matrix_mod_p(cols: list[list[int]], p: int) -> list[list[int]]:
                 aug[r] = [(x - c * y) % p for x, y in zip(aug[r], aug[row])]
         row += 1
     return [r[n:] for r in aug]
+
+
+class _Lanes:
+    """The constants of a batch of samples in b-bit lanes, b the engine's lane
+    width: lane s of an integer belongs to sample s.
+
+    ``ones`` holds 1 in every lane.  ``full`` selects every lane: its one bit
+    for p = 2, and for odd p the low b - 1 bits, which hold every reduced and
+    every lazily summed value.  A set of lanes is such a mask, with ``bits``
+    set bits per lane.  For odd p, ``high`` is bit b - 1 of every lane and
+    ``quot`` reads a lane's quotient in a reduction.  (A plain class: a
+    dataclass would cost a millisecond at every import.)
+    """
+
+    __slots__ = ("ones", "full", "bits", "high", "quot")
+
+    def __init__(self, ones: int, full: int, bits: int, high: int = 0, quot: int = 0):
+        self.ones, self.full, self.bits, self.high, self.quot = ones, full, bits, high, quot
 
 
 class _Engine:
@@ -163,6 +208,15 @@ class _Engine:
     order, so equal spans give equal row lists; ``standard`` is that list for
     the whole algebra.  The subclasses supply the lane width (``_lane_width``)
     and the arithmetic.
+
+    The sampler's batch arithmetic works on lane vectors: D slices, slice i an
+    integer whose lane s (see ``_Lanes``) holds coordinate i of sample s.
+    ``lanes(n)`` fixes the lane constants, ``batch_load`` reads drawn
+    elements into slices, ``batch_masks`` prepares a generator,
+    ``batch_product`` multiplies by it and ``batch_insert`` eliminates into
+    pivot slots: ``rows[t]`` is a lane vector holding, in the lanes of
+    ``have[t]``, the semi-reduced row with pivot t, under the same pivot
+    convention as ``insert``.
     """
 
     def __init__(self, alg: FiniteAlgebra):
@@ -214,6 +268,40 @@ class _Engine:
         its lowest non-zero lane for odd p."""
         bit = row.bit_length() - 1 if self.p == 2 else (row & -row).bit_length() - 1
         return bit // self.b
+
+    def broadcast(self, L: _Lanes, flat: int) -> list[int]:
+        """The lane vector holding the flat vector in every lane."""
+        b, lane = self.b, (1 << self.b) - 1
+        return [((flat >> (i * b)) & lane) * L.ones for i in range(self.D)]
+
+    def batch_load(self, L: _Lanes, idxs: list[int]) -> list[int]:
+        """The lane vector of the elements with the given indices, one per lane.
+
+        The indices are packed into one integer, a lane of W whole bytes per
+        sample, and their D base-p digits are peeled off every lane at once:
+        with S = bits + bitlen(p) for indices of ``bits`` bits and
+        M = ceil(2^S / p), a lane's quotient by p is (x * M) >> S, and W
+        holds x * M.  The bytes of digit j, last sample first, are read as a
+        binary numeral with one character per lane bit, through one
+        translated copy per bit of a digit.
+        """
+        p, n, w = self.p, len(idxs), self.b
+        bits = (self.size - 1).bit_length()
+        shift = bits + p.bit_length()
+        wb = (bits + shift + 7) // 8
+        magic = -(-(1 << shift) // p)
+        quot = int.from_bytes((b"\x01" + bytes(wb - 1)) * n, "little") * ((1 << (8 * wb - shift)) - 1)
+        x = int.from_bytes(b"".join([i.to_bytes(wb, "little") for i in idxs]), "little")
+        out = []
+        for _ in range(self.D):
+            q = ((x * magic) >> shift) & quot
+            digits = (x - p * q).to_bytes(n * wb, "little")
+            x = q
+            numeral = bytearray(b"0") * (n * w)
+            for t in range((p - 1).bit_length()):
+                numeral[w - 1 - t :: w] = digits[t // 8 :: wb][::-1].translate(_BIT_CHARS[t % 8])
+            out.append(int(numeral, 2))
+        return out
 
 
 class _Gf2Engine(_Engine):
@@ -284,6 +372,70 @@ class _Gf2Engine(_Engine):
             out += [x ^ r for x in out]
         return out
 
+    # -- lane vectors: 1-bit lanes, AND as the product and XOR as the sum --
+
+    @staticmethod
+    def lanes(n: int) -> _Lanes:
+        full = (1 << n) - 1
+        return _Lanes(full, full, 1)
+
+    @functools.cached_property
+    def lane_terms(self) -> list[list[tuple[int, int]]]:
+        """``lane_terms[i]`` lists the pairs (j, m) with e_m a term of e_i * e_j."""
+        terms: list = [[] for _ in range(self.D)]
+        for j, col in enumerate(self.cols):
+            for i, prod in col:
+                while prod:
+                    low = prod & -prod
+                    terms[i].append((j, low.bit_length() - 1))
+                    prod ^= low
+        return terms
+
+    @staticmethod
+    def batch_masks(L: _Lanes, g: list[int]) -> list[int]:
+        """A generator's masks: over F_2 a lane of a slice is its own value mask."""
+        return g
+
+    def batch_product(self, L: _Lanes, x: list[int], g: list[int]) -> list[int]:
+        """x * g lane by lane: the AND of the coordinates of each term, summed by XOR."""
+        out = [0] * self.D
+        terms = self.lane_terms
+        for i, xi in enumerate(x):
+            if xi:
+                for j, m in terms[i]:
+                    out[m] ^= xi & g[j]
+        return out
+
+    def batch_insert(self, L: _Lanes, rows: list, have: list[int], v: list[int], live: int) -> None:
+        """Reduce lane vector v in the lanes of ``live`` and store each lane's remainder at its pivot.
+
+        The slots are visited from the top coordinate down.  Where v has a 1
+        at t, the lanes holding a row with pivot t clear it with that row; in
+        the others t becomes the pivot of what is left of v, which is stored
+        and leaves the reduction.  ``rows[t]`` keeps the slices 0 .. t.
+        """
+        for t in range(self.D - 1, -1, -1):
+            c = v[t] & live
+            if not c:
+                continue
+            h = c & have[t]
+            row = rows[t]
+            if h:
+                for u in range(t):
+                    v[u] ^= row[u] & h
+            new = c ^ h
+            if new:
+                if row is None:
+                    rows[t] = [s & new for s in v[:t]] + [new]
+                else:
+                    for u in range(t):
+                        row[u] |= v[u] & new
+                    row[t] |= new
+                have[t] |= new
+                live ^= new
+                if not live:
+                    return
+
 
 class _GfpEngine(_Engine):
     """Odd p: b-bit lanes that are summed lazily and reduced mod p all at once.
@@ -302,11 +454,8 @@ class _GfpEngine(_Engine):
     it clears, at most D; ``echelon`` adds at most D - 1 to a reduced row.
     """
 
-    # Most entries of the digit table that flat_of_index reads c base-p digits through.
-    CHUNK_ENTRIES = 256
-
     def _lane_width(self) -> int:
-        """Fix ``top``, the reduction constants and the digit table from p and D; return the lane width b."""
+        """Fix ``top`` and the reduction constants from p and D; return the lane width b."""
         p, D = self.p, self.D
         top = (D + 1) * (p - 1) ** 2
         shift = p.bit_length()
@@ -319,28 +468,15 @@ class _GfpEngine(_Engine):
         self.top, self.magic, self.shift = top, magic, shift
         self.lane = (1 << b) - 1
         self.quot = sum(((1 << (b - shift)) - 1) << (i * b) for i in range(D))
-        c = 1
-        while p ** (c + 1) <= self.CHUNK_ENTRIES:
-            c += 1
-        self.chunk_base, self.chunk_bits, self.flat_mask = p**c, c * b, (1 << (D * b)) - 1
-        self.chunks = [0]
-        for t in range(c):  # the entries below p^(t+1) from those below p^t
-            self.chunks = [x | (d << (t * b)) for d in range(p) for x in self.chunks]
         return b
 
     def flat_of_index(self, idx: int) -> int:
-        """The flat vector of the element with the given index: its low D base-p digits, one per lane.
-
-        The digits are read c at a time, with p^c <= CHUNK_ENTRIES (or c = 1),
-        through ``chunks``, whose entry i holds the c digits of i in packed lanes.
-        """
-        base, step, chunks = self.chunk_base, self.chunk_bits, self.chunks
-        acc = shift = 0
-        while idx:
-            idx, r = divmod(idx, base)
-            acc |= chunks[r] << shift
-            shift += step
-        return acc & self.flat_mask
+        """The flat vector of the element with the given index: its low D base-p digits, one per lane."""
+        acc = 0
+        for pos in range(self.D):
+            idx, c = divmod(idx, self.p)
+            acc |= c << (pos * self.b)
+        return acc
 
     def _reduce(self, v: int) -> int:
         return v - self.p * (((v * self.magic) >> self.shift) & self.quot)
@@ -421,6 +557,138 @@ class _GfpEngine(_Engine):
         for r in rows:
             out = [self._reduce(x + c * r) for x in out for c in range(self.p)]
         return out
+
+    # -- lane vectors: b-bit lanes, summed lazily as above ------------------
+    #
+    # A product of two per-sample values a * y goes through the bit masks of
+    # a: the lanes where bit t of a is set, each filled over its low w - 1
+    # bits, so a * y = sum over t of (y & mask_t) << t, at most (p-1)^2 in a
+    # lane.  Lazy sums stay within ``top`` and are reduced with the engine's
+    # magic constant, read through the batch's own quotient mask.
+
+    def lanes(self, n: int) -> _Lanes:
+        b = self.b
+        ones = ((1 << (n * b)) - 1) // ((1 << b) - 1)
+        return _Lanes(ones, ones * ((1 << (b - 1)) - 1), b - 1, ones << (b - 1), ones * ((1 << (b - self.shift)) - 1))
+
+    @functools.cached_property
+    def lane_terms(self) -> tuple[list[tuple[int, int]], list[list[list[tuple[int, int]]]]]:
+        """``(keys, terms)``: ``keys`` lists the pairs (j, c) of a coordinate and
+        a coefficient, and ``terms[m]`` lists the pairs (i, key) such that e_m
+        has coefficient c in e_i * e_j, in chunks of at most D.
+
+        A reduced sum plus D terms of at most (p-1)^2 stays within ``top``.
+        """
+        b, lane, D = self.b, self.lane, self.D
+        keys: dict = {}
+        terms: list = [[] for _ in range(D)]
+        for j, col in enumerate(self.cols):
+            for i, prod in col:
+                m = 0
+                while prod:
+                    c = prod & lane
+                    if c:
+                        terms[m].append((i, keys.setdefault((j, c), len(keys))))
+                    prod >>= b
+                    m += 1
+        return list(keys), [[t[s : s + D] for s in range(0, len(t), D)] for t in terms]
+
+    def _lane_reduce(self, L: _Lanes, v: int) -> int:
+        return v - self.p * (((v * self.magic) >> self.shift) & L.quot)
+
+    def _bit_masks(self, L: _Lanes, a: int) -> list[tuple[int, int]]:
+        """The pairs (t, mask_t) of a reduced lane value a, for the bits t some lane has."""
+        ones, fill = L.ones, (1 << (self.b - 1)) - 1
+        return [(t, m) for t in range((self.p - 1).bit_length()) if (m := ((a >> t) & ones) * fill)]
+
+    def _lane_mul(self, L: _Lanes, a: int, y: int) -> int:
+        acc = 0
+        for t, m in self._bit_masks(L, a):
+            acc += (y & m) << t
+        return self._lane_reduce(L, acc)
+
+    def _lane_inverse(self, L: _Lanes, a: int) -> int:
+        """a^(p-2), the inverse of every non-zero lane of a, by repeated squaring."""
+        e, power, out = self.p - 2, a, None
+        while True:
+            if e & 1:
+                out = power if out is None else self._lane_mul(L, out, power)
+            e >>= 1
+            if not e:
+                return out
+            power = self._lane_mul(L, power, power)
+
+    def batch_masks(self, L: _Lanes, g: list[int]) -> list[list[tuple[int, int]]]:
+        """A generator's masks: for each key (j, c) of ``lane_terms``, the bit masks of c * g_j."""
+        return [self._bit_masks(L, g[j] if c == 1 else self._lane_reduce(L, c * g[j])) for j, c in self.lane_terms[0]]
+
+    def batch_product(self, L: _Lanes, x: list[int], masks: list) -> list[int]:
+        """x * g lane by lane, each term (x_i & mask) << t, reduced after every chunk of terms."""
+        p, magic, shift, quot = self.p, self.magic, self.shift, L.quot
+        out = []
+        for chunks in self.lane_terms[1]:
+            acc = 0
+            for chunk in chunks:
+                if acc:
+                    acc -= p * (((acc * magic) >> shift) & quot)
+                for i, key in chunk:
+                    xi = x[i]
+                    if xi:
+                        for t, m in masks[key]:
+                            acc += (xi & m) << t
+            out.append(acc - p * (((acc * magic) >> shift) & quot) if acc else 0)
+        return out
+
+    def batch_insert(self, L: _Lanes, rows: list, have: list[int], v: list[int], live: int) -> None:
+        """Reduce lane vector v, whose lanes lie in [0, p), in the lanes of
+        ``live``, and store each lane's remainder at its pivot, scaled to 1 there.
+
+        The slots are visited from coordinate 0 up.  Where v's lane c at t is
+        not 0 mod p, the lanes holding a row with pivot t add (p - c) times it,
+        one term of at most (p-1)^2 per lane and slot; in the others t
+        becomes the pivot of what is left of v, which is reduced, scaled by
+        c^-1 and stored, and leaves the reduction.
+        """
+        p, D, magic, shift, quot = self.p, self.D, self.magic, self.shift, L.quot
+        ones, low, high, b1 = L.ones, L.full, L.high, self.b - 1
+        for t in range(D):
+            c = v[t] & live
+            if not c:
+                continue
+            c -= p * (((c * magic) >> shift) & quot)
+            if not c:
+                continue
+            nz = (c + low) & high
+            nz -= nz >> b1  # the lanes where c is not 0
+            h = nz & have[t]
+            row = rows[t]
+            if h:
+                masks = self._bit_masks(L, (p * ones & h) - (c & h))
+                for u in range(t + 1, D):
+                    r = row[u]
+                    if r:
+                        acc = v[u]
+                        for s, m in masks:
+                            acc += (r & m) << s
+                        v[u] = acc
+            new = nz ^ h
+            if new:
+                masks = self._bit_masks(L, self._lane_inverse(L, c & new))
+                if row is None:
+                    row = rows[t] = [0] * D
+                for u in range(t + 1, D):
+                    y = v[u] & new
+                    if y:
+                        y -= p * (((y * magic) >> shift) & quot)
+                        acc = 0
+                        for s, m in masks:
+                            acc += (y & m) << s
+                        row[u] |= acc - p * (((acc * magic) >> shift) & quot)
+                row[t] |= ones & new
+                have[t] |= new
+                live ^= new
+                if not live:
+                    return
 
 
 def _close(eng, base_rows, new_flats) -> list:
@@ -743,16 +1011,88 @@ def _run_parts(fn, parts, workers: int) -> list:
         return [fn(a) for a in parts]
 
 
-def _sample_range(alg: FiniteAlgebra, k: int, start: int, stop: int, seed: int) -> int:
-    eng = alg._eng()
+def _element_draws(size: int) -> int:
+    """Stream outputs per drawn element: 1 for at most 2^64 elements, else the
+    least m with 2^(64m) >= size * 2^64, so the modulo bias stays below 2^-64."""
+    return 1 if size <= 1 << 64 else 1 + -(-(size - 1).bit_length() // 64)
+
+
+def _drawn_indices(seed: int, first: int, count: int, size: int) -> list[int]:
+    """The indices of drawn elements first .. first + count - 1 of the stream from seed.
+
+    Element n reads the m = _element_draws(size) raw outputs n*m+1 .. n*m+m
+    as one integer, the first output lowest, and reduces it modulo size.
+    """
+    m = _element_draws(size)
+    raw = map(_mix64, range(seed + (first * m + 1) * _GOLDEN, seed + ((first + count) * m + 1) * _GOLDEN, _GOLDEN))
+    if m > 1:
+        raw = [sum(r << (64 * u) for u, r in enumerate(itertools.islice(raw, m))) for _ in range(count)]
+    return [r % size for r in raw]
+
+
+def _batch_size(eng, k: int) -> int:
+    """Lanes per batch: SAMPLE_LANES, or fewer to keep the working set within SAMPLE_BITS."""
     D = eng.D
-    size = alg.size
+    per_lane = (D * D + (k + eng.e - 1) * D * (eng.p - 1).bit_length()) * eng.b
+    return max(1, min(SAMPLE_LANES, SAMPLE_BITS // per_lane))
+
+
+def _close_batch(eng, L: _Lanes, base_rows, gens: list) -> int:
+    """The number of lanes whose generators, with the scalars, generate the whole algebra.
+
+    ``gens`` holds the lane vectors of the k drawn elements; the scalars
+    x^t * 1 (t >= 1) are generators too, the same in every lane.  The span
+    starts from the closed base span of the scalars and the drawn elements.
+    Each sweep multiplies every row of a slot that a live lane has not yet
+    processed by every generator and inserts the products; a lane leaves once
+    it has all D pivots, and the closure stops when a sweep finds nothing to
+    do.  As in ``_close``, the span is then closed on the right under the
+    generators and holds the unit, so it is the subalgebra they generate.
+    The base rows need no products of their own: x^t * g = g * x^t, and
+    g * x^t is reached from the rows that g's insertion added.
+    """
+    D, full = eng.D, L.full
+    rows: list = [None] * D
+    have = [0] * D
+    for r in base_rows:
+        eng.batch_insert(L, rows, have, eng.broadcast(L, r), full)
+    done = list(have)
+    for g in gens:
+        eng.batch_insert(L, rows, have, list(g), full)
+    masks = [eng.batch_masks(L, g) for g in gens + [eng.broadcast(L, s) for s in eng.scalars[1:]]]
+    alive = full & ~functools.reduce(operator.and_, have)
+    busy = True
+    while busy and alive:
+        busy = False
+        for t in range(D):
+            todo = (have[t] ^ done[t]) & alive
+            if not todo:
+                continue
+            busy = True
+            done[t] |= todo
+            x = [s & todo for s in rows[t]]
+            for m in masks:
+                eng.batch_insert(L, rows, have, eng.batch_product(L, x, m), alive)
+            alive &= ~functools.reduce(operator.and_, have)
+            if not alive:
+                break
+    return functools.reduce(operator.and_, have).bit_count() // L.bits
+
+
+def _sample_range(alg: FiniteAlgebra, k: int, start: int, stop: int, seed: int) -> int:
+    """The number of generating tuples among samples start .. stop - 1, closed in
+    batches of ``_batch_size`` samples, one lane each (``_close_batch``)."""
+    eng = alg._eng()
     base = _close(eng, [], eng.scalars)
+    B = _batch_size(eng, k)
     hits = 0
-    for t in range(start, stop):
-        flats = [eng.flat_of_index(splitmix64_stream(seed, t * k + j + 1) % size) for j in range(k)]
-        if len(_close(eng, base, flats)) == D:
-            hits += 1
+    for first in range(start, stop, B):
+        n = min(B, stop - first)
+        L = eng.lanes(n)
+        idxs = _drawn_indices(seed, first * k, n * k, alg.size)
+        gens = [eng.batch_load(L, idxs[j::k]) for j in range(k)]
+        del idxs  # not held while the batch closes
+        hits += _close_batch(eng, L, base, gens)
     return hits
 
 
@@ -766,8 +1106,10 @@ def sample_gen_fraction(
 ) -> SampleEstimate:
     """Estimate the fraction of generating k-tuples from uniform index samples.
 
-    Sample t (0-based) uses raw stream outputs t*k+1 .. t*k+k reduced modulo
-    the algebra's size, so results are identical for any worker partition.
+    Sample t (0-based) uses drawn elements t*k .. t*k+k-1 of the stream
+    (``_drawn_indices``): one raw output each, reduced modulo the algebra's
+    size, or m consecutive outputs each above 2^64 elements.  So results are
+    identical for any worker partition.
     """
     if k < 1 or samples < 1:
         raise InvalidCount(f"k and samples must be at least 1, got k={k}, samples={samples}")

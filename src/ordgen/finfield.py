@@ -56,10 +56,12 @@ class PrimePower:
     def __post_init__(self):
         if self.e < 1:
             raise ValueError(f"exponent must be positive, got {self.e}")
+        # The cap first, from bit lengths before forming p^e: a huge p or e
+        # would otherwise hang in trial division or in the power.
+        if self.e * (self.p.bit_length() - 1) >= PRIME_POWER_CAP.bit_length() or self.p**self.e > PRIME_POWER_CAP:
+            raise CapExceeded(f"{self.p}^{self.e} exceeds the cap {PRIME_POWER_CAP}")
         if not is_prime(self.p):
             raise NotPrime(f"{self.p} is not prime")
-        if self.p**self.e > PRIME_POWER_CAP:
-            raise CapExceeded(f"{self.p}^{self.e} exceeds the cap {PRIME_POWER_CAP}")
 
     @property
     def q(self) -> int:
@@ -67,7 +69,13 @@ class PrimePower:
 
 
 def prime_power_of(q: int) -> PrimePower:
-    """Factor an integer known to be a prime power into (p, e)."""
+    """Factor a prime power q into (p, e).
+
+    Raises CapExceeded when q exceeds PRIME_POWER_CAP, before any factoring,
+    and NotPrime when q is not a prime power.
+    """
+    if q > PRIME_POWER_CAP:
+        raise CapExceeded(f"{q} exceeds the cap {PRIME_POWER_CAP}")
     fac = factorize(q)
     if len(fac) != 1:
         raise NotPrime(f"{q} is not a prime power")

@@ -33,8 +33,11 @@ from .orderspec import (
 
 
 def _ceil_root(value: int, exponent: int) -> int:
-    """Smallest t >= 1 with t**exponent >= value."""
-    assert value >= 1 and exponent >= 1
+    """Smallest t >= 1 with t**exponent >= value.
+
+    Only ``_shape_threshold`` calls it, with value >= 1 and exponent >= 1
+    (see there).
+    """
     if value == 1:
         return 1
     hi = 1 << ((value.bit_length() + exponent - 1) // exponent + 1)
@@ -110,14 +113,16 @@ def _shape_threshold(n: int, r: int, copies: int, k: int) -> int:
     r |PGL_n| is at most r q^{r(n^2-1)}; each condition caps its loss at a
     quarter of the main term, leaving capacity >= q^{r((k-1)n^2+1)}/(2r).
     """
-    assert copies >= 1 and k >= 1 and r >= 1
+    # Only _cutoff_shapes calls this, and no input reaches it with copies, k
+    # or r below 1: _worst_shapes keeps the shapes with copies >= 1 and r from
+    # 1 up, and _cutoff_shapes raises SpecError for k < 1 and NoCutoff for
+    # k = 1 with n >= 2, so every exponent below is at least 1.
     if n == 1:
         if r == 1:
             return max(2, _ceil_root(copies, k))
         t = _ceil_root(2 * r, k * (r - r // 2))
         t = max(t, _ceil_root(2 * r * copies, k * r))
         return max(2, t)
-    assert k >= 2, "no finite threshold exists at k=1 for matrix blocks"
     t = _ceil_root(4 * _deficiency_coeff(n), r * (k - 1) * (n - 1))
     if r >= 2:
         t = max(t, _ceil_root(4 * r, (r - r // 2) * ((k - 1) * n * n + 1)))

@@ -3,6 +3,7 @@
 import json
 import os
 import pathlib
+import re
 import subprocess
 import sys
 import time
@@ -16,7 +17,8 @@ import ordgen
 from ordgen import cli, counting
 from ordgen.cli import main, parse_algebra
 from ordgen.counting import gen_count_exact
-from ordgen.errors import OrdgenError
+from ordgen.errors import CapExceeded, OrdgenError
+from ordgen.finfield import factorize
 from ordgen.solver import DENSITY_BITS
 
 DATA = pathlib.Path(__file__).parent / "data"
@@ -111,6 +113,67 @@ def test_count_rejects_non_prime_power(capsys):
     assert run(capsys, "count", "--k", "2", "--n", "2", "--q", "6") == (2, "", "error: q=6 is not a prime power\n")
 
 
+BIG_PRIME = 10**30 + 57
+
+
+@pytest.mark.parametrize(
+    "argv,err",
+    [
+        (
+            ("oracle", "--alg", f"M(2,{BIG_PRIME})", "--k", "1"),
+            f"error: {BIG_PRIME} exceeds the cap 1048576\n",
+        ),
+        (
+            ("count", "--k", "1", "--n", "1", "--q", str(BIG_PRIME)),
+            f"error: q={BIG_PRIME} is not decided: the prime-power test is proven only for bases "
+            "below 3317044064679887385961981\n",
+        ),
+    ],
+    ids=["oracle", "count"],
+)
+def test_large_prime_q_is_refused_at_once(argv, err):
+    """Trial division of q = 10^30 + 57 never finished; both commands now refuse it at once."""
+    env = dict(os.environ, PYTHONPATH=str(pathlib.Path(ordgen.__file__).parent.parent))
+    proc = subprocess.run(
+        [sys.executable, "-m", "ordgen.cli", *argv], capture_output=True, text=True, env=env, timeout=20
+    )
+    assert (proc.returncode, proc.stdout, proc.stderr) == (2, "", err)
+
+
+def test_prime_power_test_matches_factoring_below_20000():
+    for q in range(20000):
+        assert cli._is_prime_power(q) == (q >= 2 and len(factorize(q)) == 1), q
+
+
+@pytest.mark.parametrize(
+    "q,want",
+    [
+        (3215031751, False),  # a strong pseudoprime to the bases 2, 3, 5 and 7
+        (318665857834031151167461, False),  # a strong pseudoprime to every base up to 37
+        (2**61 - 1, True),
+        ((2**61 - 1) ** 2, True),  # above 2^64: trial division would not finish
+        (2**81, True),
+        (10**24 + 7, True),
+        (3**5000, True),  # above the test's limit, with a prime base below it
+        (6**3000, False),  # above the limit, with a composite base
+    ],
+    ids=["psp-2-7", "psp-2-37", "M61", "M61^2", "2^81", "10^24+7", "3^5000", "6^3000"],
+)
+def test_prime_power_test_at_large_q(q, want):
+    assert cli._is_prime_power(q) is want
+
+
+@pytest.mark.parametrize(
+    "q",
+    [cli.PRIME_TEST_LIMIT, cli.PRIME_TEST_LIMIT**2, BIG_PRIME, 7**2900 * 2],
+    ids=["limit", "limit^2", "big", "2*7^2900"],
+)
+def test_prime_power_test_refuses_bases_past_its_limit(q):
+    """The limit is itself a strong pseudoprime to every base up to 41, so the test cannot decide it."""
+    with pytest.raises(CapExceeded, match="is not decided"):
+        cli._is_prime_power(q)
+
+
 def test_count_machine_document(capsys):
     code, out, _ = run(capsys, "count", "--k", "2", "--n", "2", "--q", "2", "--format", "machine")
     assert code == 0
@@ -182,6 +245,16 @@ def test_oracle_sampling_text_is_frozen(capsys):
     )
     assert code == 0
     assert out.strip() == "estimate 202/500 = 0.404000  (95% CI [0.361878, 0.447585], seed 7)"
+
+
+def test_oracle_sampling_reaches_every_element_above_2_to_the_64(capsys):
+    """|M_9(F_2)| = 2^81, so each element reads three stream outputs.  With one
+    output each, every index lay below 2^64 and this printed 0/200, with the
+    interval [0, 0.0188]."""
+    code, out, _ = run(capsys, "oracle", "--alg", "M(9,2)", "--k", "2", "--samples", "200", "--seed", "1")
+    low, high = (Fraction(x) for x in re.search(r"CI \[([0-9.]+), ([0-9.]+)\]", out).groups())
+    exact = Fraction(gen_count_exact(2, 9, 2), 2**162)  # 0.98447
+    assert code == 0 and low <= exact <= high
 
 
 def test_oracle_sampling_requires_seed(capsys):

@@ -413,6 +413,31 @@ def test_counts_refuse_arguments_out_of_range_under_optimization():
     assert proc.stdout == "refused\nrefused\n"
 
 
+def test_arithmetic_helpers_refuse_arguments_out_of_range_under_optimization():
+    # divisors, mobius and gl_order asserted their arguments; under -O they
+    # returned (), 1, 1 and 0 for these.
+    code = (
+        "from ordgen.counting import divisors, gl_order, mobius\n"
+        "from ordgen.errors import InvalidCount\n"
+        "for call in (lambda: divisors(0), lambda: mobius(-3), lambda: gl_order(0, 2), lambda: gl_order(2, 1)):\n"
+        "    try:\n"
+        "        print(call())\n"
+        "    except InvalidCount as exc:\n"
+        "        print('refused:', exc)\n"
+    )
+    src = os.path.dirname(os.path.dirname(counting.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    for flags in ([], ["-O"]):
+        proc = subprocess.run([sys.executable, *flags, "-c", code], capture_output=True, text=True, env=env, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == (
+            "refused: n must be at least 1, got n=0\n"
+            "refused: n must be at least 1, got n=-3\n"
+            "refused: n must be at least 1 and q at least 2, got n=0, q=2\n"
+            "refused: n must be at least 1 and q at least 2, got n=2, q=1\n"
+        )
+
+
 def test_group_order_remainder_is_a_certificate_error(monkeypatch):
     monkeypatch.setattr(counting, "gl_order", lambda n, q: q**n + 1)
     with pytest.raises(CertificateError, match="does not divide"):

@@ -9,13 +9,14 @@ The oracles below come from earlier designs of ``finalg``:
   (``right_close``), with its two insertions (``gf2_insert``, ``gfp_insert``)
   and its ideal check, used before ``_close`` applied right operators to
   pivot-keyed, semi-reduced rows;
-- the digit-by-digit ``flat_of_index`` for odd p (``digit_flat_of_index``),
-  used before it read several digits at a time through a table;
 - the table product ``mul`` of both packed engines (``TableGf2Engine``,
   ``TableGfpEngine``), used before the right operator became the engines'
   only product.  It reads the D x D table of flat basis products that
   ``flat_table`` builds from the structure table, and the oracles above
-  multiply through it.
+  multiply through it;
+- the per-sample Monte Carlo loop (``per_sample_range``), one ``_close`` per
+  drawn tuple, used before the sampler closed its samples in batches of
+  lanes.
 
 Swapped into an algebra, they must give the same rows, bases, coset
 representatives and counts as ``finalg``.
@@ -667,20 +668,10 @@ def test_right_operators_match_products(case):
         assert eng.apply(eng.right_op(g), x) == eng.mul(x, g)
 
 
-def digit_flat_of_index(eng, idx):
-    """The oracle: flat_of_index as it was, one divmod per base-p digit."""
-    p, b = eng.p, eng.b
-    acc = 0
-    for pos in range(eng.D):
-        idx, c = divmod(idx, p)
-        acc |= c << (pos * b)
-    return acc
-
-
-def bare_gfp_engine(p, D):
-    """An odd-p engine with lanes and digit table for D flat coordinates, but no algebra."""
+def bare_gfp_engine(p, D, e=1):
+    """An odd-p engine with lanes for D flat coordinates over F_(p^e), but no algebra."""
     eng = object.__new__(finalg._GfpEngine)
-    eng.p, eng.D = p, D
+    eng.p, eng.D, eng.e = p, D, e
     eng.b = eng._lane_width()
     return eng
 
@@ -688,13 +679,118 @@ def bare_gfp_engine(p, D):
 @pytest.mark.parametrize("e", (1, 2, 3))
 @pytest.mark.parametrize("p", (3, 5, 7, 11, 101, 1009))
 def test_flat_of_index_matches_digit_loop(p, e):
+    """flat_of_index against ``flatten`` of the index's base-q digits."""
     # D = 4e flat coordinates, as for M_2 over F_(p^e)
-    eng = bare_gfp_engine(p, 4 * e)
-    assert len(eng.chunks) == eng.chunk_base <= max(p, finalg._GfpEngine.CHUNK_ENTRIES) < eng.chunk_base * p
-    size = p**eng.D
+    eng = bare_gfp_engine(p, 4 * e, e)
+    q, size = p**e, p**eng.D
+
+    def via_coordinates(idx):
+        return eng.flatten(tuple(idx // q**i % q for i in range(4)))
+
     rng = random.Random(p * 10 + e)
     for idx in [0, 1, p - 1, p, size - 1] + [rng.randrange(size) for _ in range(200)]:
-        assert eng.flat_of_index(idx) == digit_flat_of_index(eng, idx)
+        assert eng.flat_of_index(idx) == via_coordinates(idx)
     # digits from the D-th on are dropped, as the insertion tests rely on
     for idx in [size, size * p + 1, (size - 1) * p ** (eng.D - 1)]:
-        assert eng.flat_of_index(idx) == digit_flat_of_index(eng, idx)
+        assert eng.flat_of_index(idx) == via_coordinates(idx)
+
+
+# -- the sampler: batches of lanes against one closure per sample -----------
+
+
+def per_sample_range(alg, k, start, stop, seed):
+    """The oracle: the hits among samples start .. stop - 1, one ``_close`` per drawn tuple."""
+    eng = alg._eng()
+    base = finalg._close(eng, [], eng.scalars)
+    hits = 0
+    for t in range(start, stop):
+        flats = [eng.flat_of_index(i) for i in finalg._drawn_indices(seed, t * k, k, alg.size)]
+        if len(finalg._close(eng, base, flats)) == eng.D:
+            hits += 1
+    return hits
+
+
+@functools.cache
+def sampling_algebras(q):
+    """Matrix, truncated local (with a radical) and product algebras over F_q."""
+    algs = [
+        matrix_algebra(2, q),
+        truncated_local_algebra(q, 1, 1, 1, 2),
+        truncated_local_algebra(q, 1, 2, 1, 1),
+        product_algebra(matrix_algebra(1, q), truncated_local_algebra(q, 1, 1, 1, 2)),
+    ]
+    if q in (2, 3, 5, 7):
+        algs.append(matrix_algebra(3, q))
+    return algs
+
+
+def lane_flat(eng, vec, s):
+    """The flat vector in lane s of a lane vector, each coordinate read mod p."""
+    lane = (1 << eng.b) - 1
+    return sum(((x >> (s * eng.b)) & lane) % eng.p << (i * eng.b) for i, x in enumerate(vec))
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.sampled_from([p**e for p in (2, 3, 5, 7) for e in (1, 2, 3)]), st.data())
+def test_batched_hits_match_per_sample_oracle(q, data):
+    """Hits from the batches equal the oracle's, for partial batches, worker parts and two workers."""
+    alg = data.draw(st.sampled_from(sampling_algebras(q)), label="algebra")
+    k = data.draw(st.integers(1, 3), label="k")
+    lanes = data.draw(st.sampled_from([1, 3, 64, finalg.SAMPLE_LANES]), label="lanes")
+    start = data.draw(st.integers(0, 40), label="start")
+    count = data.draw(st.integers(1, 140), label="count")
+    seed = data.draw(st.integers(0, 2**64), label="seed")
+    workers = data.draw(st.sampled_from([1, 1, 1, 2]), label="workers")
+    want = per_sample_range(alg, k, start, start + count, seed)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(finalg, "SAMPLE_LANES", lanes)
+        assert finalg._sample_range(alg, k, start, start + count, seed) == want
+        if workers > 1:
+            est = finalg.sample_gen_fraction(alg, k, count, seed=seed, workers=workers)
+            assert est.hits == per_sample_range(alg, k, 0, count, seed)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from([p**e for p in (2, 3, 5, 7) for e in (1, 2, 3)]), st.data())
+def test_lane_loads_and_products_match_one_sample_at_a_time(q, data):
+    """Lane s of a loaded vector is flat_of_index of its index, and lane s of a
+    batch product is the right operator's product of lanes s."""
+    alg = data.draw(st.sampled_from(sampling_algebras(q)), label="algebra")
+    eng = alg._eng()
+    n = data.draw(st.integers(1, 70), label="lanes")
+    rng = random.Random(data.draw(st.integers(0, 2**32), label="seed"))
+    L = eng.lanes(n)
+    xs, gs = ([rng.randrange(alg.size) for _ in range(n)] for _ in range(2))
+    x, g = eng.batch_load(L, xs), eng.batch_load(L, gs)
+    assert [lane_flat(eng, x, s) for s in range(n)] == [eng.flat_of_index(i) for i in xs]
+    for s in range(n):  # the lanes of a load, and so the product's inputs, are reduced
+        assert all(((v >> (s * eng.b)) & ((1 << eng.b) - 1)) < eng.p for v in x + g)
+    prod = eng.batch_product(L, x, eng.batch_masks(L, g))
+    for s in range(n):
+        want = eng.apply(eng.right_op(eng.flat_of_index(gs[s])), eng.flat_of_index(xs[s]))
+        assert lane_flat(eng, prod, s) == want
+        assert all(((v >> (s * eng.b)) & ((1 << eng.b) - 1)) < eng.p for v in prod)
+
+
+@pytest.mark.parametrize("p", (3, 5, 7, 11, 101))
+def test_lane_inverse_of_every_residue(p):
+    eng = bare_gfp_engine(p, 4)
+    L = eng.lanes(p - 1)
+    a = sum(v << (s * eng.b) for s, v in enumerate(range(1, p)))
+    inv = eng._lane_inverse(L, a)
+    assert [(inv >> (s * eng.b)) & ((1 << eng.b) - 1) for s in range(p - 1)] == [pow(v, p - 2, p) for v in range(1, p)]
+
+
+@pytest.mark.parametrize("q", [p**e for p in (3, 5, 7) for e in (1, 2, 3)])
+def test_lane_product_at_the_largest_lane_sum(q):
+    """Every coordinate p - 1 in both factors makes every term (p-1)^2; a
+    coordinate of TW(q=27, f=1, m=2) has 27 terms against D = 12, so the
+    sum is reduced after every chunk of D terms."""
+    for alg in sampling_algebras(q):
+        eng = alg._eng()
+        L = eng.lanes(3)
+        top = sum((eng.p - 1) << (i * eng.b) for i in range(eng.D))
+        x = eng.broadcast(L, top)
+        prod = eng.batch_product(L, x, eng.batch_masks(L, x))
+        want = eng.apply(eng.right_op(top), top)
+        assert [lane_flat(eng, prod, s) for s in range(3)] == [want] * 3

@@ -7,6 +7,7 @@ import random
 import re
 import subprocess
 import sys
+import tracemalloc
 import warnings
 
 import pytest
@@ -48,6 +49,7 @@ from ordgen.finalg import (
     twisted_element,
 )
 from ordgen.finfield import build_field, field_of, is_prime
+from test_engine_oracle import per_sample_range
 
 
 def zero(alg):
@@ -955,9 +957,10 @@ def test_closure_counts_of_exhaustive_oracle(monkeypatch, alg, k, closures, naiv
     [(3, 3, 3000, 2334, 29302, 5996), (3, 2, 6000, 2967, 60702, 11929)],
 )
 def test_engine_products_of_sampling(monkeypatch, n, q, samples, hits, applications, builds):
-    """Right-operator applications and builds of the closure kernel.  The
-    closure that called ``mul`` once per product made 29 343 and 60 919
-    products; the two-sided one made 78 805 and 215 735."""
+    """Right-operator applications and builds of the closure kernel, on the
+    per-sample oracle that closed one drawn tuple at a time.  The closure
+    that called ``mul`` once per product made 29 343 and 60 919 products; the
+    two-sided one made 78 805 and 215 735."""
     alg = matrix_algebra(n, q)
     eng = alg._eng()
     calls = {"apply": 0, "right_op": 0}
@@ -974,8 +977,60 @@ def test_engine_products_of_sampling(monkeypatch, n, q, samples, hits, applicati
     for name in calls:
         monkeypatch.setattr(eng, name, counting(name))
     assert not hasattr(eng, "mul") and not hasattr(eng, "tbl")  # the right operator is the only product
-    assert sample_gen_fraction(alg, 2, samples, seed=123).hits == hits
+    assert per_sample_range(alg, 2, 0, samples, 123) == hits
     assert calls == {"apply": applications, "right_op": builds}
+
+
+@pytest.mark.parametrize(
+    "n,q,samples,hits,products,insertions",
+    [(3, 3, 3000, 2334, 266, 302), (3, 2, 6000, 2967, 950, 1022)],
+)
+def test_batch_products_of_sampling(monkeypatch, n, q, samples, hits, products, insertions):
+    """Lane products and insertions of the batched sampler, for the tuples of
+    ``test_engine_products_of_sampling``, in 12 and 24 batches of at most 256
+    samples.  Each batch inserts the scalars and its 2 drawn elements, then
+    every product."""
+    alg = matrix_algebra(n, q)
+    eng = alg._eng()
+    calls = {"batch_product": 0, "batch_insert": 0}
+
+    def counting(name):
+        method = getattr(eng, name)
+
+        def counted(*args):
+            calls[name] += 1
+            return method(*args)
+
+        return counted
+
+    for name in calls:
+        monkeypatch.setattr(eng, name, counting(name))
+    close = finalg._close
+    closures = []
+    monkeypatch.setattr(finalg, "_close", lambda *args: closures.append(args) or close(*args))
+    assert sample_gen_fraction(alg, 2, samples, seed=123).hits == hits
+    assert calls == {"batch_product": products, "batch_insert": insertions}
+    assert len(closures) == 1  # the scalars' span, once; no closure per sample
+
+
+def test_sampling_working_set_is_bounded():
+    """A batch's slots and generator masks take (D^2 + k*D*ceil(log2 p))*B*w
+    bits, 41 184 bytes here, and its 512 drawn indices about 20 000.  Each
+    generator's digits are peeled off one packed integer, not kept as one
+    object per sample: a layout with per-sample bytes objects peaked at
+    260 KiB with 512 lanes."""
+    alg = matrix_algebra(3, 3)
+    eng = alg._eng()
+    sample_gen_fraction(alg, 2, 10, seed=1)  # builds the lane terms
+    B, w = finalg._batch_size(eng, 2), eng.b
+    assert (B, w, (eng.D**2 + 2 * eng.D * (eng.p - 1).bit_length()) * B * w // 8) == (256, 11, 41184)
+    tracemalloc.start()
+    try:
+        sample_gen_fraction(alg, 2, 3000, seed=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 96 * 1024
 
 
 def test_closure_of_a_rank_that_is_not_an_fq_span_is_refused(monkeypatch):

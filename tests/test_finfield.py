@@ -7,6 +7,7 @@ import pytest
 from ordgen.errors import CapExceeded, NotPrime
 from ordgen.finfield import (
     LOG_TABLE_CAP,
+    PRIME_POWER_CAP,
     PrimePower,
     build_field,
     factorize,
@@ -71,6 +72,19 @@ def test_prime_power_of_factors_prime_powers():
     assert prime_power_of(7) == PrimePower(7, 1)
     with pytest.raises(NotPrime):
         prime_power_of(12)
+
+
+@pytest.mark.parametrize("q", [PRIME_POWER_CAP + 1, 2**21, 10**30 + 57, 2**127 - 1])
+def test_prime_power_of_checks_the_cap_before_factoring(q):
+    """10^30 + 57 and 2^127 - 1 are primes that trial division would never finish."""
+    with pytest.raises(CapExceeded, match=f"^{q} exceeds the cap {PRIME_POWER_CAP}$"):
+        prime_power_of(q)
+
+
+@pytest.mark.parametrize("p,e", [(2, 10**9), (10**30 + 57, 1), (2**127 - 1, 3)])
+def test_prime_power_checks_the_cap_before_the_power_and_the_primality(p, e):
+    with pytest.raises(CapExceeded, match=f"^{p}\\^{e} exceeds the cap"):
+        PrimePower(p, e)
 
 
 def test_elements_enumerates_all_encodings():
