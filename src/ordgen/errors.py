@@ -40,8 +40,8 @@ class BudgetExceeded(OrdgenError):
     """A request would exceed the configured work budget or a fixed size limit.
 
     The attribute ``required`` holds the number of tuples the request covers:
-    |A|^k for an exhaustive count over an algebra A (its closure calls are
-    usually far fewer), the sample count for a Monte Carlo estimate, |I|^k
+    |A|^k for an exhaustive count over an algebra A (it decides one tuple
+    per coset, far fewer), the sample count for a Monte Carlo estimate, |I|^k
     for a lift count over an ideal I, the q^(r k n^2 m) tuples among which
     the `count` command counts, or the bound + 1 entries of the prime sieve
     behind a density interval.  A count of 2^8192 or more is held, and

@@ -13,36 +13,32 @@ The engines have one product on packed vectors: x * y is x applied to y's
 right operator, the D packed rows e_i * y, summed from a column-sparse copy of
 the structure table.  The table checks, the ideal check, ``multiply`` and
 every closure of a single tuple use it, and every such closure runs through
-one kernel, ``_close``; the sampler's batches of lanes (below) multiply term
-by term of the same table.  ``_close`` multiplies only on the right by a
+one kernel, ``_close``; the batches of lanes (below) multiply term by term
+of the same table.  ``_close`` multiplies only on the right by a
 generator g, building g's right operator at its first use in the closure.  It
 keeps a dict from pivot to a semi-reduced row, whose pivot no other row has,
 and forms the canonical (fully reduced, sorted) echelon rows once, at return,
 and only for a proper subalgebra; a full closure returns the standard basis.
 
-The enumeration oracle counts generating k-tuples by exhaustive search with
-memoization on the closed subalgebra S reached by each tuple prefix; it extends
-S by one element per coset of S and weights each branch by |S|.  At the last
-position a coset only matters through whether it generates with S, and one
-closure that stops at a proper subalgebra T answers that for every coset of S
-inside T: each of them closes inside T as well.  So the cosets of S inside
-every such T are skipped, not closed, and the count stays exact.  The Monte
-Carlo oracle draws index tuples from a counter-based splitmix64 stream so the
-estimate depends only on (seed, sample index), never on worker count.
+The enumeration oracle counts generating k-tuples level by level, keyed on
+the closed subalgebra S reached by each tuple prefix; it extends S by one
+element per coset of S and weights each branch by |S|.  The Monte Carlo
+oracle draws index tuples from a counter-based splitmix64 stream so the
+estimate depends only on (seed, sample index), never on worker count.  Both
+decide whether their tuples generate in batches (``_close_batch``), one lane
+per tuple: a prefix with a coset of the last generator, or a sample.
 
-The Monte Carlo oracle does not call ``_close`` per sample.  It closes B
-samples at once (``_close_batch``), one lane per sample: a vector is D
-slices, slice i an integer whose lane s holds coordinate i of sample s, so
-one big-integer operation acts on every sample.  For p = 2 a lane is one
-bit, the product AND and the sum XOR; for odd p a lane has the engine's b
-bits, a product of two per-sample values goes through the bit masks of one
-of them, and lazy sums are reduced with the engine's magic constant.  Each
-pivot slot holds, in the lanes of the samples that have that pivot, their
-semi-reduced row, under the engines' pivot conventions.  Sweeps multiply the
-rows not yet processed by every generator until no lane has work left, and
-a sample hits when its lane has all D pivots; the hits are exact, the same
-as one closure per sample.  B is SAMPLE_LANES = 256, fewer where a batch's
-slots and generator masks would pass SAMPLE_BITS = 2^23 bits.
+A vector of a batch is D slices, slice i an integer whose lane s holds
+coordinate i of tuple s, so one big-integer operation acts on every tuple.
+For p = 2 a lane is one bit, the product AND and the sum XOR; for odd p a
+lane has the engine's b bits, a product of two per-tuple values goes through
+the bit masks of one of them, and lazy sums are reduced with the engine's
+magic constant.  Each pivot slot holds, in the lanes of the tuples that have
+that pivot, their semi-reduced row, under the engines' pivot conventions.
+Sweeps multiply the rows not yet processed by every generator until no lane
+has work left, and a tuple generates when its lane has all D pivots; this is
+exact, the same as one closure per tuple.  B is SAMPLE_LANES = 256, fewer
+where a batch's slots and generator masks would pass SAMPLE_BITS = 2^23 bits.
 """
 
 from __future__ import annotations
@@ -74,8 +70,8 @@ DEFAULT_BUDGET = 1 << 26
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
 
-# The sampler closes up to SAMPLE_LANES samples at once, fewer when the
-# working set of a batch would pass SAMPLE_BITS (1 MiB).  That is about
+# A batch closes up to SAMPLE_LANES tuples at once, samples or cosets, fewer
+# when its working set would pass SAMPLE_BITS (1 MiB).  That is about
 # (D^2 + g*D*bitlen(p-1)) * B * b bits for D flat coordinates, g generators,
 # B lanes of b bits: D pivot slots of D slices and g generators' bit masks.
 SAMPLE_LANES = 256
@@ -712,8 +708,8 @@ def _close(eng, base_rows, new_flats) -> list:
     the engine's ``top``.  ``base_rows`` must be canonical rows, as this
     function returns them, and is not changed.  A closure that reaches the
     whole algebra returns ``eng.standard`` at once; a proper one forms its
-    canonical rows once, at return, since the memo keys, ``closure().basis``
-    and the skip span of ``brute_gen_count`` read them.
+    canonical rows once, at return, since the level keys of
+    ``brute_gen_count`` and ``closure().basis`` read them.
 
     Every caller seeds the unit, through ``eng.scalars`` in the base span or
     among the new elements; with the scalars the result is also the
@@ -910,60 +906,64 @@ def is_generating(alg: FiniteAlgebra, elements) -> bool:
 def brute_gen_count(alg: FiniteAlgebra, k: int, *, budget: int | None = None) -> int:
     """Exact number of k-tuples generating the algebra, by exhaustive enumeration.
 
-    A node of the search holds the closed subalgebra S reached by a tuple
-    prefix.  S and x generate the same subalgebra as S and x + s for every s
-    in S, so the node closes one element per coset of the span of S and
-    weights the sum by |S|.  The budget caps |A|^k, which bounds the number
-    of closures from above.
+    The search runs level by level.  Level d maps each subalgebra S that
+    d-tuples generate (with the scalars), proper after level 0, to |S| times
+    the number of those tuples and to one of them, its prefix.  S and x
+    generate the same subalgebra as S and x + s for every s in S, so S is
+    extended by one element per coset of its span.  The budget caps |A|^k,
+    which bounds the number of cosets from above.
 
-    At the last position (depth k - 1) a coset x counts 1 when S and x
-    generate A and 0 otherwise.  If the closure of S and x is a proper
-    subalgebra T, every coset of S inside T also closes inside T and counts
-    0, so it is skipped.  Those cosets are found without reducing anything:
-    S lies in T, so the pivots of S are pivots of T, and the fully reduced
-    rows of T off the pivots of S are zero on them.  Their F_p-span is
-    therefore exactly the set of coset representatives (vectors supported
-    off the pivots of S) that lie in T.
+    The last generator only decides whether a tuple generates, so the cosets
+    of every S of level k - 1 are closed in batches (``_close_batch``), one
+    lane per coset, next to S's prefix.  A batch holds pieces of consecutive
+    cosets of one or more S; coset c has the base-p digits of c as its
+    coordinates off the pivots of S.
     """
     if k < 1:
         raise InvalidCount(f"k must be at least 1, got {k}")
     check_tuple_budget(alg.base.q, alg.dim * k, budget)
     eng = alg._eng()
-    D = eng.D
-    size = alg.size
-    memo: dict = {}
-
-    def rec(state, depth):
-        if len(state) == D:
-            return size ** (k - depth)
-        if depth == k:
-            return 0
-        key = (state, depth)
-        cached = memo.get(key)
-        if cached is not None:
-            return cached
-        total = 0
-        if depth == k - 1:
-            # A proper closure T answers every coset of S inside T: their
-            # representatives are the span of T's rows off the pivots of S.
-            pivots = {eng.pivot(r) for r in state}
-            skip = set()
-            for flat in _coset_flats(eng, state):
-                if flat in skip:
-                    continue
-                rows = _close(eng, state, [flat])
-                if len(rows) == D:
-                    total += 1
+    D, p, b = eng.D, eng.p, eng.b
+    base = _close(eng, [], eng.scalars)
+    total = 0
+    level = {tuple(base): [p ** len(base), []]}
+    for depth in range(1, k):
+        nxt: dict = {}
+        for S, (w, prefix) in level.items():
+            for flat in _coset_flats(eng, S):
+                T = tuple(_close(eng, S, [flat]))
+                if len(T) == D:
+                    total += w * alg.size ** (k - depth)
                 else:
-                    skip.update(eng.span_elements([r for r in rows if eng.pivot(r) not in pivots]))
-        else:
-            for flat in _coset_flats(eng, state):
-                total += rec(tuple(_close(eng, state, [flat])), depth + 1)
-        total *= eng.p ** len(state)
-        memo[key] = total
-        return total
+                    nxt.setdefault(T, [0, prefix + [flat]])[0] += w * p ** len(T)
+        level = nxt
+    B = _batch_size(eng, k)
 
-    return rec(tuple(_close(eng, [], eng.scalars)), 0)
+    def pieces():  # (batch number, the piece's lanes as a mask, weight, prefix, free positions, cosets)
+        lanes = 0
+        for S, (w, prefix) in level.items():
+            pivots = {eng.pivot(r) for r in S}
+            free = [pos for pos in range(D) if pos not in pivots]
+            first, cosets = 0, p ** len(free)
+            while first < cosets:  # a piece ends with its batch
+                n = min(B - lanes % B, cosets - first)
+                yield lanes // B, ((1 << (n * b)) - 1) << (lanes % B * b), w, prefix, free, range(first, first + n)
+                lanes, first = lanes + n, first + n
+
+    for _, batch in itertools.groupby(pieces(), operator.itemgetter(0)):
+        batch = list(batch)
+        numbers = [c for *_, cosets in batch for c in cosets]
+        L = eng.lanes(len(numbers))
+        digits = eng.batch_load(L, numbers)
+        gens = [[0] * D for _ in range(k)]
+        for _, mask, w, prefix, free, _ in batch:
+            for j, a in enumerate(prefix):
+                gens[j] = [g | (s & mask) for g, s in zip(gens[j], eng.broadcast(L, a))]
+            for pos, s in zip(free, digits):
+                gens[-1][pos] |= s & mask
+        full = _close_batch(eng, L, base, gens)
+        total += sum(w * ((full & mask).bit_count() // L.bits) for _, mask, w, *_ in batch)
+    return total
 
 
 # -- Monte Carlo oracle ----------------------------------------------------
@@ -1038,11 +1038,11 @@ def _batch_size(eng, k: int) -> int:
 
 
 def _close_batch(eng, L: _Lanes, base_rows, gens: list) -> int:
-    """The number of lanes whose generators, with the scalars, generate the whole algebra.
+    """The set of lanes (see ``_Lanes``) whose generators, with the scalars, generate the algebra.
 
-    ``gens`` holds the lane vectors of the k drawn elements; the scalars
+    ``gens`` holds the lane vectors of a tuple's k elements; the scalars
     x^t * 1 (t >= 1) are generators too, the same in every lane.  The span
-    starts from the closed base span of the scalars and the drawn elements.
+    starts from the closed base span of the scalars and the tuple's elements.
     Each sweep multiplies every row of a slot that a live lane has not yet
     processed by every generator and inserts the products; a lane leaves once
     it has all D pivots, and the closure stops when a sweep finds nothing to
@@ -1076,7 +1076,7 @@ def _close_batch(eng, L: _Lanes, base_rows, gens: list) -> int:
             alive &= ~functools.reduce(operator.and_, have)
             if not alive:
                 break
-    return functools.reduce(operator.and_, have).bit_count() // L.bits
+    return functools.reduce(operator.and_, have)
 
 
 def _sample_range(alg: FiniteAlgebra, k: int, start: int, stop: int, seed: int) -> int:
@@ -1092,7 +1092,7 @@ def _sample_range(alg: FiniteAlgebra, k: int, start: int, stop: int, seed: int) 
         idxs = _drawn_indices(seed, first * k, n * k, alg.size)
         gens = [eng.batch_load(L, idxs[j::k]) for j in range(k)]
         del idxs  # not held while the batch closes
-        hits += _close_batch(eng, L, base, gens)
+        hits += _close_batch(eng, L, base, gens).bit_count() // L.bits
     return hits
 
 

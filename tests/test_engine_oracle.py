@@ -16,6 +16,10 @@ The oracles below come from earlier designs of ``finalg``:
   multiply through it;
 - the per-sample Monte Carlo loop (``per_sample_range``), one ``_close`` per
   drawn tuple, used before the sampler closed its samples in batches of
+  lanes;
+- the depth-first enumeration (``per_coset_gen_count``), one ``_close`` per
+  coset of the last generator except those its skip span settles, used
+  before the exhaustive oracle decided its last generator in batches of
   lanes.
 
 Swapped into an algebra, they must give the same rows, bases, coset
@@ -384,9 +388,54 @@ def reference_engine(alg):
     return table_engine(alg) if alg.base.p == 2 else TupleGfpEngine(alg)
 
 
+def per_coset_gen_count(alg, k):
+    """The oracle for brute_gen_count: a depth-first search, memoized on the
+    closed subalgebra S of each tuple prefix, that closes one element per
+    coset of S, through ``finalg._close`` and ``finalg._coset_flats``.
+
+    At the last position a closure that stops at a proper subalgebra T
+    settles every coset of S inside T, which all close inside T too, so they
+    are skipped: S lies in T, so the fully reduced rows of T off the pivots
+    of S are zero on those pivots, and their span is exactly the set of
+    coset representatives (vectors supported off the pivots of S) in T.
+    """
+    eng = alg._eng()
+    D = eng.D
+    memo = {}
+
+    def rec(state, depth):
+        if len(state) == D:
+            return alg.size ** (k - depth)
+        if depth == k:
+            return 0
+        key = (state, depth)
+        if key in memo:
+            return memo[key]
+        total = 0
+        if depth == k - 1:
+            pivots = {eng.pivot(r) for r in state}
+            skip = set()
+            for flat in finalg._coset_flats(eng, state):
+                if flat in skip:
+                    continue
+                rows = finalg._close(eng, state, [flat])
+                if len(rows) == D:
+                    total += 1
+                else:
+                    skip.update(eng.span_elements([r for r in rows if eng.pivot(r) not in pivots]))
+        else:
+            for flat in finalg._coset_flats(eng, state):
+                total += rec(tuple(finalg._close(eng, state, [flat])), depth + 1)
+        memo[key] = total * eng.p ** len(state)
+        return memo[key]
+
+    return rec(tuple(finalg._close(eng, [], eng.scalars)), 0)
+
+
 @contextlib.contextmanager
 def old_code(alg):
-    """Run finalg's public functions on alg through the oracles."""
+    """Run finalg's public functions on alg through the oracles.  The tuple
+    engine has no lanes, so counts under it come from ``per_coset_gen_count``."""
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(alg, "_engine", reference_engine(alg))
         mp.setattr(finalg, "_close", two_sided_close)
@@ -483,7 +532,7 @@ def test_counts_and_coset_representatives_match_tuple_oracle(case):
     got_count = brute_gen_count(alg, k)
     got_reps = coset_representatives(alg, alg.radical_basis)
     with old_code(alg):
-        assert brute_gen_count(alg, k) == got_count
+        assert per_coset_gen_count(alg, k) == got_count
         assert coset_representatives(alg, alg.radical_basis) == got_reps
 
 
@@ -635,7 +684,7 @@ def test_counts_and_coset_representatives_match_row_list_closure(case):
     got_count = brute_gen_count(alg, k)
     got_reps = coset_representatives(alg, alg.radical_basis)
     with previous_kernel(alg):
-        assert brute_gen_count(alg, k) == got_count
+        assert per_coset_gen_count(alg, k) == got_count
         assert coset_representatives(alg, alg.radical_basis) == got_reps
 
 
@@ -794,3 +843,47 @@ def test_lane_product_at_the_largest_lane_sum(q):
         prod = eng.batch_product(L, x, eng.batch_masks(L, x))
         want = eng.apply(eng.right_op(top), top)
         assert [lane_flat(eng, prod, s) for s in range(3)] == [want] * 3
+
+
+# -- the exhaustive oracle: the last generator in batches against one closure per coset
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.sampled_from([p**e for p in (2, 3, 5, 7) for e in (1, 2, 3)]), st.data())
+def test_batched_counts_match_per_coset_oracle(q, data):
+    """brute_gen_count against the per-coset search, with batches small enough
+    that one subalgebra's cosets span several batches and a batch holds the
+    cosets of several."""
+    alg = data.draw(st.sampled_from([a for a in sampling_algebras(q) if a.size <= 1 << 18]), label="algebra")
+    k = data.draw(st.integers(1, 3), label="k")
+    while k > 1 and alg.size**k > 1 << 18:
+        k -= 1
+    lanes = data.draw(st.sampled_from([1, 3, 64, finalg.SAMPLE_LANES]), label="lanes")
+    want = per_coset_gen_count(alg, k)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(finalg, "SAMPLE_LANES", lanes)
+        assert brute_gen_count(alg, k) == want
+
+
+def test_lanes_with_a_prefix_match_closures_from_its_subalgebra():
+    """A lane holding a prefix a and an element x reaches the whole algebra
+    exactly when ``_close`` from S, the closure of a, does with x.  Most of
+    these S are not central, and the closures of a diagonal idempotent have
+    canonical rows without the unit."""
+    kinds = set()
+    for alg in [matrix_algebra(2, 3), truncated_local_algebra(3, 1, 2, 1, 1), matrix_algebra(2, 2, 2)]:
+        eng = alg._eng()
+        base = finalg._close(eng, [], eng.scalars)
+        rng = random.Random(alg.size)
+        prefixes = [eng.flat_of_index(rng.randrange(alg.size)) for _ in range(12)]
+        if alg.meta["kind"] == "matrix":
+            prefixes.append(eng.flatten(finalg.matrix_element(alg, [[1, 0], [0, 0]])))
+        for a in prefixes:
+            S = finalg._close(eng, base, [a])
+            kinds.add(eng.scalars[0] in S)
+            xs = [rng.randrange(alg.size) for _ in range(70)]
+            L = eng.lanes(len(xs))
+            full = finalg._close_batch(eng, L, base, [eng.broadcast(L, a), eng.batch_load(L, xs)])
+            got = [(full >> (s * eng.b)) & 1 for s in range(len(xs))]
+            assert got == [len(finalg._close(eng, S, [eng.flat_of_index(i)])) == eng.D for i in xs]
+    assert kinds == {True, False}

@@ -59,8 +59,8 @@ def zero(alg):
 def naive_gen_count(alg, k):
     """The per-element enumerator: every node closes each of the |A| elements.
 
-    It is the reference for brute_gen_count, which closes one element per
-    coset of the subalgebra a node has reached.
+    It is the reference for brute_gen_count, which decides one element per
+    coset of the subalgebra a prefix has reached.
     """
     eng = alg._eng()
     memo = {}
@@ -861,7 +861,7 @@ SPAN_ALGEBRAS = [
 def test_coset_representatives_inside_a_closure_span_its_rows_off_the_pivots(alg, s_idx, t_idx):
     """For closed S inside T, the rows of T whose pivots are not pivots of S span
     exactly the coset representatives of S that lie in T: the skip set of the
-    last level of brute_gen_count."""
+    last level of the oracle ``per_coset_gen_count``."""
     eng = alg._eng()
     S = finalg._close(eng, [], eng.scalars + [eng.flat_of_index(i % alg.size) for i in s_idx])
     T = finalg._close(eng, list(S), [eng.flat_of_index(i % alg.size) for i in t_idx])
@@ -910,7 +910,7 @@ K1_CASES = [
 
 @pytest.mark.parametrize("alg,count", K1_CASES, ids=[alg.label for alg, _ in K1_CASES])
 def test_single_generators_match_closed_forms(alg, count):
-    """k = 1, where the root itself is the last level and every closure may skip.
+    """k = 1, where the scalars' span is the only subalgebra of the last level.
 
     A product of algebras with no common simple quotient is generated exactly
     by pairs of generators (P. Hall's product relation)."""
@@ -918,38 +918,48 @@ def test_single_generators_match_closed_forms(alg, count):
 
 
 CLOSURE_COUNT_CASES = [
-    (M22, 2, 45, 145),
-    (M22, 3, 87, 321),
-    (matrix_algebra(2, 3), 2, 143, 1216),
-    (matrix_algebra(3, 2), 2, 7834, None),  # 98 305 per-element closures: too slow to repeat here
-    (product_algebra(M22, M22), 2, 1924, None),  # 29 441 per-element closures
+    (M22, 2, (9, 1, 6, 9), 145),
+    (M22, 3, (45, 1, 9, 13), 321),
+    (matrix_algebra(2, 3), 2, (28, 1, 6, 9), 1216),
+    (matrix_algebra(3, 2), 2, (257, 61, 2370, 2553), None),  # 98 305 per-element closures: too slow to repeat here
+    (product_algebra(M22, M22), 2, (129, 20, 596, 656), None),  # 29 441 per-element closures
 ]
 
 
 @pytest.mark.parametrize(
-    "alg,k,closures,naive_closures",
+    "alg,k,work,naive_closures",
     CLOSURE_COUNT_CASES,
     ids=[f"{alg.label}-k{k}" for alg, k, _, _ in CLOSURE_COUNT_CASES],
 )
-def test_closure_counts_of_exhaustive_oracle(monkeypatch, alg, k, closures, naive_closures):
-    """Closures of the coset enumerator, which skips the last-level cosets inside
-    a proper closure; without that it made 172 on M_2(F_3), 15 809 on M_3(F_2)
-    and 5 073 on M_2(F_2)^2 at k = 2."""
-    calls = [0]
-    close = finalg._close
+def test_closure_counts_of_exhaustive_oracle(monkeypatch, alg, k, work, naive_closures):
+    """Closures above the last generator, batches of the last generator, and
+    the batches' lane products and insertions.  The cosets of every
+    subalgebra at the last level share batches of up to 256 lanes.  Closing
+    one coset at a time and skipping those inside a proper closure took
+    45, 87, 143, 7 834 and 1 924 closures; without the skip, 172 on
+    M_2(F_3), 15 809 on M_3(F_2) and 5 073 on M_2(F_2)^2 at k = 2."""
+    eng = alg._eng()
+    calls = dict.fromkeys(["_close", "_close_batch", "batch_product", "batch_insert"], 0)
 
-    def counted(*args):
-        calls[0] += 1
-        return close(*args)
+    def counting(owner, name):
+        method = getattr(owner, name)
 
-    monkeypatch.setattr(finalg, "_close", counted)
+        def counted(*args):
+            calls[name] += 1
+            return method(*args)
+
+        monkeypatch.setattr(owner, name, counted)
+
+    for owner, names in ((finalg, ["_close", "_close_batch"]), (eng, ["batch_product", "batch_insert"])):
+        for name in names:
+            counting(owner, name)
     value = brute_gen_count(alg, k)
-    assert calls[0] == closures
+    assert tuple(calls.values()) == work
     if naive_closures is None:
         return
-    calls[0] = 0
+    calls["_close"] = 0
     assert naive_gen_count(alg, k) == value
-    assert calls[0] == naive_closures
+    assert calls["_close"] == naive_closures
 
 
 @pytest.mark.parametrize(
