@@ -37,8 +37,9 @@ from .finalg import (
     truncated_local_algebra,
     truncated_local_base,
 )
-from .finfield import FiniteField, is_prime
+from .finfield import FiniteField
 from .orderspec import load_spec
+from .primes import PRIME_TEST_LIMIT, is_prime, perfect_power
 from .solver import (
     density,
     density_text,
@@ -60,12 +61,6 @@ EXIT_CERTIFICATE = 6
 # admits n <= 64 for pairs over F_2, whose count takes about 0.2 s in CPython
 # 3.11 on a 2-vCPU x86 machine; the recursion's cost grows with n.
 COUNT_MAX_BITS = 8192
-
-# `count` decides whether q is a prime power by Miller-Rabin on these bases,
-# which is proven correct below PRIME_TEST_LIMIT, the least strong
-# pseudoprime to all of them (Sorenson and Webster, Math. Comp. 86, 2017).
-_MILLER_RABIN_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
-PRIME_TEST_LIMIT = 3317044064679887385961981
 
 
 class _Cursor:
@@ -197,61 +192,14 @@ def _emit(args, text: Callable[[], str], machine_doc) -> None:
     print(out)
 
 
-def _is_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin for 2 <= n < PRIME_TEST_LIMIT."""
-    for a in _MILLER_RABIN_BASES:
-        if n % a == 0:
-            return n == a
-    d, s = n - 1, 0
-    while d % 2 == 0:
-        d, s = d // 2, s + 1
-    for a in _MILLER_RABIN_BASES:
-        x = pow(a, d, n)
-        if x in (1, n - 1):
-            continue
-        for _ in range(s - 1):
-            x = x * x % n
-            if x == n - 1:
-                break
-        else:
-            return False
-    return True
-
-
-def _integer_root(n: int, e: int) -> int:
-    """The floor of n^(1/e) for n >= 1, by Newton's method from above."""
-    x = 1 << -(-n.bit_length() // e)
-    while True:
-        y = ((e - 1) * x + n // x ** (e - 1)) // e
-        if y >= x:
-            return x
-        x = y
-
-
 def _is_prime_power(q: int) -> bool:
-    """Whether q is a prime power: q = r^e with r prime.
-
-    Taking prime-order integer roots while they are exact leaves the r that
-    is no perfect power, which is prime exactly when q is a prime power.
-    Raises CapExceeded when r is at least PRIME_TEST_LIMIT, where the
-    primality test is not proven.
-    """
-    if q < 2:
-        return False
-    r, ell = q, 2
-    while ell < r.bit_length():  # a perfect ell-th power r >= 2^ell has more than ell bits
-        root = _integer_root(r, ell)
-        if root**ell == r:
-            r = root
-        else:
-            ell += 1
-            while not is_prime(ell):
-                ell += 1
+    """Whether q = r^e with r prime; any r >= PRIME_TEST_LIMIT raises CapExceeded, whatever its factors."""
+    r, _ = perfect_power(q)
     if r >= PRIME_TEST_LIMIT:
         raise CapExceeded(
             f"q={q} is not decided: the prime-power test is proven only for bases below {PRIME_TEST_LIMIT}"
         )
-    return _is_prime(r)
+    return is_prime(r)
 
 
 def _cmd_count(args) -> int:

@@ -12,7 +12,7 @@ class NotPrime(OrdgenError):
 
 
 class CapExceeded(OrdgenError):
-    """A requested prime power exceeds the configured size cap."""
+    """A prime power exceeds its size cap, or a number is past what the primality test decides."""
 
 
 class BaseMismatch(OrdgenError):
@@ -43,13 +43,14 @@ class BudgetExceeded(OrdgenError):
     |A|^k for an exhaustive count over an algebra A (it decides one tuple
     per coset, far fewer), the sample count for a Monte Carlo estimate, |I|^k
     for a lift count over an ideal I, the q^(r k n^2 m) tuples among which
-    the `count` command counts, or the bound + 1 entries of the prime sieve
-    behind a density interval.  A count of 2^8192 or more is held, and
-    printed, as the power "q^e" it was given as.  ``budget`` holds the budget;
+    the `count` command counts, the bound + 1 entries of the prime sieve
+    behind a density interval, or the q0 entries of a verdict's sieve of the
+    primes below its cutoff q0.  A count of 2^8192 or more is held, and printed,
+    as the power "q^e" it was given as.  ``budget`` holds the budget;
     for `count` it is the fixed limit "2^8192", held as that power too.
     ``unit`` names what is counted: "tuples", "table entries" for the dim^3
     coordinates of a structure table that a sampled request would build,
-    "sieve entries" for the sieve, or "digits in one printed integer" for an
+    "sieve entries" for either sieve, or "digits in one printed integer" for an
     output holding an integer past Python's limit on int-to-str conversion
     (`sys.get_int_max_str_digits`), which also bounds what a reader parses.
     """

@@ -12,24 +12,10 @@ from dataclasses import dataclass
 
 from . import polys
 from .errors import CapExceeded, NotPrime
+from .primes import is_prime, perfect_power
 
 PRIME_POWER_CAP = 1 << 20
 LOG_TABLE_CAP = 1 << 16
-
-
-def is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    d = 3
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 2
-    return True
 
 
 def factorize(n: int) -> dict[int, int]:
@@ -56,8 +42,7 @@ class PrimePower:
     def __post_init__(self):
         if self.e < 1:
             raise ValueError(f"exponent must be positive, got {self.e}")
-        # The cap first, from bit lengths before forming p^e: a huge p or e
-        # would otherwise hang in trial division or in the power.
+        # The cap first, from bit lengths: a huge e would otherwise hang in forming p^e.
         if self.e * (self.p.bit_length() - 1) >= PRIME_POWER_CAP.bit_length() or self.p**self.e > PRIME_POWER_CAP:
             raise CapExceeded(f"{self.p}^{self.e} exceeds the cap {PRIME_POWER_CAP}")
         if not is_prime(self.p):
@@ -69,17 +54,16 @@ class PrimePower:
 
 
 def prime_power_of(q: int) -> PrimePower:
-    """Factor a prime power q into (p, e).
+    """Split a prime power q into (p, e).
 
-    Raises CapExceeded when q exceeds PRIME_POWER_CAP, before any factoring,
-    and NotPrime when q is not a prime power.
+    Raises CapExceeded when q exceeds PRIME_POWER_CAP, before any root is
+    taken, and NotPrime when q is not a prime power.
     """
     if q > PRIME_POWER_CAP:
         raise CapExceeded(f"{q} exceeds the cap {PRIME_POWER_CAP}")
-    fac = factorize(q)
-    if len(fac) != 1:
+    p, e = perfect_power(q)
+    if not is_prime(p):
         raise NotPrime(f"{q} is not a prime power")
-    ((p, e),) = fac.items()
     return PrimePower(p, e)
 
 
@@ -160,9 +144,6 @@ class FiniteField:
             a //= self.p
             shift *= self.p
         return acc
-
-    def sub(self, a: int, b: int) -> int:
-        return self.add(a, self.neg(b))
 
     def _mul_slow(self, a: int, b: int) -> int:
         prod = polys.mul(self.coords(a), self.coords(b), self.p)

@@ -26,7 +26,7 @@ from .errors import (
     SpecError,
 )
 from .finalg import FiniteAlgebra, matrix_over, product_algebra, truncated_local_algebra
-from .finfield import is_prime
+from .primes import is_prime
 
 
 # -- splitting patterns ------------------------------------------------------

@@ -10,12 +10,13 @@ from __future__ import annotations
 from collections.abc import Sequence
 
 from .errors import NotPrime
+from .primes import is_prime
 
 Poly = tuple[int, ...]
 
 
 def _require_prime(p: int) -> None:
-    if p < 2 or any(p % d == 0 for d in range(2, int(p**0.5) + 1)):
+    if not is_prime(p):
         raise NotPrime(p)
 
 

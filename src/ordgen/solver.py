@@ -21,7 +21,6 @@ from fractions import Fraction
 from .counting import _deficiency_coeff, twisted_capacity
 from .errors import BoundTooSmall, BudgetExceeded, CertificateError, NoCutoff, SpecError
 from .finalg import resolve_budget
-from .finfield import is_prime
 from .orderspec import (
     ClassifiedLocal,
     OrderSpec,
@@ -30,6 +29,7 @@ from .orderspec import (
     gen_count_local,
     min_k_local,
 )
+from .primes import is_prime
 
 
 def _ceil_root(value: int, exponent: int) -> int:
@@ -66,10 +66,13 @@ def _primes_in_order(n: int):
     """The primes below n in increasing order, sieved over doubling ranges.
 
     A caller that stops at some prime has sieved at most about twice as far,
-    never up to n, which may be far too large to sieve.
+    never up to n, which may be far too large to sieve.  Past the primes
+    below 64, an n beyond the work budget raises BudgetExceeded.
     """
     lo, hi = 2, 64
     while lo < n:
+        if lo == 64 and n > (limit := resolve_budget()):
+            raise BudgetExceeded(n, limit, "sieve entries")
         hi = min(hi, n)
         primes = _primes_below(hi)
         yield from primes[bisect_left(primes, lo) :]
@@ -211,7 +214,7 @@ def smallest_h(spec: OrderSpec, *, _table: dict[int, tuple[ClassifiedLocal, int]
     q0, then the primes below q0 are tried in increasing order up to the first
     that needs more than k generators, and only the k that passes is swept
     for its certificate.  So a k whose q0 is far too large to sieve up to, as
-    for a huge copy count, costs nothing once a small prime rules it out.
+    for a huge copy count, costs nothing once a prime below 64 rules it out.
     The next candidate is that prime's local minimum: no smaller k can pass,
     since the prime needs that many generators whatever the cutoff.
     """

@@ -140,6 +140,60 @@ def test_large_prime_q_is_refused_at_once(argv, err):
     assert (proc.returncode, proc.stdout, proc.stderr) == (2, "", err)
 
 
+M61 = 2**61 - 1
+
+
+@pytest.mark.parametrize(
+    "argv,code,err",
+    [
+        (
+            ("analyze", "--spec", "{m61_spec}"),
+            4,
+            f"error: request needs {2**61} sieve entries, budget is 67108864\n",
+        ),
+        (
+            ("quaternion", "--ramified", "100000007", "--mmax", "1"),
+            4,
+            "error: request needs 100000008 sieve entries, budget is 67108864\n",
+        ),
+        (
+            ("quaternion", "--ramified", str(BIG_PRIME), "--mmax", "1"),
+            2,
+            f"error: {BIG_PRIME} is not decided: the primality test is proven only below 3317044064679887385961981\n",
+        ),
+    ],
+    ids=["analyze-M61", "quaternion-1e8", "quaternion-big"],
+)
+def test_large_primes_end_at_once(tmp_path, argv, code, err):
+    """Each ends at once with a typed error: no prime is trial-divided, and the verdict's sieve stops at the budget."""
+    doc = json.loads((DATA / "quat2.json").read_text())
+    doc["factors"][0]["local_indices"] = {str(M61): [2]}
+    spec = tmp_path / "m61.json"
+    spec.write_text(json.dumps(doc))
+    env = dict(os.environ, PYTHONPATH=str(pathlib.Path(ordgen.__file__).parent.parent))
+    env.pop("ORDGEN_BUDGET", None)
+    proc = subprocess.run(
+        [sys.executable, "-m", "ordgen.cli", *(arg.format(m61_spec=spec) for arg in argv)],
+        capture_output=True, text=True, env=env, timeout=20,
+    )
+    assert (proc.returncode, proc.stdout, proc.stderr) == (code, "", err)
+
+
+def test_degree_pattern_at_a_large_prime_returns_at_once():
+    code = (
+        "import time\n"
+        "from ordgen.orderspec import degree_pattern\n"
+        "start = time.perf_counter()\n"
+        f"pattern = degree_pattern((2, 0, 0, 1), {M61})\n"
+        "print(pattern.pairs, pattern.certified, time.perf_counter() - start < 1)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(pathlib.Path(ordgen.__file__).parent.parent))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=20)
+    # p = 1 mod 3, and -2 is a cube mod p by Euler's criterion, so x^3 + 2 has three roots
+    assert M61 % 3 == 1 and pow(-2 % M61, (M61 - 1) // 3, M61) == 1
+    assert proc.stdout == "((1, 1), (1, 1), (1, 1)) True True\n", proc.stderr
+
+
 def test_prime_power_test_matches_factoring_below_20000():
     for q in range(20000):
         assert cli._is_prime_power(q) == (q >= 2 and len(factorize(q)) == 1), q

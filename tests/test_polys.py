@@ -142,3 +142,17 @@ def test_distinct_degree_counts(f, p, expected):
 def test_distinct_degree_counts_rejects_composite_modulus():
     with pytest.raises(NotPrime):
         distinct_degree_counts((1, 0, 1), 6)
+
+
+@pytest.mark.parametrize("p", [1849, 2021, 3215031751], ids=["43^2", "43*47", "psp-2-7"])
+@pytest.mark.parametrize("routine", [is_irreducible, squarefree_decomposition, distinct_degree_counts])
+def test_composites_that_no_small_base_divides_are_rejected(routine, p):
+    with pytest.raises(NotPrime):
+        routine((1, 0, 1), p)
+
+
+def test_large_prime_modulus_is_accepted():
+    # 2^61 - 1 is 3 mod 4, so -1 is no square and x^2 + 1 stays irreducible
+    p = 2**61 - 1
+    assert distinct_degree_counts((1, 0, 1), p) == {2: 1}
+    assert is_irreducible((1, 0, 1), p)

@@ -19,6 +19,7 @@ from hypothesis import strategies as st
 from ordgen import orderspec, solver
 from ordgen.errors import (
     BoundTooSmall,
+    BudgetExceeded,
     CertificateError,
     ExceptionalPrimeNeedsOverride,
     NoCutoff,
@@ -216,6 +217,21 @@ def test_large_rank_verdict_flags_bound_mode():
     assert (v.h, v.kind, v.refined) == (2, "TWO_OR_THREE", 2)
     assert (v.cutoff, v.critical_primes) == (6, (2, 3, 5))
     assert "capacity lower bounds" not in v.note
+
+
+def test_verdict_sieve_is_bounded_by_the_work_budget(monkeypatch):
+    spec = make_quaternion_spec((101,))  # the cutoff lies just above the listed prime
+    monkeypatch.setenv("ORDGEN_BUDGET", "102")
+    assert smallest_h(spec).cutoff == 102
+    monkeypatch.setenv("ORDGEN_BUDGET", "101")
+    with pytest.raises(BudgetExceeded) as info:
+        smallest_h(spec)
+    assert (info.value.required, info.value.budget) == (102, 101)
+    assert str(info.value) == "request needs 102 sieve entries, budget is 101"
+    # p = 2 rules out k = 2, whose cutoff is near 1.15e40, so no sieve past the budget is asked for
+    monkeypatch.setenv("ORDGEN_BUDGET", "1")
+    v = smallest_h(make_quaternion_spec((2,), 10**200))
+    assert (v.h, v.cutoff) == (333, 3)
 
 
 @pytest.mark.parametrize("n", (4, 5, 6))
