@@ -43,7 +43,6 @@ from .primes import PRIME_TEST_LIMIT, is_prime, perfect_power
 from .solver import (
     density,
     density_text,
-    make_quaternion_spec,
     quaternion_example,
     quaternion_table_text,
     render_json,
@@ -262,7 +261,6 @@ def _cmd_density(args) -> int:
 
 
 def _cmd_quaternion(args) -> int:
-    make_quaternion_spec(args.ramified)  # validate the prime list eagerly
     table = quaternion_example(args.ramified, args.mmax)
     _emit(args, lambda: quaternion_table_text(table), table)
     return EXIT_OK

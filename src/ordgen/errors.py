@@ -44,8 +44,9 @@ class BudgetExceeded(OrdgenError):
     per coset, far fewer), the sample count for a Monte Carlo estimate, |I|^k
     for a lift count over an ideal I, the q^(r k n^2 m) tuples among which
     the `count` command counts, the bound + 1 entries of the prime sieve
-    behind a density interval, or the q0 entries of a verdict's sieve of the
-    primes below its cutoff q0.  A count of 2^8192 or more is held, and printed,
+    behind a density interval, or the q0 entries of an `analyze` verdict's
+    sieve of the primes below its cutoff q0 (a quaternion table sieves only
+    below its shape thresholds).  A count of 2^8192 or more is held, and printed,
     as the power "q^e" it was given as.  ``budget`` holds the budget;
     for `count` it is the fixed limit "2^8192", held as that power too.
     ``unit`` names what is counted: "tuples", "table entries" for the dim^3

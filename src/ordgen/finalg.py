@@ -229,6 +229,8 @@ class _Engine:
         for i, row in enumerate(alg.table):
             for t in range(e):
                 for j, v in enumerate(row):
+                    if not any(v):
+                        continue
                     for u in range(e):
                         s = xpow[t + u]
                         prod = flat(tuple(F.mul(c, s) for c in v))

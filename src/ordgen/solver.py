@@ -26,29 +26,21 @@ from .orderspec import (
     OrderSpec,
     SimpleFactorSpec,
     _classified_at,
+    _copies,
     gen_count_local,
     min_k_local,
 )
-from .primes import is_prime
+from .primes import _integer_root, is_prime
 
 
 def _ceil_root(value: int, exponent: int) -> int:
     """Smallest t >= 1 with t**exponent >= value.
 
     Only ``_shape_threshold`` calls it, with value >= 1 and exponent >= 1
-    (see there).
+    (see there).  For value >= 2 it is one more than the floor of the root of
+    value - 1.
     """
-    if value == 1:
-        return 1
-    hi = 1 << ((value.bit_length() + exponent - 1) // exponent + 1)
-    lo = 1
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if mid**exponent >= value:
-            hi = mid
-        else:
-            lo = mid + 1
-    return lo
+    return 1 if value == 1 else _integer_root(value - 1, exponent) + 1
 
 
 def _primes_below(n: int) -> tuple[int, ...]:
@@ -496,46 +488,48 @@ def make_quaternion_spec(ramified: tuple[int, ...], copies: int = 1) -> OrderSpe
 def quaternion_example(ramified: tuple[int, ...], m_max: int) -> QuaternionTable:
     """h(m) for m = 1..m_max copies of the quaternion order, with threshold ranges.
 
-    h never decreases in m: a tuple generating A^m projects to one generating
-    A^(m-1).  So each range of equal h is found by exponential and then binary
-    search from its first m, at about h_max * log2(m_max) verdicts.
+    h(m) <= k exactly when every prime has room for m copies at level k, where a
+    prime's room is the least capacity of its block groups, each divided by the
+    group's copies in one copy of the order.  So level k ends at the least room
+    over all primes, with no verdict and no sieve up to the cutoff.  The room at
+    2 caps it, and an unlisted prime at or above the largest shape threshold for
+    that many copies has room for them (the argument that certifies the cutoff),
+    so only the primes below that threshold and the listed primes are looked at.
+    Levels start at 2, as a matrix factor has no cutoff at 1.  Each nonempty
+    range is certified by `prime_cutoff` at its first and last m.  h never
+    decreases in m, since a tuple generating A^m projects to one generating
+    A^(m-1), so a level that reaches fewer copies than the one below raises
+    CertificateError.
     """
     if m_max < 1:
         raise SpecError("m_max must be a positive integer")
-    probes: dict[int, int] = {}
+    one = make_quaternion_spec(ramified)
+    classified: dict[int, ClassifiedLocal] = {}
+    shapes: dict = {}
 
-    def h_at(m: int) -> int:
-        if m not in probes:
-            probes[m] = smallest_h(make_quaternion_spec(ramified, m)).h
-        return probes[m]
+    def room(k: int, p: int) -> int:
+        if p not in classified:
+            classified[p] = _classified_at(one, p, shapes)
+        return min(twisted_capacity(k, n, p, r) // _copies(members) for (n, r), members in classified[p].groups)
 
     ranges = []
-    start = 1
-    while start <= m_max:
-        level = h_at(start)
-        # h(lo) == level is known; hi is the least probed m beyond lo with h > level.
-        lo, hi, step = start, m_max + 1, 1
-        while hi == m_max + 1 and lo < m_max:
-            m = min(lo + step, m_max)
-            if h_at(m) == level:
-                lo = m
-                step *= 2
-            else:
-                hi = m
-        while hi - lo > 1:
-            mid = (lo + hi) // 2
-            if h_at(mid) == level:
-                lo = mid
-            else:
-                hi = mid
-        ranges.append((level, start, lo))
-        start = lo + 1
-    probed = sorted(probes.items())
-    for (m1, h1), (m2, h2) in zip(probed, probed[1:]):
-        if h1 > h2:
+    k, reached = 1, 0
+    while reached < m_max:
+        k += 1
+        most = min(m_max, room(k, 2))
+        bounds, _ = _cutoff_shapes(make_quaternion_spec(ramified, most), k)
+        below = _primes_below(max(b.threshold for b in bounds))
+        level = min([most] + [room(k, p) for p in (*below, *one.listed_primes)])
+        if level < reached:
             raise CertificateError(
-                f"h must be nondecreasing in the copy count, but h({m1}) = {h1} > h({m2}) = {h2}"
+                f"h must be nondecreasing in the copy count, but level {k} reaches "
+                f"{level} copies and level {k - 1} reached {reached}"
             )
+        if level > reached:
+            for m in {reached + 1, level}:
+                prime_cutoff(make_quaternion_spec(ramified, m), k)
+            ranges.append((k, reached + 1, level))
+            reached = level
     return QuaternionTable(
         ramified=tuple(sorted(set(ramified))),
         m_max=m_max,

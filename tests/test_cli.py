@@ -152,17 +152,12 @@ M61 = 2**61 - 1
             f"error: request needs {2**61} sieve entries, budget is 67108864\n",
         ),
         (
-            ("quaternion", "--ramified", "100000007", "--mmax", "1"),
-            4,
-            "error: request needs 100000008 sieve entries, budget is 67108864\n",
-        ),
-        (
             ("quaternion", "--ramified", str(BIG_PRIME), "--mmax", "1"),
             2,
             f"error: {BIG_PRIME} is not decided: the primality test is proven only below 3317044064679887385961981\n",
         ),
     ],
-    ids=["analyze-M61", "quaternion-1e8", "quaternion-big"],
+    ids=["analyze-M61", "quaternion-big"],
 )
 def test_large_primes_end_at_once(tmp_path, argv, code, err):
     """Each ends at once with a typed error: no prime is trial-divided, and the verdict's sieve stops at the budget."""
@@ -177,6 +172,31 @@ def test_large_primes_end_at_once(tmp_path, argv, code, err):
         capture_output=True, text=True, env=env, timeout=20,
     )
     assert (proc.returncode, proc.stdout, proc.stderr) == (code, "", err)
+
+
+@pytest.mark.parametrize(
+    "argv,out",
+    [
+        (
+            ("quaternion", "--ramified", "100000007", "--mmax", "1"),
+            "quaternion order ramified at {100000007}, m = 1..1\n\n    h  copies\n    2  m = 1\n",
+        ),
+        (
+            ("quaternion", "--ramified", "10000019", "--mmax", "1000"),
+            "quaternion order ramified at {10000019}, m = 1..1000\n\n    h  copies\n"
+            "    2  1 <= m <= 16\n    3  17 <= m <= 448\n    4  449 <= m <= 1000\n",
+        ),
+    ],
+    ids=["1e8", "1e7-mmax1000"],
+)
+def test_quaternion_at_a_large_ramified_prime_answers(argv, out):
+    """The table looks only at the primes below the shape thresholds and the ramified ones, so no sieve reaches p."""
+    env = dict(os.environ, PYTHONPATH=str(pathlib.Path(ordgen.__file__).parent.parent))
+    env.pop("ORDGEN_BUDGET", None)
+    proc = subprocess.run(
+        [sys.executable, "-m", "ordgen.cli", *argv], capture_output=True, text=True, env=env, timeout=20
+    )
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, out, "")
 
 
 def test_degree_pattern_at_a_large_prime_returns_at_once():

@@ -717,6 +717,15 @@ def test_right_operators_match_products(case):
         assert eng.apply(eng.right_op(g), x) == eng.mul(x, g)
 
 
+@pytest.mark.parametrize("q", [2, 4, 3, 9, 49])
+def test_columns_match_every_table_entry(q):
+    """The engine skips zero table vectors; its columns are those built from every entry."""
+    for alg in _CANDIDATES[q]:
+        eng = alg._eng()
+        tbl = flat_table(alg, eng)
+        assert eng.cols == [[(a, tbl[a][b]) for a in range(eng.D) if tbl[a][b]] for b in range(eng.D)]
+
+
 def bare_gfp_engine(p, D, e=1):
     """An odd-p engine with lanes for D flat coordinates over F_(p^e), but no algebra."""
     eng = object.__new__(finalg._GfpEngine)

@@ -8,7 +8,6 @@ import os
 import pathlib
 import subprocess
 import sys
-import types
 
 from fractions import Fraction
 
@@ -16,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ordgen import orderspec, solver
+from ordgen import counting, orderspec, solver
 from ordgen.errors import (
     BoundTooSmall,
     BudgetExceeded,
@@ -133,6 +132,37 @@ def test_cutoff_soundness_by_brute_scan():
             seen[p] = min_k_local(classify(local_data(spec7, p)))
     assert max(seen.values()) == verdict7.h == 3
     assert seen[2] == 3
+
+
+def bisection_ceil_root(value, exponent):
+    """Smallest t >= 1 with t**exponent >= value, by bisection: the former ``_ceil_root``."""
+    if value == 1:
+        return 1
+    hi = 1 << ((value.bit_length() + exponent - 1) // exponent + 1)
+    lo = 1
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if mid**exponent >= value:
+            hi = mid
+        else:
+            lo = mid + 1
+    return lo
+
+
+def test_ceil_root_matches_bisection():
+    values = list(range(1, 3000))
+    for t in (2, 3, 7, 10**6 + 3, 2**61 - 1):
+        for e in range(1, 40):
+            values += [t**e - 1, t**e, t**e + 1]
+    for value in values:
+        for exponent in (1, 2, 3, 4, 5, 7, 13, 37):
+            assert solver._ceil_root(value, exponent) == bisection_ceil_root(value, exponent)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 10**400), st.integers(1, 200))
+def test_ceil_root_matches_bisection_on_large_values(value, exponent):
+    assert solver._ceil_root(value, exponent) == bisection_ceil_root(value, exponent)
 
 
 # ---------------------------------------------------------------- verdicts
@@ -757,29 +787,99 @@ def test_capacity_ranges_name_the_known_thresholds():
     assert [hi for _, _, hi in capacity_ranges((2,), 40000)] == [6, 28, 120, 496, 2016, 8128, 32640, 40000]
 
 
-@pytest.mark.parametrize("ramified,m_max,most", [((5, 7), 10000, 70), ((2,), 1000, 64)])
-def test_quaternion_search_verdict_count(monkeypatch, ramified, m_max, most):
-    seen = []
-    original = solver.smallest_h
+@pytest.mark.parametrize(
+    "ramified,m_max", [((5, 7), 10000), ((2,), 1000), ((100003,), 1000), ((2, 5), 10**30)]
+)
+def test_quaternion_table_makes_no_verdict(monkeypatch, ramified, m_max):
+    """No verdict and no sieve up to the cutoff: two cutoffs per range, at its first and last m."""
+    cutoffs, sieves = [], []
+    original_cutoff, original_sieve = solver.prime_cutoff, solver._primes_below
 
-    def counting_smallest_h(spec):
-        seen.append(spec.factors[0].copies)
-        return original(spec)
+    def no_verdict(spec, **kwargs):
+        raise AssertionError("quaternion_example called smallest_h")
 
-    monkeypatch.setattr(solver, "smallest_h", counting_smallest_h)
-    quaternion_example(ramified, m_max)
-    assert len(seen) <= most
-    assert len(set(seen)) == len(seen)
+    def counting_cutoff(spec, k):
+        cutoffs.append((spec.factors[0].copies, k))
+        return original_cutoff(spec, k)
+
+    def counting_sieve(n):
+        sieves.append(n)
+        return original_sieve(n)
+
+    monkeypatch.setattr(solver, "smallest_h", no_verdict)
+    monkeypatch.setattr(solver, "prime_cutoff", counting_cutoff)
+    monkeypatch.setattr(solver, "_primes_below", counting_sieve)
+    table = quaternion_example(ramified, m_max)
+    assert all(lo < hi for _, lo, hi in table.ranges)
+    assert sorted(cutoffs) == sorted((m, h) for h, lo, hi in table.ranges for m in (lo, hi))
+    assert 0 < max(sieves) <= 64
+
+
+@pytest.mark.parametrize("short", [3, 101], ids=["unramified-3", "ramified-101"])
+def test_quaternion_table_reads_every_prime_that_can_fall_short(monkeypatch, short):
+    """A prime whose capacity grows by only 10 copies per level ends every level, as in the per-m scan.
+
+    The unramified 3 lies below the shape threshold of each level reached here
+    (64, 8 and 4); the ramified 101 lies above them, where only the listed
+    primes are read.  No true capacity does this: for a quaternion order the
+    least room is at 2 or at a small ramified prime.
+    """
+    original = counting.twisted_capacity
+
+    def clipped(k, n, q, r):
+        capacity = original(k, n, q, r)
+        return min(capacity, 10 * k) if q == short else capacity
+
+    monkeypatch.setattr(counting, "twisted_capacity", clipped)
+    monkeypatch.setattr(solver, "twisted_capacity", clipped)
+    table, _ = scan_quaternion_table((101,), 40)
+    assert table.ranges == ((2, 1, 16), (3, 17, 30), (4, 31, 40))
+    assert quaternion_example((101,), 40) == table
 
 
 def test_quaternion_search_refuses_decreasing_h(monkeypatch):
-    def fake_smallest_h(spec):
-        m = spec.factors[0].copies
-        return types.SimpleNamespace(h=3 if 6 <= m <= 9 else 2)
-
-    monkeypatch.setattr(solver, "smallest_h", fake_smallest_h)
+    """Level 4 gets the capacities of level 2, so it reaches 6 copies after level 3 reached 28."""
+    original = solver.twisted_capacity
+    monkeypatch.setattr(solver, "twisted_capacity", lambda k, n, q, r: original(2 if k == 4 else k, n, q, r))
     with pytest.raises(CertificateError, match="nondecreasing"):
         quaternion_example((2,), 40)
+
+
+# Quaternion tables ramified at primes up to about 10^5, where a verdict
+# classifies every prime below the largest ramified one.
+LARGE_RAMIFIED = [((99991,), 1000), ((2, 99989), 10**5), ((3, 65537), 5000), ((10007, 99991), 300)]
+
+LARGE_RAMIFIED_SCRIPT = (
+    "from ordgen.solver import make_quaternion_spec, quaternion_example, smallest_h\n"
+    f"for ramified, m_max in {LARGE_RAMIFIED!r}:\n"
+    "    table = quaternion_example(ramified, m_max)\n"
+    "    ends = [m for _, lo, hi in table.ranges for m in (lo, hi)]\n"
+    "    print(table.ranges, [smallest_h(make_quaternion_spec(ramified, m)).h for m in ends])\n"
+)
+
+
+def expected_large_ramified_lines():
+    """The capacity ranges, and each range's h twice: at its first and at its last m."""
+    lines = []
+    for ramified, m_max in LARGE_RAMIFIED:
+        ranges = capacity_ranges(ramified, m_max)
+        lines.append(f"{ranges} {[h for h, _, _ in ranges for _ in (0, 1)]}\n")
+    return "".join(lines)
+
+
+@pytest.mark.parametrize("flags", [[], ["-O"]], ids=["plain", "-O"])
+def test_quaternion_tables_at_large_ramified_primes(flags):
+    """The tables equal the capacity ranges, and a full verdict at each range's ends agrees.
+
+    A verdict pins each boundary: h is h(lo) = h(hi) within a range and changes
+    at the next range's first m.  Under -O too, where no assert would run.
+    """
+    env = dict(os.environ, PYTHONPATH=str(pathlib.Path(solver.__file__).parent.parent))
+    proc = subprocess.run(
+        [sys.executable, *flags, "-c", LARGE_RAMIFIED_SCRIPT], capture_output=True, text=True, env=env, timeout=120
+    )
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout == expected_large_ramified_lines()
 
 
 @pytest.mark.parametrize("name", ["m2q.json", "quat2x7.json"])
