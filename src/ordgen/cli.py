@@ -10,6 +10,7 @@ canonical JSON (sorted keys, no whitespace) and parses back byte-identically.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from collections.abc import Callable
 
@@ -266,7 +267,9 @@ def _cmd_quaternion(args) -> int:
     return EXIT_OK
 
 
-def _build_parser() -> argparse.ArgumentParser:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The argument parser, built at the first ``main`` call and kept: parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="ordgen",
         description="Generator counts for finite algebras and maximal orders.",
@@ -319,9 +322,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     try:

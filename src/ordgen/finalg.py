@@ -34,7 +34,9 @@ For p = 2 a lane is one bit, the product AND and the sum XOR; for odd p a
 lane has the engine's b bits, a product of two per-tuple values goes through
 the bit masks of one of them, and lazy sums are reduced with the engine's
 magic constant.  Each pivot slot holds, in the lanes of the tuples that have
-that pivot, their semi-reduced row, under the engines' pivot conventions.
+that pivot, their semi-reduced row, under the engines' pivot conventions; for
+odd p the row is not scaled to 1 at its pivot, and the slot keeps the pivots'
+inverses beside it.
 Sweeps multiply the rows not yet processed by every generator until no lane
 has work left, and a tuple generates when its lane has all D pivots; this is
 exact, the same as one closure per tuple.  B is SAMPLE_LANES = 256, fewer
@@ -73,7 +75,8 @@ _GOLDEN = 0x9E3779B97F4A7C15
 # A batch closes up to SAMPLE_LANES tuples at once, samples or cosets, fewer
 # when its working set would pass SAMPLE_BITS (1 MiB).  That is about
 # (D^2 + g*D*bitlen(p-1)) * B * b bits for D flat coordinates, g generators,
-# B lanes of b bits: D pivot slots of D slices and g generators' bit masks.
+# B lanes of b bits: D pivot slots of D slices and g generators' bit masks,
+# one more g for the slots' pivot inverses when p is odd.
 SAMPLE_LANES = 256
 SAMPLE_BITS = 1 << 23
 
@@ -162,8 +165,8 @@ def _inv_matrix_mod_p(cols: list[list[int]], p: int) -> list[list[int]]:
 
 
 class _Lanes:
-    """The constants of a batch of samples in b-bit lanes, b the engine's lane
-    width: lane s of an integer belongs to sample s.
+    """The constants of a batch of n samples in b-bit lanes, b the engine's
+    lane width: lane s of an integer belongs to sample s.
 
     ``ones`` holds 1 in every lane.  ``full`` selects every lane: its one bit
     for p = 2, and for odd p the low b - 1 bits, which hold every reduced and
@@ -173,10 +176,19 @@ class _Lanes:
     dataclass would cost a millisecond at every import.)
     """
 
-    __slots__ = ("ones", "full", "bits", "high", "quot")
+    __slots__ = ("n", "ones", "full", "bits", "high", "quot")
 
-    def __init__(self, ones: int, full: int, bits: int, high: int = 0, quot: int = 0):
-        self.ones, self.full, self.bits, self.high, self.quot = ones, full, bits, high, quot
+    def __init__(self, n: int, ones: int, full: int, bits: int, high: int = 0, quot: int = 0):
+        self.n, self.ones, self.full, self.bits, self.high, self.quot = n, ones, full, bits, high, quot
+
+
+def _packed_lanes(n: int, width: int) -> tuple[int, int]:
+    """(ones, ramp) for n lanes of ``width`` bits: lane s holds 1 in ``ones`` and s in ``ramp``.
+
+    With X = 2^width, they are the sums of X^s and of s * X^s over s < n.
+    """
+    X, top = 1 << width, 1 << (n * width)
+    return (top - 1) // (X - 1), (X - n * top + (n - 1) * top * X) // (X - 1) ** 2
 
 
 class _Engine:
@@ -207,12 +219,13 @@ class _Engine:
 
     The sampler's batch arithmetic works on lane vectors: D slices, slice i an
     integer whose lane s (see ``_Lanes``) holds coordinate i of sample s.
-    ``lanes(n)`` fixes the lane constants, ``batch_load`` reads drawn
-    elements into slices, ``batch_masks`` prepares a generator,
+    ``lanes(n)`` fixes the lane constants, ``batch_load`` reads packed
+    indices into slices, ``batch_masks`` prepares a generator,
     ``batch_product`` multiplies by it and ``batch_insert`` eliminates into
     pivot slots: ``rows[t]`` is a lane vector holding, in the lanes of
-    ``have[t]``, the semi-reduced row with pivot t, under the same pivot
-    convention as ``insert``.
+    ``have[t]``, a semi-reduced row with pivot t, under the same pivot
+    convention as ``insert`` but, for odd p, not scaled to 1 at its pivot;
+    ``inv[t]`` holds the inverse of that pivot coordinate.
     """
 
     def __init__(self, alg: FiniteAlgebra):
@@ -272,24 +285,28 @@ class _Engine:
         b, lane = self.b, (1 << self.b) - 1
         return [((flat >> (i * b)) & lane) * L.ones for i in range(self.D)]
 
-    def batch_load(self, L: _Lanes, idxs: list[int]) -> list[int]:
-        """The lane vector of the elements with the given indices, one per lane.
+    @functools.cached_property
+    def load_width(self) -> int:
+        """The lane width in bits of ``batch_load``'s packed indices: room for
+        an index times the magic constant, in whole bytes."""
+        return 8 * ((2 * (self.size - 1).bit_length() + self.p.bit_length() + 7) // 8)
 
-        The indices are packed into one integer, a lane of W whole bytes per
-        sample, and their D base-p digits are peeled off every lane at once:
-        with S = bits + bitlen(p) for indices of ``bits`` bits and
-        M = ceil(2^S / p), a lane's quotient by p is (x * M) >> S, and W
-        holds x * M.  The bytes of digit j, last sample first, are read as a
-        binary numeral with one character per lane bit, through one
-        translated copy per bit of a digit.
+    def batch_load(self, L: _Lanes, x: int) -> list[int]:
+        """The lane vector of the elements whose indices are packed in x, one per lane.
+
+        Lane s of x, ``load_width`` bits wide, holds the index of sample s.
+        Its D base-p digits are peeled off every lane at once: with indices
+        of ``bits`` bits, S = bits + bitlen(p) and M = ceil(2^S / p), a
+        lane's quotient by p is (x * M) >> S, and a lane holds x * M.  The
+        bytes of digit j, last sample first, are read as a binary numeral
+        with one character per lane bit, through one translated copy per bit
+        of a digit.
         """
-        p, n, w = self.p, len(idxs), self.b
-        bits = (self.size - 1).bit_length()
-        shift = bits + p.bit_length()
-        wb = (bits + shift + 7) // 8
+        p, n, w = self.p, L.n, self.b
+        shift = (self.size - 1).bit_length() + p.bit_length()
+        wb = self.load_width // 8
         magic = -(-(1 << shift) // p)
         quot = int.from_bytes((b"\x01" + bytes(wb - 1)) * n, "little") * ((1 << (8 * wb - shift)) - 1)
-        x = int.from_bytes(b"".join([i.to_bytes(wb, "little") for i in idxs]), "little")
         out = []
         for _ in range(self.D):
             q = ((x * magic) >> shift) & quot
@@ -375,7 +392,7 @@ class _Gf2Engine(_Engine):
     @staticmethod
     def lanes(n: int) -> _Lanes:
         full = (1 << n) - 1
-        return _Lanes(full, full, 1)
+        return _Lanes(n, full, full, 1)
 
     @functools.cached_property
     def lane_terms(self) -> list[list[tuple[int, int]]]:
@@ -404,13 +421,14 @@ class _Gf2Engine(_Engine):
                     out[m] ^= xi & g[j]
         return out
 
-    def batch_insert(self, L: _Lanes, rows: list, have: list[int], v: list[int], live: int) -> None:
+    def batch_insert(self, L: _Lanes, rows: list, have: list[int], inv: list, v: list[int], live: int) -> None:
         """Reduce lane vector v in the lanes of ``live`` and store each lane's remainder at its pivot.
 
         The slots are visited from the top coordinate down.  Where v has a 1
         at t, the lanes holding a row with pivot t clear it with that row; in
         the others t becomes the pivot of what is left of v, which is stored
         and leaves the reduction.  ``rows[t]`` keeps the slices 0 .. t.
+        Every pivot is 1, so the pivot inverses ``inv`` are not kept.
         """
         for t in range(self.D - 1, -1, -1):
             c = v[t] & live
@@ -567,7 +585,8 @@ class _GfpEngine(_Engine):
     def lanes(self, n: int) -> _Lanes:
         b = self.b
         ones = ((1 << (n * b)) - 1) // ((1 << b) - 1)
-        return _Lanes(ones, ones * ((1 << (b - 1)) - 1), b - 1, ones << (b - 1), ones * ((1 << (b - self.shift)) - 1))
+        full, quot = ones * ((1 << (b - 1)) - 1), ones * ((1 << (b - self.shift)) - 1)
+        return _Lanes(n, ones, full, b - 1, ones << (b - 1), quot)
 
     @functools.cached_property
     def lane_terms(self) -> tuple[list[tuple[int, int]], list[list[list[tuple[int, int]]]]]:
@@ -637,18 +656,21 @@ class _GfpEngine(_Engine):
             out.append(acc - p * (((acc * magic) >> shift) & quot) if acc else 0)
         return out
 
-    def batch_insert(self, L: _Lanes, rows: list, have: list[int], v: list[int], live: int) -> None:
+    def batch_insert(self, L: _Lanes, rows: list, have: list[int], inv: list, v: list[int], live: int) -> None:
         """Reduce lane vector v, whose lanes lie in [0, p), in the lanes of
-        ``live``, and store each lane's remainder at its pivot, scaled to 1 there.
+        ``live``, and store each lane's remainder at its pivot, unscaled.
 
-        The slots are visited from coordinate 0 up.  Where v's lane c at t is
-        not 0 mod p, the lanes holding a row with pivot t add (p - c) times it,
-        one term of at most (p-1)^2 per lane and slot; in the others t
-        becomes the pivot of what is left of v, which is reduced, scaled by
-        c^-1 and stored, and leaves the reduction.
+        ``inv[t]`` holds, in the lanes of ``have[t]``, minus the inverse of
+        the pivot coordinate of the row stored at t, as its bit masks: mask
+        s for bit s.  The slots are visited from coordinate 0 up.  Where v's
+        lane c at t is not 0 mod p, the lanes holding a row r with pivot t
+        add (c * inv mod p) times r, one term of at most (p-1)^2 per lane
+        and slot; in the others t becomes the pivot of what is left of v,
+        which is reduced and stored with minus the inverse of c, and leaves
+        the reduction.
         """
         p, D, magic, shift, quot = self.p, self.D, self.magic, self.shift, L.quot
-        ones, low, high, b1 = L.ones, L.full, L.high, self.b - 1
+        low, high, b1 = L.full, L.high, self.b - 1
         for t in range(D):
             c = v[t] & live
             if not c:
@@ -661,7 +683,10 @@ class _GfpEngine(_Engine):
             h = nz & have[t]
             row = rows[t]
             if h:
-                masks = self._bit_masks(L, (p * ones & h) - (c & h))
+                ch, acc = c & h, 0
+                for s, m in enumerate(inv[t]):
+                    acc += (ch & m) << s
+                masks = self._bit_masks(L, acc - p * (((acc * magic) >> shift) & quot))
                 for u in range(t + 1, D):
                     r = row[u]
                     if r:
@@ -671,18 +696,17 @@ class _GfpEngine(_Engine):
                         v[u] = acc
             new = nz ^ h
             if new:
-                masks = self._bit_masks(L, self._lane_inverse(L, c & new))
                 if row is None:
                     row = rows[t] = [0] * D
+                    inv[t] = [0] * (p - 1).bit_length()
                 for u in range(t + 1, D):
                     y = v[u] & new
                     if y:
-                        y -= p * (((y * magic) >> shift) & quot)
-                        acc = 0
-                        for s, m in masks:
-                            acc += (y & m) << s
-                        row[u] |= acc - p * (((acc * magic) >> shift) & quot)
-                row[t] |= ones & new
+                        row[u] |= y - p * (((y * magic) >> shift) & quot)
+                c &= new
+                row[t] |= c
+                for s, m in self._bit_masks(L, (p * L.ones & new) - self._lane_inverse(L, c)):
+                    inv[t][s] |= m
                 have[t] |= new
                 live ^= new
                 if not live:
@@ -919,7 +943,8 @@ def brute_gen_count(alg: FiniteAlgebra, k: int, *, budget: int | None = None) ->
     of every S of level k - 1 are closed in batches (``_close_batch``), one
     lane per coset, next to S's prefix.  A batch holds pieces of consecutive
     cosets of one or more S; coset c has the base-p digits of c as its
-    coordinates off the pivots of S.
+    coordinates off the pivots of S.  The coset numbers of a piece from c on
+    are packed at once, as c * ones + ramp (``_packed_lanes``).
     """
     if k < 1:
         raise InvalidCount(f"k must be at least 1, got {k}")
@@ -940,8 +965,10 @@ def brute_gen_count(alg: FiniteAlgebra, k: int, *, budget: int | None = None) ->
                     nxt.setdefault(T, [0, prefix + [flat]])[0] += w * p ** len(T)
         level = nxt
     B = _batch_size(eng, k)
+    width = eng.load_width
+    ones, ramp = _packed_lanes(B, width)
 
-    def pieces():  # (batch number, the piece's lanes as a mask, weight, prefix, free positions, cosets)
+    def pieces():  # (batch number, first lane, lanes, weight, prefix, free positions, first coset)
         lanes = 0
         for S, (w, prefix) in level.items():
             pivots = {eng.pivot(r) for r in S}
@@ -949,22 +976,28 @@ def brute_gen_count(alg: FiniteAlgebra, k: int, *, budget: int | None = None) ->
             first, cosets = 0, p ** len(free)
             while first < cosets:  # a piece ends with its batch
                 n = min(B - lanes % B, cosets - first)
-                yield lanes // B, ((1 << (n * b)) - 1) << (lanes % B * b), w, prefix, free, range(first, first + n)
+                yield lanes // B, lanes % B, n, w, prefix, free, first
                 lanes, first = lanes + n, first + n
 
     for _, batch in itertools.groupby(pieces(), operator.itemgetter(0)):
         batch = list(batch)
-        numbers = [c for *_, cosets in batch for c in cosets]
-        L = eng.lanes(len(numbers))
-        digits = eng.batch_load(L, numbers)
+        _, at, n, *_ = batch[-1]
+        L = eng.lanes(at + n)
+        x = 0
+        for _, at, n, *_, first in batch:  # cosets first, first + 1, ... from lane ``at`` on
+            x |= ((first * ones + ramp) & ((1 << (n * width)) - 1)) << (at * width)
+        digits = eng.batch_load(L, x)
         gens = [[0] * D for _ in range(k)]
-        for _, mask, w, prefix, free, _ in batch:
+        weights = []
+        for _, at, n, w, prefix, free, _ in batch:
+            mask = ((1 << (n * b)) - 1) << (at * b)
             for j, a in enumerate(prefix):
                 gens[j] = [g | (s & mask) for g, s in zip(gens[j], eng.broadcast(L, a))]
             for pos, s in zip(free, digits):
                 gens[-1][pos] |= s & mask
+            weights.append((mask, w))
         full = _close_batch(eng, L, base, gens)
-        total += sum(w * ((full & mask).bit_count() // L.bits) for _, mask, w, *_ in batch)
+        total += sum(w * ((full & mask).bit_count() // L.bits) for mask, w in weights)
     return total
 
 
@@ -1019,23 +1052,57 @@ def _element_draws(size: int) -> int:
     return 1 if size <= 1 << 64 else 1 + -(-(size - 1).bit_length() // 64)
 
 
-def _drawn_indices(seed: int, first: int, count: int, size: int) -> list[int]:
-    """The indices of drawn elements first .. first + count - 1 of the stream from seed.
+def _packed_draws(seed: int, stride: int, size: int, n: int, width: int):
+    """The function from first to the indices of drawn elements first,
+    first + stride, ..., first + (n-1)*stride of the stream from seed,
+    packed in n lanes of ``width`` bits (whole bytes, room for size - 1).
 
-    Element n reads the m = _element_draws(size) raw outputs n*m+1 .. n*m+m
-    as one integer, the first output lowest, and reduces it modulo size.
+    The draws of a call are made in wide lanes, one per element, each with
+    room for an element's m raw outputs times a magic constant, at least
+    128 bits.  Output u of lane s has the counter
+    seed + (first*m + u + 1 + s*stride*m) * golden, an arithmetic progression
+    in s, so each splitmix64 step runs on every lane at once: a 64-bit value
+    times a 64-bit constant stays in its lane, and is cut back to 64 bits.
+    The raw values, first output lowest, are reduced modulo the size as
+    x - size * ((x * magic) >> shift), the quotient read through the low
+    64m bits of each lane, and the low bytes of the wide lanes are copied
+    into the narrow ones, one strided copy per byte.
     """
     m = _element_draws(size)
-    raw = map(_mix64, range(seed + (first * m + 1) * _GOLDEN, seed + ((first + count) * m + 1) * _GOLDEN, _GOLDEN))
-    if m > 1:
-        raw = [sum(r << (64 * u) for u, r in enumerate(itertools.islice(raw, m))) for _ in range(count)]
-    return [r % size for r in raw]
+    shift = 64 * m + size.bit_length()
+    magic = -(-(1 << shift) // size)
+    wb, nb = (64 * m + shift + 7) // 8, width // 8
+    ones, ramp = _packed_lanes(n, 8 * wb)
+    steps = ramp * (stride * m * _GOLDEN & _MASK64)
+    quot = ones * ((1 << (64 * m)) - 1)
+    masks = quot if m == 1 else ones * _MASK64  # a lane cut to 64 bits
+    used = range(((size - 1).bit_length() + 7) // 8)
+
+    def draw(first: int) -> int:
+        x = 0
+        for u in range(m):
+            z = (((seed + (first * m + u + 1) * _GOLDEN) & _MASK64) * ones + steps) & masks
+            z = ((z ^ (z >> 30)) & masks) * 0xBF58476D1CE4E5B9 & masks
+            z = ((z ^ (z >> 27)) & masks) * 0x94D049BB133111EB & masks
+            x |= ((z ^ (z >> 31)) & masks) << (64 * u)
+        wide = (x - size * (((x * magic) >> shift) & quot)).to_bytes(n * wb, "little")
+        out = bytearray(n * nb)
+        for i in used:
+            out[i::nb] = wide[i::wb]
+        return int.from_bytes(out, "little")
+
+    return draw
 
 
 def _batch_size(eng, k: int) -> int:
-    """Lanes per batch: SAMPLE_LANES, or fewer to keep the working set within SAMPLE_BITS."""
+    """Lanes per batch: SAMPLE_LANES, or fewer to keep the working set within SAMPLE_BITS.
+
+    A lane takes D slices in each of the D slots and, per generator, D
+    slices of bit masks; for odd p the slots' pivot inverses take D more.
+    """
     D = eng.D
-    per_lane = (D * D + (k + eng.e - 1) * D * (eng.p - 1).bit_length()) * eng.b
+    masks = k + eng.e - 1 + (eng.p > 2)
+    per_lane = (D * D + masks * D * (eng.p - 1).bit_length()) * eng.b
     return max(1, min(SAMPLE_LANES, SAMPLE_BITS // per_lane))
 
 
@@ -1055,12 +1122,12 @@ def _close_batch(eng, L: _Lanes, base_rows, gens: list) -> int:
     """
     D, full = eng.D, L.full
     rows: list = [None] * D
-    have = [0] * D
+    have, inv = [0] * D, [0] * D
     for r in base_rows:
-        eng.batch_insert(L, rows, have, eng.broadcast(L, r), full)
+        eng.batch_insert(L, rows, have, inv, eng.broadcast(L, r), full)
     done = list(have)
     for g in gens:
-        eng.batch_insert(L, rows, have, list(g), full)
+        eng.batch_insert(L, rows, have, inv, list(g), full)
     masks = [eng.batch_masks(L, g) for g in gens + [eng.broadcast(L, s) for s in eng.scalars[1:]]]
     alive = full & ~functools.reduce(operator.and_, have)
     busy = True
@@ -1074,7 +1141,7 @@ def _close_batch(eng, L: _Lanes, base_rows, gens: list) -> int:
             done[t] |= todo
             x = [s & todo for s in rows[t]]
             for m in masks:
-                eng.batch_insert(L, rows, have, eng.batch_product(L, x, m), alive)
+                eng.batch_insert(L, rows, have, inv, eng.batch_product(L, x, m), alive)
             alive &= ~functools.reduce(operator.and_, have)
             if not alive:
                 break
@@ -1083,17 +1150,20 @@ def _close_batch(eng, L: _Lanes, base_rows, gens: list) -> int:
 
 def _sample_range(alg: FiniteAlgebra, k: int, start: int, stop: int, seed: int) -> int:
     """The number of generating tuples among samples start .. stop - 1, closed in
-    batches of ``_batch_size`` samples, one lane each (``_close_batch``)."""
+    batches of ``_batch_size`` samples, one lane each (``_close_batch``).
+
+    Generator j of a batch is loaded from drawn elements j, j + k, ... of
+    its first sample on, packed in the lanes of one integer (``_packed_draws``)."""
     eng = alg._eng()
     base = _close(eng, [], eng.scalars)
     B = _batch_size(eng, k)
+    draw = _packed_draws(seed, k, alg.size, B, eng.load_width)
     hits = 0
     for first in range(start, stop, B):
         n = min(B, stop - first)
         L = eng.lanes(n)
-        idxs = _drawn_indices(seed, first * k, n * k, alg.size)
-        gens = [eng.batch_load(L, idxs[j::k]) for j in range(k)]
-        del idxs  # not held while the batch closes
+        cut = (1 << (n * eng.load_width)) - 1
+        gens = [eng.batch_load(L, draw(first * k + j) & cut) for j in range(k)]
         hits += _close_batch(eng, L, base, gens).bit_count() // L.bits
     return hits
 
@@ -1108,9 +1178,10 @@ def sample_gen_fraction(
 ) -> SampleEstimate:
     """Estimate the fraction of generating k-tuples from uniform index samples.
 
-    Sample t (0-based) uses drawn elements t*k .. t*k+k-1 of the stream
-    (``_drawn_indices``): one raw output each, reduced modulo the algebra's
-    size, or m consecutive outputs each above 2^64 elements.  So results are
+    Sample t (0-based) uses drawn elements t*k .. t*k+k-1 of the stream:
+    element n reads the m = ``_element_draws(size)`` raw outputs
+    n*m+1 .. n*m+m (``splitmix64_stream``) as one integer, the first output
+    lowest, and reduces it modulo the algebra's size.  So results are
     identical for any worker partition.
     """
     if k < 1 or samples < 1:

@@ -19,7 +19,7 @@ from dataclasses import dataclass, fields, is_dataclass
 from fractions import Fraction
 
 from .counting import _deficiency_coeff, twisted_capacity
-from .errors import BoundTooSmall, BudgetExceeded, CertificateError, NoCutoff, SpecError
+from .errors import BoundTooSmall, BudgetExceeded, CapExceeded, CertificateError, NoCutoff, SpecError
 from .finalg import resolve_budget
 from .orderspec import (
     ClassifiedLocal,
@@ -30,7 +30,7 @@ from .orderspec import (
     gen_count_local,
     min_k_local,
 )
-from .primes import _integer_root, is_prime
+from .primes import PRIME_TEST_LIMIT, _integer_root, is_prime
 
 
 def _ceil_root(value: int, exponent: int) -> int:
@@ -162,11 +162,26 @@ def _cutoff_shapes(spec: OrderSpec, k: int) -> tuple[tuple[ShapeBound, ...], int
 
 
 def prime_cutoff(spec: OrderSpec, k: int) -> CutoffCertificate:
-    """Certified Q0 such that every prime p >= Q0 passes the capacity test at level k."""
+    """Certified Q0 such that every prime p >= Q0 passes the capacity test at level k.
+
+    The certificate sweeps 8 primes from q0 to about 4*q0.  When one of them
+    would lie at or past PRIME_TEST_LIMIT, where primality is not proven,
+    CapExceeded names q0 and the limit.
+    """
     shapes, q0 = _cutoff_shapes(spec, k)
     sweep = []
     previous: list[int | None] = [None] * len(shapes)
-    p = _next_prime(q0)
+
+    def next_prime(n: int) -> int:
+        try:
+            return _next_prime(n)
+        except CapExceeded as exc:
+            raise CapExceeded(
+                f"the cutoff q0 = {q0} is not certified: its sweep up to about 4*q0 passes {PRIME_TEST_LIMIT}, "
+                "the limit of the primality test"
+            ) from exc
+
+    p = next_prime(q0)
     step = max(1, (3 * q0) // 7)
     for _ in range(8):
         margins = []
@@ -179,7 +194,7 @@ def prime_cutoff(spec: OrderSpec, k: int) -> CutoffCertificate:
             margins.append(margin)
         sweep.append((p, tuple(margins)))
         previous = margins
-        p = _next_prime(p + step)
+        p = next_prime(p + step)
     return CutoffCertificate(k=k, q0=q0, shapes=shapes, sweep=tuple(sweep))
 
 

@@ -156,8 +156,14 @@ M61 = 2**61 - 1
             2,
             f"error: {BIG_PRIME} is not decided: the primality test is proven only below 3317044064679887385961981\n",
         ),
+        (
+            ("quaternion", "--ramified", "1000000000000000000000007", "--mmax", "100"),
+            2,
+            "error: the cutoff q0 = 1000000000000000000000008 is not certified: its sweep up to about 4*q0 "
+            "passes 3317044064679887385961981, the limit of the primality test\n",
+        ),
     ],
-    ids=["analyze-M61", "quaternion-big"],
+    ids=["analyze-M61", "quaternion-big", "quaternion-sweep"],
 )
 def test_large_primes_end_at_once(tmp_path, argv, code, err):
     """Each ends at once with a typed error: no prime is trial-divided, and the verdict's sieve stops at the budget."""
@@ -751,6 +757,34 @@ def test_usage_error_exit_code(capsys):
     capsys.readouterr()
     assert main([]) == 2
     capsys.readouterr()
+
+
+PARSER_SEQUENCE = [
+    ("frobnicate",),
+    ("--help",),
+    ("count", "--k", "2", "--n", "2", "--q", "3"),
+    ("oracle", "--alg", "M(2,2)", "--k", "2", "--format", "machine"),
+    ("oracle", "--alg", "M(2,3)", "--k", "2", "--samples", "50", "--seed", "1"),
+    ("analyze", "--spec", str(DATA / "quat2.json")),
+    ("density", "--spec", str(DATA / "zi.json"), "--k", "2", "--bound", "100"),
+    ("quaternion", "--ramified", "2,3", "--mmax", "20"),
+    ("count", "--k", "0", "--n", "2", "--q", "2"),
+    ("oracle", "--help"),
+]
+
+
+def test_one_parser_serves_a_sequence_of_calls(capsys):
+    """main builds its parser at the first call and keeps it: a usage error,
+    help and every subcommand print and return what a fresh parser gives."""
+    fresh = []
+    for argv in PARSER_SEQUENCE:
+        cli._parser.cache_clear()
+        fresh.append(run(capsys, *argv))
+    cli._parser.cache_clear()
+    reused = [run(capsys, *argv) for argv in PARSER_SEQUENCE]
+    assert cli._parser.cache_info().misses == 1
+    assert reused == fresh
+    assert [code for code, _, _ in reused] == [2, 0, 0, 0, 0, 0, 0, 0, 2, 0]
 
 
 def run_patched(patch, optimise, *argv):

@@ -16,7 +16,11 @@ The oracles below come from earlier designs of ``finalg``:
   multiply through it;
 - the per-sample Monte Carlo loop (``per_sample_range``), one ``_close`` per
   drawn tuple, used before the sampler closed its samples in batches of
-  lanes;
+  lanes, with the per-element draw (``drawn_indices``), one splitmix64 call
+  per raw output, used before the draws of a batch were packed into lanes;
+- the batch insertion that scaled each row to 1 at its pivot
+  (``ScaledGfpEngine``), used before the odd-p slots kept rows unscaled
+  beside their pivots' inverses;
 - the depth-first enumeration (``per_coset_gen_count``), one ``_close`` per
   coset of the last generator except those its skip span settles, used
   before the exhaustive oracle decided its last generator in batches of
@@ -29,7 +33,10 @@ representatives and counts as ``finalg``.
 import contextlib
 import functools
 import itertools
+import os
 import random
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -756,13 +763,35 @@ def test_flat_of_index_matches_digit_loop(p, e):
 # -- the sampler: batches of lanes against one closure per sample -----------
 
 
+def drawn_indices(seed, first, count, size):
+    """The indices of drawn elements first .. first + count - 1 of the stream from seed.
+
+    Element n reads the m = _element_draws(size) raw outputs n*m+1 .. n*m+m
+    as one integer, the first output lowest, and reduces it modulo size.
+    """
+    m = finalg._element_draws(size)
+    raw = (finalg.splitmix64_stream(seed, i) for i in range(first * m + 1, (first + count) * m + 1))
+    if m > 1:
+        raw = [sum(r << (64 * u) for u, r in enumerate(itertools.islice(raw, m))) for _ in range(count)]
+    return [r % size for r in raw]
+
+
+def packed_indices(eng, idxs):
+    """The indices packed as ``batch_load`` reads them, one per lane of ``load_width`` bits."""
+    return sum(i << (s * eng.load_width) for s, i in enumerate(idxs))
+
+
+def unpacked(x, n, width):
+    return [(x >> (s * width)) & ((1 << width) - 1) for s in range(n)]
+
+
 def per_sample_range(alg, k, start, stop, seed):
     """The oracle: the hits among samples start .. stop - 1, one ``_close`` per drawn tuple."""
     eng = alg._eng()
     base = finalg._close(eng, [], eng.scalars)
     hits = 0
     for t in range(start, stop):
-        flats = [eng.flat_of_index(i) for i in finalg._drawn_indices(seed, t * k, k, alg.size)]
+        flats = [eng.flat_of_index(i) for i in drawn_indices(seed, t * k, k, alg.size)]
         if len(finalg._close(eng, base, flats)) == eng.D:
             hits += 1
     return hits
@@ -808,6 +837,138 @@ def test_batched_hits_match_per_sample_oracle(q, data):
             assert est.hits == per_sample_range(alg, k, 0, count, seed)
 
 
+@pytest.mark.parametrize(
+    "size,m", [(2**64 - 1, 1), (2**64, 1), (2**64 + 1, 3), (2**128, 3), (2**128 + 1, 4), (2**169, 4)]
+)
+def test_outputs_per_element_at_the_size_edges(size, m):
+    """One raw output up to 2^64 elements, else the least m with 2^(64m) >= size * 2^64,
+    so no size takes m = 2.  M_13(F_2) has 2^169 elements."""
+    assert finalg._element_draws(size) == m
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.integers(0, 2**64 - 1),
+    st.integers(0, 2**40),
+    st.integers(1, 300),
+    st.integers(1, 3),
+    st.sampled_from([2, 3, 2**9, 625, 3**9, 7**4, 3**16, 49**8, 2**64 - 1, 2**64, 2**64 + 1, 2**169, 13**100]),
+    st.integers(0, 2),
+)
+def test_packed_draws_match_per_element_draws(seed, first, count, stride, size, extra):
+    """Lane s of a packed draw is the index of drawn element first + s*stride,
+    in lanes of at least the bytes of size - 1, and m = 1, 3, 4 and 7 raw
+    outputs per element."""
+    width = 8 * (((size - 1).bit_length() + 7) // 8 + extra)
+    got = unpacked(finalg._packed_draws(seed, stride, size, count, width)(first), count, width)
+    assert got == drawn_indices(seed, first, (count - 1) * stride + 1, size)[::stride]
+
+
+class ScaledGfpEngine(finalg._GfpEngine):
+    """The odd-p engine whose batch insertion scales each stored row to 1 at its pivot."""
+
+    def batch_insert(self, L, rows, have, inv, v, live):
+        """As the engine's, but a lane gaining pivot t stores its remainder times c^-1, so
+        ``rows[t]`` holds 1 at t in the lanes of ``have[t]``; ``inv`` is not kept."""
+        p, D, magic, shift, quot = self.p, self.D, self.magic, self.shift, L.quot
+        ones, low, high, b1 = L.ones, L.full, L.high, self.b - 1
+        for t in range(D):
+            c = v[t] & live
+            if not c:
+                continue
+            c -= p * (((c * magic) >> shift) & quot)
+            if not c:
+                continue
+            nz = (c + low) & high
+            nz -= nz >> b1  # the lanes where c is not 0
+            h = nz & have[t]
+            row = rows[t]
+            if h:
+                masks = self._bit_masks(L, (p * ones & h) - (c & h))
+                for u in range(t + 1, D):
+                    r = row[u]
+                    if r:
+                        acc = v[u]
+                        for s, m in masks:
+                            acc += (r & m) << s
+                        v[u] = acc
+            new = nz ^ h
+            if new:
+                masks = self._bit_masks(L, self._lane_inverse(L, c & new))
+                if row is None:
+                    row = rows[t] = [0] * D
+                for u in range(t + 1, D):
+                    y = v[u] & new
+                    if y:
+                        y -= p * (((y * magic) >> shift) & quot)
+                        acc = 0
+                        for s, m in masks:
+                            acc += (y & m) << s
+                        row[u] |= acc - p * (((acc * magic) >> shift) & quot)
+                row[t] |= ones & new
+                have[t] |= new
+                live ^= new
+                if not live:
+                    return
+
+
+def unscaled_slot_mismatches(q, seed, lanes=40):
+    """The disagreements of the odd-p batches with the oracles on the candidate algebras over F_q.
+
+    For k = 1 and 2 random elements per lane, ``_close_batch`` must find the
+    lanes that ``_close`` finds generating.  After D + 2 random insertions,
+    the slots must have the pivots of the scaled insertion's, each row must
+    be its scaled row times its pivot coordinate, and ``inv`` must hold minus
+    that coordinate's inverse.  The result is a list, so that ``python -O``
+    can print it.
+    """
+    rng = random.Random(seed)
+    bad = []
+    for alg in _CANDIDATES[q]:
+        eng, ref = alg._eng(), ScaledGfpEngine(alg)
+        p, b, D, L = eng.p, eng.b, eng.D, eng.lanes(lanes)
+        lane = (1 << b) - 1
+        base = finalg._close(eng, [], eng.scalars)
+        for k in (1, 2):
+            xs = [[rng.randrange(alg.size) for _ in range(lanes)] for _ in range(k)]
+            full = finalg._close_batch(eng, L, base, [eng.batch_load(L, packed_indices(eng, x)) for x in xs])
+            got = [(full >> (s * b)) & 1 for s in range(lanes)]
+            want = [len(finalg._close(eng, base, [eng.flat_of_index(x[s]) for x in xs])) == D for s in range(lanes)]
+            if got != want:
+                bad.append(f"{alg.label} k={k}: lanes {got} against closures {want}")
+        rows, have, inv, ref_rows, ref_have = [None] * D, [0] * D, [0] * D, [None] * D, [0] * D
+        for _ in range(D + 2):
+            v = eng.batch_load(L, packed_indices(eng, [rng.randrange(alg.size) for _ in range(lanes)]))
+            eng.batch_insert(L, rows, have, inv, list(v), L.full)
+            ref.batch_insert(L, ref_rows, ref_have, None, list(v), L.full)
+        if have != ref_have:
+            bad.append(f"{alg.label}: pivots differ from the scaled insertion's")
+            continue
+        for t in range(D):
+            for s in range(lanes):
+                if not (have[t] >> (s * b)) & 1:
+                    continue
+                row = [((x >> (s * b)) & lane) for x in rows[t]]
+                ref_row = [((x >> (s * b)) & lane) for x in ref_rows[t]]
+                minus_inverse = sum(((m >> (s * b)) & 1) << i for i, m in enumerate(inv[t]))
+                if row != [row[t] * x % p for x in ref_row] or row[t] * minus_inverse % p != p - 1:
+                    bad.append(f"{alg.label}: slot {t}, lane {s}: {row} against {ref_row}, -1/pivot {minus_inverse}")
+    return bad
+
+
+@pytest.mark.parametrize("q", [3, 5, 7, 9, 49])
+@pytest.mark.parametrize("optimise", [False, True], ids=["plain", "-O"])
+def test_unscaled_slots_match_closures_and_scaled_insertion(q, optimise):
+    if not optimise:
+        assert unscaled_slot_mismatches(q, seed=q) == []
+        return
+    here, src = os.path.dirname(__file__), os.path.dirname(os.path.dirname(finalg.__file__))
+    code = f"import test_engine_oracle as t\nprint(t.unscaled_slot_mismatches({q}, seed={q}))\n"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([here, src]))
+    out = subprocess.run([sys.executable, "-O", "-c", code], env=env, capture_output=True, text=True, timeout=300)
+    assert (out.returncode, out.stdout) == (0, "[]\n"), out.stderr
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.sampled_from([p**e for p in (2, 3, 5, 7) for e in (1, 2, 3)]), st.data())
 def test_lane_loads_and_products_match_one_sample_at_a_time(q, data):
@@ -819,7 +980,7 @@ def test_lane_loads_and_products_match_one_sample_at_a_time(q, data):
     rng = random.Random(data.draw(st.integers(0, 2**32), label="seed"))
     L = eng.lanes(n)
     xs, gs = ([rng.randrange(alg.size) for _ in range(n)] for _ in range(2))
-    x, g = eng.batch_load(L, xs), eng.batch_load(L, gs)
+    x, g = eng.batch_load(L, packed_indices(eng, xs)), eng.batch_load(L, packed_indices(eng, gs))
     assert [lane_flat(eng, x, s) for s in range(n)] == [eng.flat_of_index(i) for i in xs]
     for s in range(n):  # the lanes of a load, and so the product's inputs, are reduced
         assert all(((v >> (s * eng.b)) & ((1 << eng.b) - 1)) < eng.p for v in x + g)
@@ -892,7 +1053,7 @@ def test_lanes_with_a_prefix_match_closures_from_its_subalgebra():
             kinds.add(eng.scalars[0] in S)
             xs = [rng.randrange(alg.size) for _ in range(70)]
             L = eng.lanes(len(xs))
-            full = finalg._close_batch(eng, L, base, [eng.broadcast(L, a), eng.batch_load(L, xs)])
+            full = finalg._close_batch(eng, L, base, [eng.broadcast(L, a), eng.batch_load(L, packed_indices(eng, xs))])
             got = [(full >> (s * eng.b)) & 1 for s in range(len(xs))]
             assert got == [len(finalg._close(eng, S, [eng.flat_of_index(i)])) == eng.D for i in xs]
     assert kinds == {True, False}

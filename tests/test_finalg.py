@@ -1025,10 +1025,10 @@ def test_batch_products_of_sampling(monkeypatch, n, q, samples, hits, products, 
 
 def test_sampling_working_set_is_bounded():
     """A batch's slots and generator masks take (D^2 + k*D*ceil(log2 p))*B*w
-    bits, 41 184 bytes here, and its 512 drawn indices about 20 000.  Each
-    generator's digits are peeled off one packed integer, not kept as one
-    object per sample: a layout with per-sample bytes objects peaked at
-    260 KiB with 512 lanes."""
+    bits, 41 184 bytes here, and the slots' pivot inverses D*ceil(log2 p)*B*w
+    more, 6 336 bytes.  Each generator is drawn into one packed integer and
+    its digits are peeled off it, with no object per sample: a layout with
+    per-sample bytes objects peaked at 260 KiB with 512 lanes."""
     alg = matrix_algebra(3, 3)
     eng = alg._eng()
     sample_gen_fraction(alg, 2, 10, seed=1)  # builds the lane terms
