@@ -7,9 +7,13 @@ viewed over the subfield F_q, and the product formula for m identical simple
 factors.  Quotients that must be exact are checked with `divmod` or a
 `fractions.Fraction` denominator and raise CertificateError when they are not.
 Arguments out of range (k, n, r or m below 1, q below 2) raise InvalidCount.
-Three caches remain: `pgl_order` (32 entries) and `_absolutely_irreducible` (128)
+For a caller that evaluates one shape at many q, `twisted_count_polys` gives the
+twisted count and its capacity step as integer polynomials in q, interpolated
+once per (k, n, r) and checked, so that each q costs one Horner evaluation.
+Four caches remain: `pgl_order` (32 entries) and `_absolutely_irreducible` (128)
 hold the repeats within one prime and one recursion; `gen_count_twisted`
-(unbounded, see its comment) holds the count every capacity is recomputed from.
+(unbounded, see its comment) holds the count every capacity is recomputed from,
+and `twisted_count_polys` one entry per shape.
 """
 
 from __future__ import annotations
@@ -163,14 +167,16 @@ def _deficiency_coeff(n: int) -> int:
     return isqrt((1 << (n + 6)) - 1) + 1
 
 
-# Unbounded: density at growing bounds revisits every prime, and capacity scans
-# and cutoff sweeps repeat counts.  After one seed-1 pass of the benchmark's
-# density workload it holds 8 848 entries with 5 063 hits, 1.54 MB of the 1.72 MB
-# of heap still allocated (tracemalloc); verdict makes 1 728 hits on 209 entries.
-# Medians of alternating passes on 2 vCPUs, CPython 3.11: 1024 entries cut
-# density's peak RSS from 20.2 to 18.9 MB, but its pass_s did not settle (+3%,
-# -15% and +0.3% in three series of 20 to 36 passes) and verdict read 4% slower,
-# so no bound was shown to cost nothing; no cache made both about 8% slower.
+# Unbounded.  Density reads its counts from `twisted_count_polys`, so its only
+# entries are the interpolation nodes: 72 after one pass of the benchmark's
+# density workload (seeds 1 to 3), with no hits.  Verdict makes about 425 hits on
+# 220 entries, the repeats of the capacity scans and cutoff sweeps; oracle and
+# sample make no call.  A bound of 1024 entries held all of them: in alternating
+# single passes of verdict on 2 vCPUs, CPython 3.11, its pass_s tied (faster in
+# 14 of 30, 11 of 20 and 10 of 20 pairs, seeds 1 to 3) but its peak RSS read
+# 0.2 MB higher on every seed, so no bound was shown to cost nothing.  What a
+# bound would save lies off the benchmark: `analyze` on a quaternion order
+# ramified at 100003 fills 28 785 entries with no hit, 27 MB peak against 23 MB.
 @lru_cache(maxsize=None)
 def gen_count_twisted(k: int, n: int, q: int, r: int) -> int:
     """Number of k-tuples generating M_n(F_{q^r}) as a unital F_q-algebra.
@@ -215,6 +221,70 @@ def gen_count_power(k: int, n: int, q: int, s: int, m: int) -> int:
     if out < 0:
         raise CertificateError(f"negative power count for k={k}, n={n}, q={q}, s={s}, m={m}")
     return out
+
+
+def horner(coeffs: tuple[int, ...], q: int) -> int:
+    """The polynomial with the given coefficients, constant term first, at q."""
+    value = 0
+    for c in reversed(coeffs):
+        value = value * q + c
+    return value
+
+
+# The second check point, far past every node, where a wrong coefficient of
+# high degree cannot hide behind the small values at the nodes.
+_FAR_POINT = (1 << 20) + 1
+
+
+def _interpolate(direct, degree: int, what: str) -> tuple[int, ...]:
+    """Integer coefficients, constant term first, of the polynomial of degree at
+    most `degree` that `direct` evaluates at every integer q >= 2.
+
+    Newton's divided differences at the nodes q = 2 .. degree + 2: every divided
+    difference of an integer polynomial at integer nodes is an integer (for q^m
+    it is a complete homogeneous symmetric polynomial in the nodes), so each
+    division must leave no remainder.  The Newton form is expanded in integers
+    and checked against `direct` at degree + 3 and at _FAR_POINT.  Either
+    failure raises CertificateError, naming `what`.
+    """
+    nodes = range(2, degree + 3)
+    diffs = [direct(q) for q in nodes]
+    for j in range(1, degree + 1):
+        for i in range(degree, j - 1, -1):
+            diffs[i], rem = divmod(diffs[i] - diffs[i - 1], nodes[i] - nodes[i - j])
+            if rem:
+                raise CertificateError(f"a divided difference of {what} is not an integer")
+    coeffs = [0] * (degree + 1)
+    for i in range(degree, -1, -1):  # coeffs <- coeffs * (q - nodes[i]) + diffs[i]
+        for e in range(degree - i, 0, -1):
+            coeffs[e] = coeffs[e - 1] - nodes[i] * coeffs[e]
+        coeffs[0] = diffs[i] - nodes[i] * coeffs[0]
+    while coeffs and coeffs[-1] == 0:
+        coeffs.pop()
+    coeffs = tuple(coeffs)
+    for q in (degree + 3, _FAR_POINT):
+        if horner(coeffs, q) != direct(q):
+            raise CertificateError(f"the interpolant of {what} disagrees with the direct count at q={q}")
+    return coeffs
+
+
+@lru_cache(maxsize=None)
+def twisted_count_polys(k: int, n: int, r: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Coefficients in q, constant term first, of g_k(n, q, r) and of r |PGL_n(F_{q^r})|.
+
+    The count `gen_count_twisted` is a polynomial in q of degree k n^2 r (the
+    zero polynomial for k = 1 < n), and the step of its capacity one of degree
+    r (n^2 - 1); each is interpolated from its direct values (`_interpolate`).
+    A caller that evaluates one shape at many primes, as `density` does, then
+    pays one Horner evaluation per prime instead of the count chain.  One entry
+    per (k, n, r): a density uses a few.
+    """
+    _check_arguments(k, n, 2, r)
+    shape = f"k={k}, n={n}, r={r}"
+    return (
+        _interpolate(lambda q: gen_count_twisted(k, n, q, r), k * n * n * r, f"the count at {shape}"),
+        _interpolate(lambda q: r * pgl_order(n, q**r), r * (n * n - 1), f"the capacity step at {shape}"),
+    )
 
 
 def _ceil_log(value: int, base: int) -> int:

@@ -14,7 +14,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 
 from . import polys
-from .counting import gen_count_power, min_k_for_copies
+from .counting import gen_count_power, horner, min_k_for_copies, twisted_count_polys
 from .errors import (
     CertificateError,
     EmptySpec,
@@ -413,23 +413,33 @@ def classify(data: LocalPrimeData) -> ClassifiedLocal:
     return ClassifiedLocal(data.p, groups)
 
 
-def _classified_at(spec: OrderSpec, p: int, shapes: dict) -> ClassifiedLocal:
-    """classify(local_data(spec, p)) at a sieved prime p, built once per splitting shape.
+def _shaped(spec: OrderSpec, p: int, cache: dict, build):
+    """build(classify(local_data(spec, p))) at a sieved prime p, built once per splitting shape.
 
     Away from the listed primes the local data depends on p only through the
-    splitting pattern of each factor's center, so `shapes` maps the tuple of
-    those patterns, one per factor in order, to the groups of the first prime
-    that had it.  Listed primes always take the full path, and an uncertified
-    pattern is never stored: `classify` raises for it, naming p.  The caller
-    owns `shapes` and keeps it for one density or one analysis.
+    splitting pattern of each factor's center, so `cache` maps the tuple of
+    those patterns, one per factor in order, to what `build` made of the first
+    prime that had it.  Listed primes always take the full path and are not
+    stored, and an uncertified pattern is never stored: `classify` raises for
+    it, naming p.  The caller owns `cache` and keeps it for one density or one
+    analysis.
     """
     if p in spec.overrides or any(p in f.local_indices for f in spec.factors):
-        return classify(local_data(spec, p, _known_prime=True))
+        return build(classify(local_data(spec, p, _known_prime=True)))
     key = tuple([_pattern(f.center_minpoly, p) for f in spec.factors])
-    groups = shapes.get(key)
-    if groups is None:
-        groups = shapes[key] = classify(local_data(spec, p, _known_prime=True)).groups
-    return ClassifiedLocal(p, groups)
+    value = cache.get(key)
+    if value is None:
+        value = cache[key] = build(classify(local_data(spec, p, _known_prime=True)))
+    return value
+
+
+def _groups(cls: ClassifiedLocal):
+    return cls.groups
+
+
+def _classified_at(spec: OrderSpec, p: int, shapes: dict) -> ClassifiedLocal:
+    """classify(local_data(spec, p)) at a sieved prime p, its groups built once per shape (`_shaped`)."""
+    return ClassifiedLocal(p, _shaped(spec, p, shapes, _groups))
 
 
 def _copies(members) -> int:
@@ -441,7 +451,9 @@ def gen_count_local(k: int, cls: ClassifiedLocal) -> int:
 
     Product over groups of the semisimple head count times one radical factor
     p^(k n^2 r (em-2)) * (p^(k n^2 r) - p^(n^2 r - c)) per copy of a member;
-    members with c None (m = e = 1) contribute 1.
+    members with c None (m = e = 1) contribute 1.  `density` takes the same
+    product from the count polynomials (`count_plan`, `plan_count`); this
+    route through the per-q counts is their oracle.
     """
     if k < 1:
         raise InvalidCount(f"tuple length k must be at least 1, got {k}")
@@ -457,6 +469,45 @@ def gen_count_local(k: int, cls: ClassifiedLocal) -> int:
             if c is None:
                 continue
             piece = p ** (k * size * (em - 2)) * (p ** (k * size) - p ** (size - c))
+            if piece == 0:
+                return 0
+            total *= piece**count
+    return total
+
+
+def count_plan(k: int, cls: ClassifiedLocal) -> tuple:
+    """`gen_count_local` at k for every prime with the groups of cls, as integer data.
+
+    One entry per group (n, r): the coefficients in q of g_k(n, q, r) and of
+    r |PGL_n(F_{q^r})| (`twisted_count_polys`), the group's copies, and for
+    each member with a radical correction the exponents and copies (a, b, c,
+    count) of its factor (q^a (q^b - q^c))^count, as in `gen_count_local`.
+    """
+    plan = []
+    for (n, r), members in cls.groups:
+        size = n * n * r
+        radicals = tuple(
+            (k * size * (em - 2), k * size, size - c, count) for em, c, count in members if c is not None
+        )
+        plan.append((*twisted_count_polys(k, n, r), _copies(members), radicals))
+    return tuple(plan)
+
+
+def plan_count(plan: tuple, p: int) -> int:
+    """gen_count_local at the prime p, from the `count_plan` of its groups.
+
+    Each group's count and capacity step are one Horner evaluation each; as in
+    `gen_count_power`, a group with more copies than its capacity gives 0.
+    """
+    total = 1
+    for count_coeffs, step_coeffs, copies, radicals in plan:
+        g, step = horner(count_coeffs, p), horner(step_coeffs, p)
+        if copies > g // step:
+            return 0
+        for i in range(copies):
+            total *= g - i * step
+        for a, b, c, count in radicals:
+            piece = p**a * (p**b - p**c)
             if piece == 0:
                 return 0
             total *= piece**count

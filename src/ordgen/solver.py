@@ -17,6 +17,7 @@ import json
 from bisect import bisect_left
 from dataclasses import dataclass, fields, is_dataclass
 from fractions import Fraction
+from functools import partial
 
 from .counting import _deficiency_coeff, twisted_capacity
 from .errors import BoundTooSmall, BudgetExceeded, CapExceeded, CertificateError, NoCutoff, SpecError
@@ -27,8 +28,10 @@ from .orderspec import (
     SimpleFactorSpec,
     _classified_at,
     _copies,
-    gen_count_local,
+    _shaped,
+    count_plan,
     min_k_local,
+    plan_count,
 )
 from .primes import PRIME_TEST_LIMIT, _integer_root, is_prime
 
@@ -300,8 +303,11 @@ DENSITY_BITS = 192
 class DensityInterval:
     """Certified enclosure of the Euler product of local generating fractions.
 
-    `factors` holds each prime's exact local fraction; `lower` and `upper` are
-    multiples of 2**-DENSITY_BITS (see `density`).
+    `counts` holds each prime's exact local count of generating k-tuples, out
+    of the p^(dimension k) that exist; `lower` and `upper` are multiples of
+    2**-DENSITY_BITS (see `density`).  `factors`, the exact local fractions, is
+    derived from `counts`, so only the machine document and the callers that
+    read it reduce them.
     """
 
     k: int
@@ -309,7 +315,8 @@ class DensityInterval:
     minimum_bound: int
     lower: Fraction
     upper: Fraction
-    factors: tuple[tuple[int, Fraction], ...]
+    dimension: int
+    counts: tuple[tuple[int, int], ...]
     tail_coefficient: Fraction | None
     zero_reason: str | None
     note: str
@@ -317,6 +324,12 @@ class DensityInterval:
     def __post_init__(self) -> None:
         if not 0 <= self.lower <= self.upper <= 1:
             raise CertificateError(f"density bounds out of order: lower {self.lower}, upper {self.upper}")
+
+    @property
+    def factors(self) -> tuple[tuple[int, Fraction], ...]:
+        """(p, count / p^(dimension k)) for every prime, built from `counts` on each access."""
+        exponent = self.dimension * self.k
+        return tuple((p, Fraction(count, p**exponent)) for p, count in self.counts)
 
 
 def _tail_terms(spec: OrderSpec, k: int) -> tuple[tuple[int, int, str], ...]:
@@ -369,8 +382,9 @@ def density(spec: OrderSpec, k: int, bound: int | None = None) -> DensityInterva
     factor lies in [0, 1], each rounding adds less than one unit to the
     width: `upper` exceeds the exact partial product by less than pi(bound)
     units, and `lower` falls short of the exact lower bound by at most
-    pi(bound) + 1.  The classified local data is built once per splitting
-    shape for the call.
+    pi(bound) + 1.  The local data, and from it the `count_plan` of the
+    groups' count polynomials, is built once per splitting shape for the
+    call, so each prime's count is a few Horner evaluations (`plan_count`).
     A bound whose sieve, bound + 1 flags, exceeds the work budget
     (``finalg.resolve_budget``) raises BudgetExceeded before any prime is
     sieved.
@@ -390,7 +404,8 @@ def density(spec: OrderSpec, k: int, bound: int | None = None) -> DensityInterva
             minimum_bound=0,
             lower=Fraction(0),
             upper=Fraction(0),
-            factors=(),
+            dimension=spec.dimension,
+            counts=(),
             tail_coefficient=None,
             zero_reason=(
                 "a factor of reduced degree 2 makes every split prime contribute "
@@ -408,15 +423,15 @@ def density(spec: OrderSpec, k: int, bound: int | None = None) -> DensityInterva
         raise BudgetExceeded(bound + 1, limit, "sieve entries")
 
     d = spec.dimension
-    factors = []
+    counts = []
     lo = hi = 1 << DENSITY_BITS
-    shapes: dict = {}
+    plans: dict = {}
+    build = partial(count_plan, k)
     for p in _primes_below(bound + 1):
-        cls = _classified_at(spec, p, shapes)
-        count, whole = gen_count_local(k, cls), p ** (d * k)
+        count, whole = plan_count(_shaped(spec, p, plans, build), p), p ** (d * k)
         if not 0 <= count <= whole:
             raise CertificateError(f"local count {count} at p={p} is outside [0, p^{d * k}]")
-        factors.append((p, Fraction(count, whole)))
+        counts.append((p, count))
         lo = lo * count // whole
         hi = -(-hi * count // whole)
         if count == 0:
@@ -426,7 +441,8 @@ def density(spec: OrderSpec, k: int, bound: int | None = None) -> DensityInterva
                 minimum_bound=minimum,
                 lower=Fraction(0),
                 upper=Fraction(0),
-                factors=tuple(factors),
+                dimension=d,
+                counts=tuple(counts),
                 tail_coefficient=None,
                 zero_reason=f"the local factor at p={p} vanishes: k={k} is below "
                 "the local minimum there",
@@ -457,7 +473,8 @@ def density(spec: OrderSpec, k: int, bound: int | None = None) -> DensityInterva
         minimum_bound=minimum,
         lower=lower,
         upper=upper,
-        factors=tuple(factors),
+        dimension=d,
+        counts=tuple(counts),
         tail_coefficient=tail_coefficient,
         zero_reason=None,
         note="; ".join(note_parts),
@@ -602,9 +619,13 @@ def to_jsonable(obj):
     if isinstance(obj, Fraction):
         return f"{obj.numerator}/{obj.denominator}"
     if is_dataclass(obj) and not isinstance(obj, type):
-        doc = {f.name: to_jsonable(getattr(obj, f.name)) for f in fields(obj)}
+        # a density interval's document holds its factors in place of the counts they come from
+        hidden = ("dimension", "counts") if isinstance(obj, DensityInterval) else ()
+        doc = {f.name: to_jsonable(getattr(obj, f.name)) for f in fields(obj) if f.name not in hidden}
         if isinstance(obj, QuaternionTable):
             doc["rows"] = to_jsonable(obj.rows)
+        elif hidden:
+            doc["factors"] = to_jsonable(obj.factors)
         return doc
     if isinstance(obj, (list, tuple)):
         return [to_jsonable(x) for x in obj]

@@ -677,6 +677,21 @@ def test_density_machine_document(capsys):
     assert doc["tail_coefficient"] == "5/1"
     assert doc["factors"][0] == [2, "3/4"]
     assert machine_roundtrips(out)
+    # the whole document at a small bound: the factors reduced from the counts, and no other key
+    code, out, _ = run(
+        capsys,
+        "density", "--spec", str(DATA / "zi.json"), "--k", "2",
+        "--bound", "30", "--format", "machine",
+    )
+    assert (code, out) == (0, (
+        '{"bound":30,"factors":[[2,"3/4"],[3,"8/9"],[5,"24/25"],[7,"48/49"],[11,"120/121"],[13,"168/169"],'
+        '[17,"288/289"],[19,"360/361"],[23,"528/529"],[29,"840/841"]],"k":2,'
+        '"lower":"3203118385437436052657435864147337344082007715468110172691/'
+        '6277101735386680763835789423207666416102355444464034512896",'
+        '"minimum_bound":25,"note":"","tail_coefficient":"5/1",'
+        '"upper":"3843742062524923263188923036976804812898409258561732207239/'
+        '6277101735386680763835789423207666416102355444464034512896","zero_reason":null}\n'
+    ))
 
 
 def assert_dyadic_bounds(doc):
@@ -821,7 +836,7 @@ def test_certificate_failure_has_its_own_exit_code(optimise):
 def test_density_local_count_out_of_range_exits_with_certificate_failure(optimise):
     # a local count above p^(d k) would make a factor above 1
     proc = run_patched(
-        "solver.gen_count_local = lambda k, cls: cls.p ** (2 * k) + 1",
+        "solver.plan_count = lambda plan, p: p ** 4 + 1",
         optimise, "density", "--spec", str(DATA / "zi.json"), "--k", "2", "--bound", "100",
     )
     assert proc.returncode == 6

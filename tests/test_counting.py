@@ -4,6 +4,7 @@ from fractions import Fraction
 from math import sqrt
 
 import os
+import random
 import subprocess
 import sys
 
@@ -19,14 +20,17 @@ from ordgen.counting import (
     gen_count_power,
     gen_count_twisted,
     gl_order,
+    horner,
     min_k_for_copies,
     mobius,
     pgl_order,
     twisted_capacity,
+    twisted_count_polys,
 )
 from ordgen import counting
 from ordgen.errors import CertificateError, InvalidCount
 from ordgen.finalg import brute_gen_count, matrix_algebra, product_algebra, sample_gen_fraction
+from ordgen.primes import is_prime
 
 PRIME_POWERS = (2, 3, 4, 5, 7, 8, 9)
 PRIME_POWERS_TO_32 = (2, 3, 4, 5, 7, 8, 9, 11, 13, 16, 17, 19, 23, 25, 27, 29, 31, 32)
@@ -386,6 +390,9 @@ INVALID_CALLS = [
     (gen_count_power, (2, 2, 0, 1, 1)),
     (min_k_for_copies, (2, 2, 1, 0)),
     (min_k_for_copies, (0, 2, 1, 1)),
+    (twisted_count_polys, (0, 2, 1)),
+    (twisted_count_polys, (2, 0, 1)),
+    (twisted_count_polys, (2, 2, 0)),
 ]
 
 
@@ -450,3 +457,90 @@ def test_negative_power_count_is_a_certificate_error(monkeypatch):
     monkeypatch.setattr(counting, "pgl_order", lambda n, q: -3)
     with pytest.raises(CertificateError, match="negative power count"):
         gen_count_power(2, 2, 2, 1, 3)
+
+
+# -- count polynomials ---------------------------------------------------------
+
+POLY_SHAPES = [(k, n, r) for k in range(1, 5) for n in range(1, 5) for r in range(1, 4)]
+
+
+def random_points(k, n, r):
+    """Three prime powers and three plain integers below 2^20, drawn afresh for each shape."""
+    rng = random.Random(f"count-polys:{k}:{n}:{r}")
+    powers = []
+    while len(powers) < 3:
+        p = rng.randrange(2, 1 << 10)
+        if is_prime(p):
+            powers.append(p ** rng.randrange(1, 20 // p.bit_length() + 1))
+    return powers + [rng.randrange(2, 1 << 20) for _ in range(3)]
+
+
+@pytest.mark.parametrize("k,n,r", POLY_SHAPES)
+def test_count_polynomials_agree_with_the_direct_counts(k, n, r):
+    count, step = twisted_count_polys(k, n, r)
+    for q in random_points(k, n, r):
+        assert horner(count, q) == gen_count_twisted(k, n, q, r)
+        assert horner(step, q) == r * pgl_order(n, q**r)
+
+
+@pytest.mark.parametrize("k,n,r", POLY_SHAPES)
+def test_count_polynomials_have_their_degree_and_leading_coefficient(k, n, r):
+    count, step = twisted_count_polys(k, n, r)
+    if k == 1 < n:  # one element never generates a matrix block
+        assert count == ()
+    else:
+        assert (len(count) - 1, count[-1]) == (k * n * n * r, 1)
+    assert (len(step) - 1, step[-1]) == (r * (n * n - 1), r)
+
+
+def test_horner_evaluates_constant_term_first():
+    assert horner((), 7) == 0
+    assert horner((5,), 7) == 5
+    assert horner((1, -2, 3), 10) == 281
+
+
+# (what is perturbed, at which q, the message) for the count at k=2, n=2, r=1:
+# degree 8, nodes 2 .. 10, check points 11 and 2^20 + 1.
+PERTURBED = [
+    ("count", 5, "a divided difference of the count at k=2, n=2, r=1 is not an integer"),
+    ("count", 11, "the interpolant of the count at k=2, n=2, r=1 disagrees with the direct count at q=11"),
+    ("count", (1 << 20) + 1, "the interpolant of the count at k=2, n=2, r=1 disagrees with the direct count at q=1048577"),
+    ("step", 3, "a divided difference of the capacity step at k=2, n=2, r=1 is not an integer"),
+]
+
+@pytest.mark.parametrize("what,at,message", PERTURBED, ids=[f"{w}-{a}" for w, a, _ in PERTURBED])
+def test_count_polynomial_off_by_one_is_a_certificate_error(monkeypatch, what, at, message):
+    # the count at n = 2, r = 1 is a closed form, so no cached count holds a perturbed value
+    count, pgl = counting.gen_count_twisted, counting.pgl_order
+    if what == "count":
+        monkeypatch.setattr(counting, "gen_count_twisted", lambda k, n, q, r: count(k, n, q, r) + (q == at))
+    else:
+        monkeypatch.setattr(counting, "pgl_order", lambda n, q: pgl(n, q) + (q == at))
+    twisted_count_polys.cache_clear()
+    try:
+        with pytest.raises(CertificateError) as info:
+            twisted_count_polys(2, 2, 1)
+        assert str(info.value) == message
+    finally:
+        twisted_count_polys.cache_clear()
+
+
+def test_count_polynomial_off_by_one_is_a_certificate_error_under_optimization():
+    code = (
+        "from ordgen import counting\n"
+        "from ordgen.errors import CertificateError\n"
+        "count, pgl = counting.gen_count_twisted, counting.pgl_order\n"
+        f"for what, at, _ in {PERTURBED!r}:\n"
+        "    counting.gen_count_twisted = lambda k, n, q, r: count(k, n, q, r) + (what == 'count' and q == at)\n"
+        "    counting.pgl_order = lambda n, q: pgl(n, q) + (what == 'step' and q == at)\n"
+        "    counting.twisted_count_polys.cache_clear()\n"
+        "    try:\n"
+        "        print(counting.twisted_count_polys(2, 2, 1))\n"
+        "    except CertificateError as exc:\n"
+        "        print(exc)\n"
+    )
+    src = os.path.dirname(os.path.dirname(counting.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == [message for _, _, message in PERTURBED]

@@ -370,7 +370,8 @@ def test_density_interval_validates_ordering():
             minimum_bound=25,
             lower=Fraction(2),
             upper=Fraction(1),
-            factors=(),
+            dimension=2,
+            counts=(),
             tail_coefficient=None,
             zero_reason=None,
             note=None,
@@ -411,7 +412,8 @@ def exact_density(spec, k, bound=None):
             minimum_bound=0,
             lower=Fraction(0),
             upper=Fraction(0),
-            factors=(),
+            dimension=spec.dimension,
+            counts=(),
             tail_coefficient=None,
             zero_reason=(
                 "a factor of reduced degree 2 makes every split prime contribute "
@@ -425,28 +427,29 @@ def exact_density(spec, k, bound=None):
     if bound < minimum:
         raise BoundTooSmall(bound, minimum)
     d = spec.dimension
-    factors = []
+    counts = []
     for p in solver._primes_below(bound + 1):
         cls = classify(local_data(spec, p))
-        factor = Fraction(gen_count_local(k, cls), p ** (d * k))
-        assert 0 <= factor <= 1
-        factors.append((p, factor))
-        if factor == 0:
+        count = gen_count_local(k, cls)
+        assert 0 <= Fraction(count, p ** (d * k)) <= 1
+        counts.append((p, count))
+        if count == 0:
             return DensityInterval(
                 k=k,
                 bound=bound,
                 minimum_bound=minimum,
                 lower=Fraction(0),
                 upper=Fraction(0),
-                factors=tuple(factors),
+                dimension=d,
+                counts=tuple(counts),
                 tail_coefficient=None,
                 zero_reason=f"the local factor at p={p} vanishes: k={k} is below "
                 "the local minimum there",
                 note="; ".join(note_parts),
             )
     upper = Fraction(
-        tree_product([f.numerator for _, f in factors]),
-        tree_product([f.denominator for _, f in factors]),
+        tree_product([count for _, count in counts]),
+        tree_product([p ** (d * k) for p, _ in counts]),
     )
     terms = solver._tail_terms(spec, k)
     gated = [t for t in terms if t[1] < 2]
@@ -470,7 +473,8 @@ def exact_density(spec, k, bound=None):
         minimum_bound=minimum,
         lower=lower,
         upper=upper,
-        factors=tuple(factors),
+        dimension=d,
+        counts=tuple(counts),
         tail_coefficient=tail_coefficient,
         zero_reason=None,
         note="; ".join(note_parts),
@@ -613,6 +617,29 @@ def test_density_builds_local_data_once_per_shape(monkeypatch, name, k, calls):
     assert_encloses(got, exact_density(spec, k, 4000))
 
 
+def test_density_evaluates_one_count_polynomial_per_shape():
+    # zi at k=2 has the groups (n, r) = (1, 1) and (1, 2), whose counts have
+    # degrees 2 and 4: 3 + 5 direct counts at the nodes and 2 + 2 at the check
+    # points build them, and no prime adds a count of its own.
+    counting.gen_count_twisted.cache_clear()
+    counting.twisted_count_polys.cache_clear()
+    got = density(fixture("zi.json"), 2, 30000)
+    assert len(got.counts) == 3245
+    assert counting.twisted_count_polys.cache_info().currsize == 2
+    assert counting.gen_count_twisted.cache_info().currsize == 12
+
+
+def test_density_of_a_degree_four_factor_matches_the_per_prime_oracle():
+    # The degree-4 count polynomials against the recursion at every prime below 30000.  The
+    # exact bounds have more digits than a document may print, so both documents carry the
+    # dyadic bounds, which assert_encloses checks.
+    spec = fixture("m4q.json")
+    got, exact = density(spec, 3, 30000), exact_density(spec, 3, 30000)
+    assert_encloses(got, exact)
+    assert density_text(got) == density_text(exact)
+    assert render_json(got) == render_json(dataclasses.replace(exact, lower=got.lower, upper=got.upper))
+
+
 DENSITY_GRID = [(name, k) for name in FIXTURES if name != "exceptional.json" for k in (1, 2, 3)]
 
 
@@ -663,9 +690,20 @@ def test_tree_product_of_every_short_length(n):
 @pytest.mark.parametrize("bad_count", [lambda whole: -1, lambda whole: whole + 1], ids=["negative", "above"])
 def test_density_local_count_out_of_range_raises_certificate_error(monkeypatch, bad_count):
     spec = fixture("zi.json")
-    monkeypatch.setattr(solver, "gen_count_local", lambda k, cls: bad_count(cls.p ** (spec.dimension * k)))
+    monkeypatch.setattr(solver, "plan_count", lambda plan, p: bad_count(p ** (spec.dimension * 2)))
     with pytest.raises(CertificateError, match="outside"):
         density(spec, 2, 1000)
+
+
+def test_density_range_checks_a_listed_primes_count(monkeypatch):
+    # 3 and 5 are listed: each takes a plan of its own, through the same evaluation
+    spec = spec_named("three_factor")
+    exponent = spec.dimension * 3
+    above = 5**exponent + 1
+    original = solver.plan_count
+    monkeypatch.setattr(solver, "plan_count", lambda plan, p: above if p == 5 else original(plan, p))
+    with pytest.raises(CertificateError, match=rf"^local count {above} at p=5 is outside \[0, p\^{exponent}\]$"):
+        density(spec, 3, 1000)
 
 
 def test_density_checks_no_sieved_prime_for_primality(monkeypatch):
