@@ -4,7 +4,10 @@ An OrderSpec lists simple factors (center minimal polynomial, division-algebra
 degree, declared local indices, copies).  For each rational prime the splitting
 of every center is read off the minimal polynomial modulo p, certified by the
 maximality criterion of the polynomial order; classified local data then feeds
-exact per-prime generating-tuple counts and minimal-k thresholds.
+exact per-prime generating-tuple counts and minimal-k thresholds.  A density,
+verdict or quaternion table holds one shape index (`_ShapeIndex`), which
+builds that data once per splitting shape and reads a quadratic center's shape
+from the prime's residue class modulo the center's discriminant.
 """
 
 from __future__ import annotations
@@ -413,33 +416,74 @@ def classify(data: LocalPrimeData) -> ClassifiedLocal:
     return ClassifiedLocal(data.p, groups)
 
 
-def _shaped(spec: OrderSpec, p: int, cache: dict, build):
-    """build(classify(local_data(spec, p))) at a sieved prime p, built once per splitting shape.
+class _ShapeIndex:
+    """build(classify(local_data(spec, p))) at sieved primes p, built once per splitting shape.
 
-    Away from the listed primes the local data depends on p only through the
-    splitting pattern of each factor's center, so `cache` maps the tuple of
-    those patterns, one per factor in order, to what `build` made of the first
-    prime that had it.  Listed primes always take the full path and are not
-    stored, and an uncertified pattern is never stored: `classify` raises for
-    it, naming p.  The caller owns `cache` and keeps it for one density or one
-    analysis.
+    Held for one density, one verdict or one quaternion table.  Away from the
+    listed primes, those with override rows or declared indices, the local
+    data depends on p only through how each center splits there, and a linear
+    center splits the same way everywhere.  So `at` keys what `build` made of
+    the first prime of a shape by the patterns of the nonlinear centers, in
+    factor order, each stored as its number in `numbers` so that the key
+    hashes without the dataclass's Python-level __hash__.
+
+    A quadratic center x^2 + bx + c has discriminant D = b^2 - 4c = 0 or 1 mod
+    4, so the Kronecker symbol (D/.) is a character mod |D| (H. Cohen, *A Course
+    in Computational Algebraic Number Theory*, 1993, section 1.4).  At a prime p
+    not dividing D the center splits or stays inert as (D/p) is 1 or -1: by
+    Euler's criterion for odd p and, for p = 2 and D = 1 mod 4, as D is 1 or 5
+    mod 8, which is the parity of c that `_pattern` reads.  A prime dividing D
+    is the only prime in its class.  So for D != 0 the pattern depends on p mod
+    |D| alone, and `_pattern` runs once per residue class, at its first prime.
+    When D = 0, and for centers of degree 3 or more, it runs at every prime.
+
+    A listed prime's value is built from its own local data and kept under the
+    prime.  An uncertified pattern is never stored: `classify` raises for it,
+    naming p.
     """
-    if p in spec.overrides or any(p in f.local_indices for f in spec.factors):
-        return build(classify(local_data(spec, p, _known_prime=True)))
-    key = tuple([_pattern(f.center_minpoly, p) for f in spec.factors])
-    value = cache.get(key)
-    if value is None:
-        value = cache[key] = build(classify(local_data(spec, p, _known_prime=True)))
-    return value
 
+    def __init__(self, spec: OrderSpec, build):
+        self.spec = spec
+        self.build = build
+        self.listed: dict = dict.fromkeys(spec.listed_primes)  # prime -> value, once built
+        self.numbers: dict[DegreePattern, int] = {}
+        self.values: dict = {}
+        self.readers = tuple(self._reader(f.center_minpoly) for f in spec.factors if f.center_degree > 1)
 
-def _groups(cls: ClassifiedLocal):
-    return cls.groups
+    def _number(self, pattern: DegreePattern) -> int:
+        return self.numbers.setdefault(pattern, len(self.numbers))
 
+    def _reader(self, coeffs: tuple[int, ...]):
+        """The function from a prime to the number of the center's pattern there."""
+        number = self._number
+        modulus = abs(coeffs[1] ** 2 - 4 * coeffs[0]) if len(coeffs) == 3 else 0
+        if not modulus:
+            return lambda p: number(_pattern(coeffs, p))
+        classes: dict[int, int] = {}
 
-def _classified_at(spec: OrderSpec, p: int, shapes: dict) -> ClassifiedLocal:
-    """classify(local_data(spec, p)) at a sieved prime p, its groups built once per shape (`_shaped`)."""
-    return ClassifiedLocal(p, _shaped(spec, p, shapes, _groups))
+        def read(p: int) -> int:
+            value = classes.get(p % modulus)
+            if value is None:
+                value = classes[p % modulus] = number(_pattern(coeffs, p))
+            return value
+
+        return read
+
+    def at(self, p: int):
+        """build(classify(local_data(spec, p))) for a sieved prime p."""
+        if p in self.listed:
+            value = self.listed[p]
+            if value is None:
+                value = self.listed[p] = self._built(p)
+            return value
+        key = tuple([read(p) for read in self.readers])
+        value = self.values.get(key)
+        if value is None:
+            value = self.values[key] = self._built(p)
+        return value
+
+    def _built(self, p: int):
+        return self.build(classify(local_data(self.spec, p, _known_prime=True)))
 
 
 def _copies(members) -> int:

@@ -18,6 +18,7 @@ from bisect import bisect_left
 from dataclasses import dataclass, fields, is_dataclass
 from fractions import Fraction
 from functools import partial
+from operator import attrgetter
 
 from .counting import _deficiency_coeff, twisted_capacity
 from .errors import BoundTooSmall, BudgetExceeded, CapExceeded, CertificateError, NoCutoff, SpecError
@@ -26,9 +27,8 @@ from .orderspec import (
     ClassifiedLocal,
     OrderSpec,
     SimpleFactorSpec,
-    _classified_at,
     _copies,
-    _shaped,
+    _ShapeIndex,
     count_plan,
     min_k_local,
     plan_count,
@@ -218,25 +218,25 @@ class Verdict:
 def smallest_h(spec: OrderSpec, *, _table: dict[int, tuple[ClassifiedLocal, int]] | None = None) -> Verdict:
     """Smallest k such that every localization admits k generators, with verdict.
 
-    Each prime is classified once, by `_classified_at`, into `_table` with its
-    local minimum; on return the table holds every prime below the cutoff, and
-    `report` reads its details from it.  Each candidate k first gets its cutoff
-    q0, then the primes below q0 are tried in increasing order up to the first
-    that needs more than k generators, and only the k that passes is swept
-    for its certificate.  So a k whose q0 is far too large to sieve up to, as
+    Each prime is classified once, its groups read from a `_ShapeIndex`,
+    into `_table` with its local minimum; on return the table holds every
+    prime below the cutoff, and `report` reads its details from it.  Each
+    candidate k first gets its cutoff q0, then the primes below q0 are tried
+    in increasing order up to the first that needs more than k generators,
+    and only the k that passes is swept for its certificate.  So a k whose q0 is far too large to sieve up to, as
     for a huge copy count, costs nothing once a prime below 64 rules it out.
     The next candidate is that prime's local minimum: no smaller k can pass,
     since the prime needs that many generators whatever the cutoff.
     """
     table = {} if _table is None else _table
-    shapes: dict = {}
+    index = _ShapeIndex(spec, attrgetter("groups"))
     commutative = all(f.degree == 1 for f in spec.factors)
     r_k = 1 if commutative else 2
     has_delta2 = any(f.degree == 2 for f in spec.factors)
 
     def mk(p: int) -> int:
         if p not in table:
-            cls = _classified_at(spec, p, shapes)
+            cls = ClassifiedLocal(p, index.at(p))
             table[p] = (cls, min_k_local(cls))
         return table[p][1]
 
@@ -384,7 +384,9 @@ def density(spec: OrderSpec, k: int, bound: int | None = None) -> DensityInterva
     units, and `lower` falls short of the exact lower bound by at most
     pi(bound) + 1.  The local data, and from it the `count_plan` of the
     groups' count polynomials, is built once per splitting shape for the
-    call, so each prime's count is a few Horner evaluations (`plan_count`).
+    call (`_ShapeIndex`, which reads a quadratic center's shape from the
+    prime's residue class), so each prime's count is a shape lookup and a few
+    Horner evaluations (`plan_count`).
     A bound whose sieve, bound + 1 flags, exceeds the work budget
     (``finalg.resolve_budget``) raises BudgetExceeded before any prime is
     sieved.
@@ -425,10 +427,9 @@ def density(spec: OrderSpec, k: int, bound: int | None = None) -> DensityInterva
     d = spec.dimension
     counts = []
     lo = hi = 1 << DENSITY_BITS
-    plans: dict = {}
-    build = partial(count_plan, k)
+    plan_at = _ShapeIndex(spec, partial(count_plan, k)).at
     for p in _primes_below(bound + 1):
-        count, whole = plan_count(_shaped(spec, p, plans, build), p), p ** (d * k)
+        count, whole = plan_count(plan_at(p), p), p ** (d * k)
         if not 0 <= count <= whole:
             raise CertificateError(f"local count {count} at p={p} is outside [0, p^{d * k}]")
         counts.append((p, count))
@@ -536,13 +537,10 @@ def quaternion_example(ramified: tuple[int, ...], m_max: int) -> QuaternionTable
     if m_max < 1:
         raise SpecError("m_max must be a positive integer")
     one = make_quaternion_spec(ramified)
-    classified: dict[int, ClassifiedLocal] = {}
-    shapes: dict = {}
+    groups_at = _ShapeIndex(one, attrgetter("groups")).at
 
     def room(k: int, p: int) -> int:
-        if p not in classified:
-            classified[p] = _classified_at(one, p, shapes)
-        return min(twisted_capacity(k, n, p, r) // _copies(members) for (n, r), members in classified[p].groups)
+        return min(twisted_capacity(k, n, p, r) // _copies(members) for (n, r), members in groups_at(p))
 
     ranges = []
     k, reached = 1, 0

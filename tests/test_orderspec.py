@@ -203,6 +203,90 @@ def test_composite_modulus_raises_not_prime_in_every_mode(optimise):
     assert proc.stdout == "NotPrime\n" * 3
 
 
+# The shape index reads a quadratic center's pattern once per residue class mod
+# |disc|, its first prime included, when disc != 0.  index_mismatches checks its
+# reading of each center at each prime against _pattern, and at 2 also against
+# _full_pattern; at the odd primes dividing disc, _pattern is _full_pattern.  At
+# the other odd primes _pattern reads f only through disc (Euler's criterion),
+# so there it runs once per discriminant and prime.  The script runs in this
+# process and under python -O, where no assert would run.
+QUADRATIC_INDEX = """
+import random
+from ordgen.orderspec import OrderSpec, SimpleFactorSpec, _ShapeIndex, _full_pattern, _pattern
+from ordgen.solver import _primes_below
+
+
+def index_mismatches(polys, primes):
+    assert primes[0] == 2
+    by_disc = {}
+    bad = []
+    for f in polys:
+        c, b, _ = f
+        disc = b * b - 4 * c
+        index = _ShapeIndex(OrderSpec((SimpleFactorSpec("f", f, 1),)), None)
+        read = index.readers[0]
+        numbers = [read(p) for p in primes]
+        pattern_of = {number: pattern for pattern, number in index.numbers.items()}
+        got = [pattern_of[number] for number in numbers]
+        if disc not in by_disc:
+            by_disc[disc] = [None if p == 2 or disc % p == 0 else _pattern(f, p) for p in primes]
+        expected = [_pattern(f, p) if e is None else e for p, e in zip(primes, by_disc[disc])]
+        if got != expected or got[0] != _full_pattern(f, 2):
+            bad.append((f, [p for p, x, y in zip(primes, got, expected) if x != y]))
+    return bad
+
+
+def large_polys(count, seed):
+    rng = random.Random(seed)
+    return [(rng.randint(-10**6, 10**6), rng.randint(-10**6, 10**6), 1) for _ in range(count)]
+
+
+PRIMES = _primes_below(5000)
+GRID = [(c, b, 1) for b in range(-30, 31) for c in range(-30, 31)]
+"""
+
+
+def _quadratic_index_namespace():
+    namespace = {}
+    exec(QUADRATIC_INDEX, namespace)
+    return namespace
+
+
+def test_shape_index_reads_each_quadratic_grid_center_by_residue_class():
+    ns = _quadratic_index_namespace()
+    discs = {b * b - 4 * c for c, b, _ in ns["GRID"]}
+    # D = 0, D = 1, square D past 1, and both residues of D mod 4, each met
+    assert {0, 1, 4, 9} <= discs and {d % 4 for d in discs} == {0, 1}
+    assert ns["index_mismatches"](ns["GRID"], ns["PRIMES"]) == []
+
+
+@st.composite
+def quadratic_centers(draw):
+    """x^2 + bx + c with |b|, |c| <= 10^6; half have a discriminant divisible by a product of small odd primes."""
+    b = draw(st.integers(-(10**6), 10**6))
+    c = draw(st.integers(-(10**6), 10**6))
+    if draw(st.booleans()):
+        m = 1
+        for q in draw(st.lists(st.sampled_from((3, 5, 7, 11, 13, 4999)), max_size=3, unique=True)):
+            m *= q
+        c -= (c - b * b * pow(4, -1, m)) % m  # now b^2 - 4c = 0 mod m, and |c| stays below 10^6 + m
+    return (c, b, 1)
+
+
+@settings(max_examples=150, deadline=None)
+@given(quadratic_centers())
+def test_shape_index_reads_large_quadratic_centers_by_residue_class(f):
+    ns = _quadratic_index_namespace()
+    assert ns["index_mismatches"]([f], ns["PRIMES"]) == []
+
+
+def test_shape_index_reads_quadratic_centers_by_residue_class_under_optimisation():
+    script = QUADRATIC_INDEX + "print(len(index_mismatches(GRID + large_polys(150, 1), PRIMES)))\n"
+    env = dict(os.environ, PYTHONPATH=str(pathlib.Path(ordgen.__file__).parent.parent))
+    proc = subprocess.run([sys.executable, "-O", "-c", script], capture_output=True, text=True, env=env, timeout=300)
+    assert (proc.returncode, proc.stderr, proc.stdout) == (0, "", "0\n")
+
+
 # Each case breaks one invariant of the local data, through a bad argument or a
 # patched helper; the checks were asserts once, and python -O stripped them.
 INVARIANT_CALLS = """

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ordgen import counting, orderspec, solver
+from ordgen import cli, counting, orderspec, solver
 from ordgen.errors import (
     BoundTooSmall,
     BudgetExceeded,
@@ -36,6 +36,7 @@ from ordgen.orderspec import (
     local_data,
     min_k_local,
     spec_from_dict,
+    spec_to_dict,
 )
 from ordgen.solver import (
     DensityInterval,
@@ -534,6 +535,15 @@ INLINE_SPECS = {
         ],
         "free_over_base": True,
     },
+    # Q(sqrt 3) beside a quaternion order ramified at 3, which divides the center's
+    # discriminant 12, and at 7, which does not.
+    "quadratic_quaternion": {
+        "factors": [
+            {"name": "sqrt3", "center_minpoly": [-3, 0, 1], "degree": 1},
+            {"name": "quaternion", "center_minpoly": [0, 1], "degree": 2, "local_indices": {"3": [2], "7": [2]}},
+        ],
+        "free_over_base": False,
+    },
     # Z[3i] is maximal at 2 but not at 3, the second prime met.
     "late_exceptional": {
         "factors": [
@@ -551,10 +561,15 @@ def spec_named(name):
     return fixture(name)
 
 
+# Specs whose shapes the quadratic fixtures lack: two quadratic centers, an override
+# at a prime dividing the discriminant, a quadratic center beside listed primes, and
+# a cubic center, read prime by prime.  The fold grid takes them to k = 4 as well.
+SHAPE_SPECS = ["two_quadratics", "exceptional_override.json", "quadratic_quaternion", "dedekind"]
+
 FOLD_CASES = [
     (name, k, bound)
     for name in FIXTURES + sorted(INLINE_SPECS)
-    for k in (1, 2, 3)
+    for k in (1, 2, 3, 4) if k < 4 or name in SHAPE_SPECS
     for bound in (None, 1000, 4000)
 ]
 
@@ -615,6 +630,116 @@ def test_density_builds_local_data_once_per_shape(monkeypatch, name, k, calls):
     assert len(seen) == len(keys) + len(spec.listed_primes) == calls
     assert len(set(seen)) == len(seen)
     assert_encloses(got, exact_density(spec, k, 4000))
+
+
+class PerPrimeKeyIndex:
+    """The oracle of `orderspec._ShapeIndex`: each prime's key is every center's pattern there.
+
+    The index reads a quadratic center's pattern from the prime's residue class
+    and leaves linear centers out; this key calls `_pattern` for every factor
+    at every unlisted prime.
+    """
+
+    def __init__(self, spec, build):
+        self.spec, self.build, self.values = spec, build, {}
+
+    def at(self, p):
+        spec = self.spec
+        if p in spec.overrides or any(p in f.local_indices for f in spec.factors):
+            return self.build(classify(local_data(spec, p)))
+        key = tuple(orderspec._pattern(f.center_minpoly, p) for f in spec.factors)
+        if key not in self.values:
+            self.values[key] = self.build(classify(local_data(spec, p)))
+        return self.values[key]
+
+
+@pytest.mark.parametrize("name", SHAPE_SPECS)
+def test_analyze_documents_match_the_per_prime_key(monkeypatch, tmp_path, capsys, name):
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(spec_to_dict(spec_named(name))))
+
+    def documents():
+        out = []
+        for k in (1, 2, 3, 4):
+            for bound in ([], ["--bound", "4000"]):
+                code = cli.main(["analyze", "--spec", str(path), "--format", "machine", "--density-k", str(k), *bound])
+                captured = capsys.readouterr()
+                out.append((code, captured.out, captured.err))
+        return out
+
+    got = documents()
+    made = []
+
+    def oracle(spec, build):
+        made.append(spec)
+        return PerPrimeKeyIndex(spec, build)
+
+    monkeypatch.setattr(solver, "_ShapeIndex", oracle)
+    assert documents() == got
+    assert made and any(code == 0 for code, _, _ in got)
+
+
+def counted_pattern_calls(monkeypatch):
+    """Record each `_pattern` call as (coefficients, p, whether local_data made it)."""
+    calls, depth = [], [0]
+    pattern, local = orderspec._pattern, orderspec.local_data
+
+    def counting_pattern(f, p):
+        calls.append((f, p, depth[0] > 0))
+        return pattern(f, p)
+
+    def nested_local_data(*args, **kwargs):
+        depth[0] += 1
+        try:
+            return local(*args, **kwargs)
+        finally:
+            depth[0] -= 1
+
+    monkeypatch.setattr(orderspec, "_pattern", counting_pattern)
+    monkeypatch.setattr(orderspec, "local_data", nested_local_data)
+    return calls
+
+
+@pytest.mark.parametrize(
+    "name,k,reads,built",
+    [
+        # Z[i]: the index reads the classes 2, 3 and 1 mod 4 at p = 2, 3 and 5, and
+        # local_data builds the three shapes, one center each
+        ("zi.json", 2, 3, 3),
+        # Z[sqrt 2] and Z[i]: 5 classes mod 8 and 3 mod 4 are met; local_data builds 2
+        # centers at 5 shapes, p = 2 and the four pairs of split or inert
+        ("two_quadratics", 3, 8, 10),
+    ],
+)
+def test_density_calls_pattern_once_per_residue_class(monkeypatch, name, k, reads, built):
+    calls = counted_pattern_calls(monkeypatch)
+    got = density(spec_named(name), k, 30000)
+    assert len(got.counts) == 3245
+    assert sum(inside for _, _, inside in calls) == built
+    assert len(calls) == reads + built
+
+
+def test_smallest_h_calls_pattern_once_per_residue_class_per_center(monkeypatch):
+    # discriminants 8 and -3; the quaternion order ramified at 1009 puts the cutoff past it
+    spec = spec_from_dict(
+        {
+            "factors": [
+                {"name": "sqrt2", "center_minpoly": [-2, 0, 1], "degree": 1},
+                {"name": "eisenstein", "center_minpoly": [1, 1, 1], "degree": 1},
+                {"name": "quaternion", "center_minpoly": [0, 1], "degree": 2, "local_indices": {"1009": [2]}},
+            ],
+        }
+    )
+    calls = counted_pattern_calls(monkeypatch)
+    table = {}
+    verdict = smallest_h(spec, _table=table)
+    assert verdict.cutoff > 1009 and len(table) == len(solver._primes_below(verdict.cutoff))
+    unlisted = [p for p in table if p not in spec.listed_primes]
+    reads = [(f, p) for f, p, inside in calls if not inside]
+    for f, disc in (((-2, 0, 1), 8), ((1, 1, 1), -3)):
+        classes = [p % abs(disc) for g, p in reads if g == f]
+        assert sorted(classes) == sorted({p % abs(disc) for p in unlisted})
+    assert len(reads) == 4 + 1 + 3  # 1, 3, 5, 7 mod 8 and 2 (p = 2); 0, 1, 2 mod 3
 
 
 def test_density_evaluates_one_count_polynomial_per_shape():
