@@ -14,6 +14,9 @@ Four caches remain: `pgl_order` (32 entries) and `_absolutely_irreducible` (128)
 hold the repeats within one prime and one recursion; `gen_count_twisted`
 (unbounded, see its comment) holds the count every capacity is recomputed from,
 and `twisted_count_polys` one entry per shape.
+The closed forms stay: one count of M_2(F_q) or M_3(F_q) by the recursion took
+55 to 89 microseconds against 0.2 to 1.0, and a verdict pass makes about 219 counts
+that no cache holds.
 """
 
 from __future__ import annotations
@@ -168,15 +171,14 @@ def _deficiency_coeff(n: int) -> int:
 
 
 # Unbounded.  Density reads its counts from `twisted_count_polys`, so its only
-# entries are the interpolation nodes: 72 after one pass of the benchmark's
-# density workload (seeds 1 to 3), with no hits.  Verdict makes about 425 hits on
-# 220 entries, the repeats of the capacity scans and cutoff sweeps; oracle and
-# sample make no call.  A bound of 1024 entries held all of them: in alternating
-# single passes of verdict on 2 vCPUs, CPython 3.11, its pass_s tied (faster in
-# 14 of 30, 11 of 20 and 10 of 20 pairs, seeds 1 to 3) but its peak RSS read
-# 0.2 MB higher on every seed, so no bound was shown to cost nothing.  What a
-# bound would save lies off the benchmark: `analyze` on a quaternion order
-# ramified at 100003 fills 28 785 entries with no hit, 27 MB peak against 23 MB.
+# entries are interpolation nodes (72 over seeds 1 to 3 of the benchmark's density
+# workload, no hit); oracle and sample make no call.  Verdict makes about 425 hits
+# on 220 entries, the repeats of the capacity scans and cutoff sweeps: without the
+# cache its pass_s rose by 2.7% (0.00591 -> 0.00607 s at seed 1 over 20 alternating
+# passes, the cached side faster in 16; in 18 of 20 at seeds 2 and 3, 2 vCPUs,
+# CPython 3.11).  A bound of 1024 entries tied on pass_s but read 0.2 MB more peak
+# RSS on every seed, and what it would save lies off the benchmark: `analyze` on a
+# quaternion order ramified at 100003 fills 28 785 entries with no hit, 27 MB peak.
 @lru_cache(maxsize=None)
 def gen_count_twisted(k: int, n: int, q: int, r: int) -> int:
     """Number of k-tuples generating M_n(F_{q^r}) as a unital F_q-algebra.

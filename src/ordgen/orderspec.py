@@ -350,18 +350,18 @@ class LocalPrimeData:
     exceptional: bool
 
 
-def local_data(spec: OrderSpec, p: int, *, _known_prime: bool = False) -> LocalPrimeData:
+def local_data(spec: OrderSpec, p: int) -> LocalPrimeData:
     """Assemble the local entries of the spec at a rational prime.
 
     Override rows win outright; otherwise each factor contributes one entry per
     prime of its center above p, with the declared index (default 1) and the
     residue data from degree_pattern, counted once per copy of the factor.  An
     uncertifiable pattern marks the prime exceptional.  p is checked for
-    primality once, here, unless the caller took it from a sieve of primes
-    (`_known_prime`, as the solver does); the spec's polynomials were checked
+    primality on every call; `_ShapeIndex` calls this once per splitting
+    shape, not per sieved prime.  The spec's polynomials were checked
     when it was built, so the patterns come from degree_pattern's unchecked body.
     """
-    if not _known_prime and not is_prime(p):
+    if not is_prime(p):
         raise NotPrime(p)
     if p in spec.overrides:
         return LocalPrimeData(p, tuple(Counter(map(tuple, spec.overrides[p])).items()), False)
@@ -483,7 +483,7 @@ class _ShapeIndex:
         return value
 
     def _built(self, p: int):
-        return self.build(classify(local_data(self.spec, p, _known_prime=True)))
+        return self.build(classify(local_data(self.spec, p)))
 
 
 def _copies(members) -> int:

@@ -390,6 +390,10 @@ def density(spec: OrderSpec, k: int, bound: int | None = None) -> DensityInterva
     A bound whose sieve, bound + 1 flags, exceeds the work budget
     (``finalg.resolve_budget``) raises BudgetExceeded before any prime is
     sieved.
+
+    A `zero_reason` makes the product exactly 0: a factor of reduced degree 2
+    at k = 2 (bound 0, before the floor and budget checks), or a vanishing
+    local factor, which ends the loop as the last entry of `counts`.
     """
     if k < 1:
         raise SpecError("k must be a positive integer")
@@ -399,30 +403,22 @@ def density(spec: OrderSpec, k: int, bound: int | None = None) -> DensityInterva
             "free_over_base is false: the product is a local invariant; reading "
             "it as a global density is conjectural"
         )
+    zero_reason = tail_coefficient = None
     if k == 2 and any(f.degree == 2 for f in spec.factors):
-        return DensityInterval(
-            k=k,
-            bound=0,
-            minimum_bound=0,
-            lower=Fraction(0),
-            upper=Fraction(0),
-            dimension=spec.dimension,
-            counts=(),
-            tail_coefficient=None,
-            zero_reason=(
-                "a factor of reduced degree 2 makes every split prime contribute "
-                "1 - 1/p + O(1/p^2) at k=2, so the product diverges to zero"
-            ),
-            note="; ".join(note_parts),
+        bound = minimum = 0
+        zero_reason = (
+            "a factor of reduced degree 2 makes every split prime contribute "
+            "1 - 1/p + O(1/p^2) at k=2, so the product diverges to zero"
         )
-    minimum = _tail_floor(spec)
-    if bound is None:
-        bound = minimum
-    if bound < minimum:
-        raise BoundTooSmall(bound, minimum)
-    limit = resolve_budget()
-    if bound + 1 > limit:
-        raise BudgetExceeded(bound + 1, limit, "sieve entries")
+    else:
+        minimum = _tail_floor(spec)
+        if bound is None:
+            bound = minimum
+        if bound < minimum:
+            raise BoundTooSmall(bound, minimum)
+        limit = resolve_budget()
+        if bound + 1 > limit:
+            raise BudgetExceeded(bound + 1, limit, "sieve entries")
 
     d = spec.dimension
     counts = []
@@ -433,41 +429,30 @@ def density(spec: OrderSpec, k: int, bound: int | None = None) -> DensityInterva
         if not 0 <= count <= whole:
             raise CertificateError(f"local count {count} at p={p} is outside [0, p^{d * k}]")
         counts.append((p, count))
+        if count == 0:
+            zero_reason = f"the local factor at p={p} vanishes: k={k} is below the local minimum there"
+            break
         lo = lo * count // whole
         hi = -(-hi * count // whole)
-        if count == 0:
-            return DensityInterval(
-                k=k,
-                bound=bound,
-                minimum_bound=minimum,
-                lower=Fraction(0),
-                upper=Fraction(0),
-                dimension=d,
-                counts=tuple(counts),
-                tail_coefficient=None,
-                zero_reason=f"the local factor at p={p} vanishes: k={k} is below "
-                "the local minimum there",
-                note="; ".join(note_parts),
-            )
 
-    upper = Fraction(hi, 1 << DENSITY_BITS)
-    terms = _tail_terms(spec, k)
-    gated = [t for t in terms if t[1] < 2]
-    if gated:
-        labels = ", ".join(label for _, _, label in gated)
-        note_parts.append(
-            f"tail exponent below 2 for {labels}: the certified lower bound "
-            "degenerates to 0 at this k"
-        )
-        lower = Fraction(0)
-        tail_coefficient = None
-    else:
-        tail_coefficient = sum(
-            (Fraction(coeff, minimum ** (exp - 2)) for coeff, exp, _ in terms),
-            Fraction(0),
-        )
-        t = max(Fraction(0), 1 - Fraction(tail_coefficient, bound))
-        lower = Fraction(lo * t.numerator // t.denominator, 1 << DENSITY_BITS)
+    lower = upper = Fraction(0)
+    if zero_reason is None:
+        upper = Fraction(hi, 1 << DENSITY_BITS)
+        terms = _tail_terms(spec, k)
+        gated = [t for t in terms if t[1] < 2]
+        if gated:
+            labels = ", ".join(label for _, _, label in gated)
+            note_parts.append(
+                f"tail exponent below 2 for {labels}: the certified lower bound "
+                "degenerates to 0 at this k"
+            )
+        else:
+            tail_coefficient = sum(
+                (Fraction(coeff, minimum ** (exp - 2)) for coeff, exp, _ in terms),
+                Fraction(0),
+            )
+            t = max(Fraction(0), 1 - Fraction(tail_coefficient, bound))
+            lower = Fraction(lo * t.numerator // t.denominator, 1 << DENSITY_BITS)
     return DensityInterval(
         k=k,
         bound=bound,
@@ -477,7 +462,7 @@ def density(spec: OrderSpec, k: int, bound: int | None = None) -> DensityInterva
         dimension=d,
         counts=tuple(counts),
         tail_coefficient=tail_coefficient,
-        zero_reason=None,
+        zero_reason=zero_reason,
         note="; ".join(note_parts),
     )
 
@@ -612,31 +597,36 @@ def report(
     )
 
 
-def to_jsonable(obj):
-    """Recursively convert dataclasses, tuples and Fractions to JSON-ready values."""
+def _json_leaf(obj):
+    """A Fraction as "n/d", a dataclass as its field dict; anything else raises TypeError.
+
+    A density interval's dict holds `factors` in place of `dimension` and
+    `counts`, and a quaternion table's also holds `rows`.
+    """
     if isinstance(obj, Fraction):
         return f"{obj.numerator}/{obj.denominator}"
     if is_dataclass(obj) and not isinstance(obj, type):
-        # a density interval's document holds its factors in place of the counts they come from
-        hidden = ("dimension", "counts") if isinstance(obj, DensityInterval) else ()
-        doc = {f.name: to_jsonable(getattr(obj, f.name)) for f in fields(obj) if f.name not in hidden}
-        if isinstance(obj, QuaternionTable):
-            doc["rows"] = to_jsonable(obj.rows)
-        elif hidden:
-            doc["factors"] = to_jsonable(obj.factors)
+        doc = {f.name: getattr(obj, f.name) for f in fields(obj)}
+        if isinstance(obj, DensityInterval):
+            del doc["dimension"], doc["counts"]
+            doc["factors"] = obj.factors
+        elif isinstance(obj, QuaternionTable):
+            doc["rows"] = obj.rows
         return doc
-    if isinstance(obj, (list, tuple)):
-        return [to_jsonable(x) for x in obj]
-    if isinstance(obj, dict):
-        return {str(key): to_jsonable(value) for key, value in obj.items()}
-    if obj is None or isinstance(obj, (bool, int, str)):
-        return obj
     raise TypeError(f"cannot render {type(obj).__name__} to JSON")
 
 
 def render_json(obj) -> str:
-    """Canonical machine rendering: sorted keys, no whitespace, exact rationals as strings."""
-    return json.dumps(to_jsonable(obj), sort_keys=True, separators=(",", ":"))
+    """Canonical machine document: sorted keys, no whitespace, `_json_leaf` for what JSON lacks.
+
+    An integer past `sys.get_int_max_str_digits()` raises ValueError.
+    """
+    return json.dumps(obj, default=_json_leaf, sort_keys=True, separators=(",", ":"))
+
+
+def to_jsonable(obj):
+    """The JSON value of a result: its machine document, parsed back."""
+    return json.loads(render_json(obj))
 
 
 def _fraction_text(x: Fraction) -> str:

@@ -1,6 +1,7 @@
 """Global verdicts, certified cutoffs, density intervals, quaternion tables."""
 
 import dataclasses
+import functools
 import itertools
 import json
 import math
@@ -10,6 +11,7 @@ import subprocess
 import sys
 
 from fractions import Fraction
+from operator import attrgetter
 
 import pytest
 from hypothesis import given, settings
@@ -26,6 +28,7 @@ from ordgen.errors import (
     OrdgenError,
     SpecError,
 )
+from ordgen.finalg import resolve_budget
 from ordgen.finfield import is_prime
 from ordgen.orderspec import (
     OrderSpec,
@@ -544,6 +547,15 @@ INLINE_SPECS = {
         ],
         "free_over_base": False,
     },
+    # The same with two copies of Q(sqrt 3), whose split and inert shapes give
+    # different counts, so that a wrong shape reading shows in the density.
+    "quadratic_quaternion_twice": {
+        "factors": [
+            {"name": "sqrt3", "center_minpoly": [-3, 0, 1], "degree": 1, "copies": 2},
+            {"name": "quaternion", "center_minpoly": [0, 1], "degree": 2, "local_indices": {"3": [2], "7": [2]}},
+        ],
+        "free_over_base": False,
+    },
     # Z[3i] is maximal at 2 but not at 3, the second prime met.
     "late_exceptional": {
         "factors": [
@@ -562,9 +574,16 @@ def spec_named(name):
 
 
 # Specs whose shapes the quadratic fixtures lack: two quadratic centers, an override
-# at a prime dividing the discriminant, a quadratic center beside listed primes, and
-# a cubic center, read prime by prime.  The fold grid takes them to k = 4 as well.
-SHAPE_SPECS = ["two_quadratics", "exceptional_override.json", "quadratic_quaternion", "dedekind"]
+# at a prime dividing the discriminant, a quadratic center beside listed primes (once
+# with one copy, whose split and inert counts agree, and once with two), and a cubic
+# center, read prime by prime.  The fold grid takes them to k = 4 as well.
+SHAPE_SPECS = [
+    "two_quadratics",
+    "exceptional_override.json",
+    "quadratic_quaternion",
+    "quadratic_quaternion_twice",
+    "dedekind",
+]
 
 FOLD_CASES = [
     (name, k, bound)
@@ -607,6 +626,11 @@ def test_fold_grid_reaches_every_branch():
     assert len(patterns) == 5 and not all(pattern.certified for pattern in patterns)
     # F_2^3 is generated by the pairs whose three coordinate points in F_2^2 are distinct
     assert at("dedekind", 2, 4000).factors[0] == (2, Fraction(4 * 3 * 2, 4**3))
+    # one copy of Q(sqrt 3) counts the same split or inert, two copies do not: at p = 5
+    # and k = 2, F_5^2 and F_25 have 600 generating pairs each, F_5^4 and F_25^2 do not
+    power = counting.gen_count_power
+    assert power(2, 1, 5, 1, 2) == power(2, 1, 5, 2, 1) == 600
+    assert (power(2, 1, 5, 1, 4), power(2, 1, 5, 2, 2)) == (303600, 358800)
 
 
 @pytest.mark.parametrize("name,k,calls", [("zi.json", 2, 3), ("quat2.json", 3, 2), ("dedekind", 2, 5)])
@@ -677,6 +701,14 @@ def test_analyze_documents_match_the_per_prime_key(monkeypatch, tmp_path, capsys
     monkeypatch.setattr(solver, "_ShapeIndex", oracle)
     assert documents() == got
     assert made and any(code == 0 for code, _, _ in got)
+
+
+@pytest.mark.parametrize("name", SHAPE_SPECS)
+def test_shape_index_reads_every_prime_as_its_local_data(name):
+    spec = spec_named(name)
+    index = orderspec._ShapeIndex(spec, attrgetter("groups"))
+    for p in solver._primes_below(4000):
+        assert index.at(p) == classify(local_data(spec, p)).groups, p
 
 
 def counted_pattern_calls(monkeypatch):
@@ -831,7 +863,9 @@ def test_density_range_checks_a_listed_primes_count(monkeypatch):
         density(spec, 3, 1000)
 
 
-def test_density_checks_no_sieved_prime_for_primality(monkeypatch):
+def test_density_checks_primality_once_per_shape(monkeypatch):
+    # local_data checks its prime on every call, and the shape index calls it at
+    # the first prime of each of Z[i]'s three shapes: the sieve itself checks none
     spec = fixture("zi.json")
     calls = []
 
@@ -843,7 +877,8 @@ def test_density_checks_no_sieved_prime_for_primality(monkeypatch):
     monkeypatch.setattr(solver, "is_prime", counting_is_prime)
     d = density(spec, 2, 4000)
     assert len(d.factors) == 550
-    assert calls == []
+    assert calls == [2, 3, 5]
+    calls.clear()
     with pytest.raises(NotPrime):
         local_data(spec, 15)
     assert calls == [15]
@@ -1126,3 +1161,275 @@ def test_jsonable_conversion_rules():
     ))["h"] == 1
     with pytest.raises(TypeError):
         to_jsonable({1, 2})
+    # json.dumps decides the values no document holds: floats pass, keys are JSON keys
+    assert to_jsonable({True: 0.5}) == {"true": 0.5}
+    with pytest.raises(TypeError):
+        to_jsonable({(1, 2): 3})
+
+
+# ---------------------------------------------------------------- machine documents
+
+
+def walked_jsonable(obj):
+    """The oracle of `to_jsonable`: a recursive walk over dataclasses, containers and Fractions."""
+    if isinstance(obj, Fraction):
+        return f"{obj.numerator}/{obj.denominator}"
+    if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
+        # a density interval's document holds its factors in place of the counts they come from
+        hidden = ("dimension", "counts") if isinstance(obj, DensityInterval) else ()
+        doc = {f.name: walked_jsonable(getattr(obj, f.name)) for f in dataclasses.fields(obj) if f.name not in hidden}
+        if isinstance(obj, QuaternionTable):
+            doc["rows"] = walked_jsonable(obj.rows)
+        elif hidden:
+            doc["factors"] = walked_jsonable(obj.factors)
+        return doc
+    if isinstance(obj, (list, tuple)):
+        return [walked_jsonable(x) for x in obj]
+    if isinstance(obj, dict):
+        return {str(key): walked_jsonable(value) for key, value in obj.items()}
+    if obj is None or isinstance(obj, (bool, int, str)):
+        return obj
+    raise TypeError(f"cannot render {type(obj).__name__} to JSON")
+
+
+def walked_render(obj):
+    """The oracle of `render_json`: the walked value, dumped."""
+    return json.dumps(walked_jsonable(obj), sort_keys=True, separators=(",", ":"))
+
+
+def three_construction_density(spec, k, bound=None):
+    """The oracle of `density`: the same interval, returned from each of its three ends.
+
+    The reduced-degree-2 factor at k = 2 and a vanishing local factor each
+    return an interval of their own, and the full product a third.
+    """
+    if k < 1:
+        raise SpecError("k must be a positive integer")
+    note_parts = []
+    if not spec.free_over_base:
+        note_parts.append(
+            "free_over_base is false: the product is a local invariant; reading "
+            "it as a global density is conjectural"
+        )
+    if k == 2 and any(f.degree == 2 for f in spec.factors):
+        return DensityInterval(
+            k=k,
+            bound=0,
+            minimum_bound=0,
+            lower=Fraction(0),
+            upper=Fraction(0),
+            dimension=spec.dimension,
+            counts=(),
+            tail_coefficient=None,
+            zero_reason=(
+                "a factor of reduced degree 2 makes every split prime contribute "
+                "1 - 1/p + O(1/p^2) at k=2, so the product diverges to zero"
+            ),
+            note="; ".join(note_parts),
+        )
+    minimum = solver._tail_floor(spec)
+    if bound is None:
+        bound = minimum
+    if bound < minimum:
+        raise BoundTooSmall(bound, minimum)
+    limit = resolve_budget()
+    if bound + 1 > limit:
+        raise BudgetExceeded(bound + 1, limit, "sieve entries")
+
+    d = spec.dimension
+    counts = []
+    lo = hi = 1 << solver.DENSITY_BITS
+    plan_at = orderspec._ShapeIndex(spec, functools.partial(orderspec.count_plan, k)).at
+    for p in solver._primes_below(bound + 1):
+        count, whole = orderspec.plan_count(plan_at(p), p), p ** (d * k)
+        if not 0 <= count <= whole:
+            raise CertificateError(f"local count {count} at p={p} is outside [0, p^{d * k}]")
+        counts.append((p, count))
+        lo = lo * count // whole
+        hi = -(-hi * count // whole)
+        if count == 0:
+            return DensityInterval(
+                k=k,
+                bound=bound,
+                minimum_bound=minimum,
+                lower=Fraction(0),
+                upper=Fraction(0),
+                dimension=d,
+                counts=tuple(counts),
+                tail_coefficient=None,
+                zero_reason=f"the local factor at p={p} vanishes: k={k} is below "
+                "the local minimum there",
+                note="; ".join(note_parts),
+            )
+
+    upper = Fraction(hi, 1 << solver.DENSITY_BITS)
+    terms = solver._tail_terms(spec, k)
+    gated = [t for t in terms if t[1] < 2]
+    if gated:
+        labels = ", ".join(label for _, _, label in gated)
+        note_parts.append(
+            f"tail exponent below 2 for {labels}: the certified lower bound "
+            "degenerates to 0 at this k"
+        )
+        lower = Fraction(0)
+        tail_coefficient = None
+    else:
+        tail_coefficient = sum(
+            (Fraction(coeff, minimum ** (exp - 2)) for coeff, exp, _ in terms),
+            Fraction(0),
+        )
+        t = max(Fraction(0), 1 - Fraction(tail_coefficient, bound))
+        lower = Fraction(lo * t.numerator // t.denominator, 1 << solver.DENSITY_BITS)
+    return DensityInterval(
+        k=k,
+        bound=bound,
+        minimum_bound=minimum,
+        lower=lower,
+        upper=upper,
+        dimension=d,
+        counts=tuple(counts),
+        tail_coefficient=tail_coefficient,
+        zero_reason=None,
+        note="; ".join(note_parts),
+    )
+
+
+DOCUMENT_SPECS = FIXTURES + sorted(INLINE_SPECS)
+# The default bound, 1000 and 30 000, plus a bound below every floor and one past the
+# work budget: only a degree-2 factor at k = 2 answers those two, with bound 0.
+DOCUMENT_BOUNDS = (None, 1000, 30000, 3, 10**12)
+DOCUMENT_CASES = [(name, k, bound) for name in DOCUMENT_SPECS for k in (1, 2, 3, 4) for bound in DOCUMENT_BOUNDS]
+
+
+def document_outcome(result):
+    """A density outcome as the -O script prints it: the machine document, or the error."""
+    if isinstance(result, DensityInterval):
+        return render_json(result)
+    return f"{result[0].__name__}: {result[1]}"
+
+
+@functools.cache
+def oracle_document(name, k, bound):
+    return document_outcome(outcome(three_construction_density, spec_named(name), k, bound))
+
+
+@pytest.mark.parametrize("name", DOCUMENT_SPECS)
+def test_density_matches_the_three_construction_oracle(monkeypatch, name):
+    monkeypatch.delenv("ORDGEN_BUDGET", raising=False)
+    spec = spec_named(name)
+    for k in (1, 2, 3, 4):
+        for bound in DOCUMENT_BOUNDS:
+            got = outcome(density, spec, k, bound)
+            expected = outcome(three_construction_density, spec, k, bound)
+            assert got == expected, (k, bound)
+            if isinstance(got, DensityInterval):
+                assert render_json(got) == walked_render(expected)
+                assert to_jsonable(got) == walked_jsonable(expected)
+                assert density_text(got) == density_text(expected)
+            assert document_outcome(got) == oracle_document(name, k, bound)
+
+
+def test_density_zero_paths_match_the_oracle():
+    # a degree-2 factor at k = 2 answers before the floor and the budget are checked
+    for bound in (None, 3, 10**12):
+        zero = density(fixture("m2q.json"), 2, bound)
+        assert zero == three_construction_density(fixture("m2q.json"), 2, bound)
+        assert (zero.bound, zero.minimum_bound, zero.counts) == (0, 0, ())
+        assert "truncation bound  0\n" in density_text(zero)
+    # a vanishing prime is the last entry of the counts
+    vanishing = density(fixture("quat2.json"), 1, 1000)
+    assert vanishing == three_construction_density(fixture("quat2.json"), 1, 1000)
+    assert vanishing.counts == ((2, 0),) and vanishing.tail_coefficient is None
+    # a tail exponent below 2 keeps the upper bound and drops the lower one to 0
+    degenerate = density(fixture("zi.json"), 1, 1000)
+    assert degenerate == three_construction_density(fixture("zi.json"), 1, 1000)
+    assert degenerate.lower == 0 < degenerate.upper and "degenerates" in degenerate.note
+
+
+def test_density_matches_the_three_construction_oracle_under_optimisation():
+    # The documents are computed under python -O and compared here with the oracle's.
+    code = (
+        "from ordgen import solver\n"
+        "from ordgen.errors import OrdgenError\n"
+        "from ordgen.orderspec import spec_from_dict, load_spec\n"
+        f"inline = {INLINE_SPECS!r}\n"
+        f"for name, k, bound in {DOCUMENT_CASES!r}:\n"
+        f"    spec = spec_from_dict(inline[name]) if name in inline else load_spec({str(DATA)!r} + '/' + name)\n"
+        "    try:\n"
+        "        print(solver.render_json(solver.density(spec, k, bound)))\n"
+        "    except OrdgenError as exc:\n"
+        "        print(f'{type(exc).__name__}: {exc}')\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(pathlib.Path(solver.__file__).parent.parent))
+    env.pop("ORDGEN_BUDGET", None)
+    proc = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True, text=True, env=env, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.split("\n")
+    assert lines[-1] == "" and len(lines) == len(DOCUMENT_CASES) + 1
+    for case, line in zip(DOCUMENT_CASES, lines):
+        assert line == oracle_document(*case), case
+
+
+def cli_documents(capsys, argvs):
+    out = []
+    for argv in argvs:
+        code = cli.main(argv)
+        captured = capsys.readouterr()
+        out.append((code, captured.out, captured.err))
+    return out
+
+
+QUATERNION_DOCUMENTS = [
+    ["quaternion", "--ramified", ramified, "--mmax", mmax, "--format", "machine"]
+    for ramified in ("2", "3", "2,5", "5,7", "13")
+    for mmax in ("300", "1000")
+]
+OTHER_DOCUMENTS = [
+    ["count", "--k", "2", "--n", "2", "--q", "2", "--format", "machine"],
+    ["count", "--k", "3", "--n", "3", "--q", "4", "--r", "2", "--m", "3", "--format", "machine"],
+    ["oracle", "--alg", "M(2,2)", "--k", "2", "--format", "machine"],
+    ["oracle", "--alg", "M(2,2)", "--k", "2", "--samples", "500", "--seed", "7", "--format", "machine"],
+]
+
+
+def test_cli_documents_match_the_walked_encoder(monkeypatch, capsys, tmp_path):
+    # 10^4299 copies: its analyze document holds an integer of more than 4300 digits
+    doc = json.loads((DATA / "z.json").read_text())
+    doc["factors"][0]["copies"] = 10**4299
+    huge = tmp_path / "zlimit.json"
+    huge.write_text(json.dumps(doc))
+    argvs = [*QUATERNION_DOCUMENTS, *OTHER_DOCUMENTS, ["analyze", "--spec", str(huge), "--format", "machine"]]
+    for name in FIXTURES:
+        path = str(DATA / name)
+        argvs.append(["analyze", "--spec", path, "--format", "machine"])
+        argvs.append(["analyze", "--spec", path, "--format", "machine", "--density-k", "3"])
+        argvs.append(["density", "--spec", path, "--k", "3", "--bound", "1000", "--format", "machine"])
+    got = cli_documents(capsys, argvs)
+    monkeypatch.setattr(cli, "render_json", walked_render)
+    assert cli_documents(capsys, argvs) == got
+    assert got[len(QUATERNION_DOCUMENTS) + len(OTHER_DOCUMENTS)] == (
+        4,
+        "",
+        "error: request needs more than 4300 digits in one printed integer, budget is 4300\n",
+    )
+    assert sum(code == 0 for code, _, _ in got) >= len(argvs) - 4
+
+
+def test_report_and_table_values_match_the_walked_encoder():
+    results = [outcome(report, fixture(name), *args) for name in FIXTURES for args in ((), (3, 1000))]
+    results += [quaternion_example(ramified, 300) for ramified in ((2,), (5, 7))]
+    results = [result for result in results if not isinstance(result, tuple)]  # not an OrdgenError
+    assert len(results) >= 2 * len(FIXTURES)
+    for result in results:
+        assert render_json(result) == walked_render(result)
+        assert to_jsonable(result) == walked_jsonable(result)
+
+
+def test_huge_integers_raise_value_error_in_both_encoders():
+    huge = {"value": 10**4300}
+    with pytest.raises(ValueError):
+        render_json(huge)
+    with pytest.raises(ValueError):
+        walked_render(huge)
+    with pytest.raises(ValueError):
+        to_jsonable(huge)
