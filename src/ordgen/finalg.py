@@ -37,9 +37,10 @@ magic constant.  Each pivot slot holds, in the lanes of the tuples that have
 that pivot, their semi-reduced row, under the engines' pivot conventions; for
 odd p the row is not scaled to 1 at its pivot, and the slot keeps the pivots'
 inverses beside it.
-Sweeps multiply the rows not yet processed by every generator until no lane
-has work left, and a tuple generates when its lane has all D pivots; this is
-exact, the same as one closure per tuple.  B is SAMPLE_LANES = 256, fewer
+Each round gathers one row per live lane that it has not yet multiplied
+into one vector and multiplies it by every generator, until no lane has a
+row left, and a tuple generates when its lane has all D pivots; this is
+exact, the same as one closure per tuple.  B is SAMPLE_LANES = 1024, fewer
 where a batch's slots and generator masks would pass SAMPLE_BITS = 2^23 bits.
 """
 
@@ -72,12 +73,14 @@ DEFAULT_BUDGET = 1 << 26
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
 
-# A batch closes up to SAMPLE_LANES tuples at once, samples or cosets, fewer
-# when its working set would pass SAMPLE_BITS (1 MiB).  That is about
-# (D^2 + g*D*bitlen(p-1)) * B * b bits for D flat coordinates, g generators,
-# B lanes of b bits: D pivot slots of D slices and g generators' bit masks,
-# one more g for the slots' pivot inverses when p is odd.
-SAMPLE_LANES = 256
+# A batch closes up to SAMPLE_LANES = 1024 tuples at once, samples or cosets,
+# fewer when its working set would pass SAMPLE_BITS (1 MiB); a wide batch
+# spreads the Python cost of each big-integer operation over many lanes.
+# The working set is about (D^2 + g*D*bitlen(p-1)) * B * b bits for D flat
+# coordinates, g generators, B lanes of b bits: D pivot slots of D slices and
+# g generators' bit masks, one more g for the slots' pivot inverses when p is
+# odd.
+SAMPLE_LANES = 1024
 SAMPLE_BITS = 1 << 23
 
 
@@ -1112,11 +1115,13 @@ def _close_batch(eng, L: _Lanes, base_rows, gens: list) -> int:
     ``gens`` holds the lane vectors of a tuple's k elements; the scalars
     x^t * 1 (t >= 1) are generators too, the same in every lane.  The span
     starts from the closed base span of the scalars and the tuple's elements.
-    Each sweep multiplies every row of a slot that a live lane has not yet
-    processed by every generator and inserts the products; a lane leaves once
-    it has all D pivots, and the closure stops when a sweep finds nothing to
-    do.  As in ``_close``, the span is then closed on the right under the
-    generators and holds the unit, so it is the subalgebra they generate.
+    Each round takes one row per live lane, the row of its lowest slot that
+    it has not yet multiplied, gathers these rows into one lane vector,
+    multiplies it by every generator and inserts the products; a lane leaves
+    once it has all D pivots, and the closure stops when a round finds no
+    row left.  A stored row never changes, so the order of the rounds does
+    not matter: as in ``_close``, the span is then closed on the right under
+    the generators and holds the unit, so it is the subalgebra they generate.
     The base rows need no products of their own: x^t * g = g * x^t, and
     g * x^t is reached from the rows that g's insertion added.
     """
@@ -1130,21 +1135,23 @@ def _close_batch(eng, L: _Lanes, base_rows, gens: list) -> int:
         eng.batch_insert(L, rows, have, inv, list(g), full)
     masks = [eng.batch_masks(L, g) for g in gens + [eng.broadcast(L, s) for s in eng.scalars[1:]]]
     alive = full & ~functools.reduce(operator.and_, have)
-    busy = True
-    while busy and alive:
-        busy = False
+    while alive:
+        x, free = [0] * D, alive
         for t in range(D):
-            todo = (have[t] ^ done[t]) & alive
-            if not todo:
-                continue
-            busy = True
-            done[t] |= todo
-            x = [s & todo for s in rows[t]]
-            for m in masks:
-                eng.batch_insert(L, rows, have, inv, eng.batch_product(L, x, m), alive)
-            alive &= ~functools.reduce(operator.and_, have)
-            if not alive:
-                break
+            todo = (have[t] ^ done[t]) & free
+            if todo:
+                done[t] |= todo
+                free ^= todo
+                for i, s in enumerate(rows[t]):
+                    x[i] |= s & todo
+                if not free:
+                    break
+        picked = alive ^ free
+        if not picked:
+            break
+        for m in masks:
+            eng.batch_insert(L, rows, have, inv, eng.batch_product(L, x, m), picked)
+        alive &= ~functools.reduce(operator.and_, have)
     return functools.reduce(operator.and_, have)
 
 

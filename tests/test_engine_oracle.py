@@ -24,7 +24,10 @@ The oracles below come from earlier designs of ``finalg``:
 - the depth-first enumeration (``per_coset_gen_count``), one ``_close`` per
   coset of the last generator except those its skip span settles, used
   before the exhaustive oracle decided its last generator in batches of
-  lanes.
+  lanes;
+- the batch kernel that swept the pivot slots one at a time, at full width
+  (``slot_close_batch``), used before each round of ``_close_batch`` took
+  one row per live lane.
 
 Swapped into an algebra, they must give the same rows, bases, coset
 representatives and counts as ``finalg``.
@@ -33,6 +36,7 @@ representatives and counts as ``finalg``.
 import contextlib
 import functools
 import itertools
+import operator
 import os
 import random
 import subprocess
@@ -1057,3 +1061,94 @@ def test_lanes_with_a_prefix_match_closures_from_its_subalgebra():
             got = [(full >> (s * eng.b)) & 1 for s in range(len(xs))]
             assert got == [len(finalg._close(eng, S, [eng.flat_of_index(i)])) == eng.D for i in xs]
     assert kinds == {True, False}
+
+
+# -- the batch kernel: one row per live lane per round against one slot per sweep
+
+
+def slot_close_batch(eng, L, base_rows, gens):
+    """The oracle for ``finalg._close_batch``: each sweep takes the pivot slots
+    in turn and multiplies, at full width, the rows of a slot that the live
+    lanes have not yet multiplied by every generator, until a sweep finds no
+    row left."""
+    D, full = eng.D, L.full
+    rows = [None] * D
+    have, inv = [0] * D, [0] * D
+    for r in base_rows:
+        eng.batch_insert(L, rows, have, inv, eng.broadcast(L, r), full)
+    done = list(have)
+    for g in gens:
+        eng.batch_insert(L, rows, have, inv, list(g), full)
+    masks = [eng.batch_masks(L, g) for g in gens + [eng.broadcast(L, s) for s in eng.scalars[1:]]]
+    alive = full & ~functools.reduce(operator.and_, have)
+    busy = True
+    while busy and alive:
+        busy = False
+        for t in range(D):
+            todo = (have[t] ^ done[t]) & alive
+            if not todo:
+                continue
+            busy = True
+            done[t] |= todo
+            x = [s & todo for s in rows[t]]
+            for m in masks:
+                eng.batch_insert(L, rows, have, inv, eng.batch_product(L, x, m), alive)
+            alive &= ~functools.reduce(operator.and_, have)
+            if not alive:
+                break
+    return functools.reduce(operator.and_, have)
+
+
+def kernel_batch(eng, lanes, k, rng, dead):
+    """k lane vectors of random elements in ``lanes`` lanes, the zero element
+    in each lane of ``dead``, which so never generates beyond the scalars."""
+    idxs = [[0 if s in dead else rng.randrange(eng.size) for s in range(lanes)] for _ in range(k)]
+    L = eng.lanes(lanes)
+    return L, [eng.batch_load(L, packed_indices(eng, x)) for x in idxs]
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from([p**e for p in (2, 3, 5, 7) for e in (1, 2)]), st.data())
+def test_round_kernel_matches_slot_sweeps(q, data):
+    """The full lanes of ``_close_batch`` equal the oracle's on random batches:
+    matrix, truncated local (TW) and product algebras, extension fields whose
+    scalars are generators, k = 1 to 3 and lanes that never generate."""
+    alg = data.draw(st.sampled_from(sampling_algebras(q)), label="algebra")
+    eng = alg._eng()
+    k = data.draw(st.integers(1, 3), label="k")
+    lanes = data.draw(st.sampled_from([1, 3, 64, finalg.SAMPLE_LANES]), label="lanes")
+    dead = data.draw(st.sets(st.integers(0, lanes - 1), max_size=8), label="dead")
+    rng = random.Random(data.draw(st.integers(0, 2**32), label="seed"))
+    base = finalg._close(eng, [], eng.scalars)
+    L, gens = kernel_batch(eng, lanes, k, rng, dead)
+    full = finalg._close_batch(eng, L, base, gens)
+    assert full == slot_close_batch(eng, L, base, gens)
+    assert not any((full >> (s * eng.b)) & 1 for s in dead)  # the scalars span a proper subalgebra here
+
+
+@pytest.mark.parametrize("q", [2, 3])
+@pytest.mark.parametrize("lanes", [256, finalg.SAMPLE_LANES])
+def test_rounds_make_no_more_products_than_slot_sweeps(monkeypatch, q, lanes):
+    """On the same batches of M_3(F_q), k = 2, a round per live lane never
+    makes more lane products than the sweeps by slot, and finds the same
+    full lanes."""
+    alg = matrix_algebra(3, q)
+    eng = alg._eng()
+    base = finalg._close(eng, [], eng.scalars)
+    calls = [0]
+    product = eng.batch_product
+
+    def counted(*args):
+        calls[0] += 1
+        return product(*args)
+
+    def run(kernel, L, gens):
+        calls[0] = 0
+        return kernel(eng, L, base, gens), calls[0]
+
+    monkeypatch.setattr(eng, "batch_product", counted)
+    rng = random.Random(q * lanes)
+    for _ in range(3):
+        L, gens = kernel_batch(eng, lanes, 2, rng, ())
+        (full, rounds), (want, sweeps) = run(finalg._close_batch, L, gens), run(slot_close_batch, L, gens)
+        assert full == want and rounds <= sweeps

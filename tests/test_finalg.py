@@ -918,11 +918,11 @@ def test_single_generators_match_closed_forms(alg, count):
 
 
 CLOSURE_COUNT_CASES = [
-    (M22, 2, (9, 1, 6, 9), 145),
-    (M22, 3, (45, 1, 9, 13), 321),
-    (matrix_algebra(2, 3), 2, (28, 1, 6, 9), 1216),
-    (matrix_algebra(3, 2), 2, (257, 61, 2370, 2553), None),  # 98 305 per-element closures: too slow to repeat here
-    (product_algebra(M22, M22), 2, (129, 20, 596, 656), None),  # 29 441 per-element closures
+    (M22, 2, (9, 1, 4, 7), 145),
+    (M22, 3, (45, 1, 6, 10), 321),
+    (matrix_algebra(2, 3), 2, (28, 1, 4, 7), 1216),
+    (matrix_algebra(3, 2), 2, (257, 16, 224, 272), None),  # 98 305 per-element closures: too slow to repeat here
+    (product_algebra(M22, M22), 2, (129, 5, 60, 75), None),  # 29 441 per-element closures
 ]
 
 
@@ -934,7 +934,10 @@ CLOSURE_COUNT_CASES = [
 def test_closure_counts_of_exhaustive_oracle(monkeypatch, alg, k, work, naive_closures):
     """Closures above the last generator, batches of the last generator, and
     the batches' lane products and insertions.  The cosets of every
-    subalgebra at the last level share batches of up to 256 lanes.  Closing
+    subalgebra at the last level share batches of up to 1024 lanes, and a
+    round multiplies one row per live lane.  Sweeps by slot in batches of up
+    to 256 lanes made 61 batches, 2 370 products and 2 553 insertions on
+    M_3(F_2) at k = 2, and 20, 596 and 656 on M_2(F_2)^2.  Closing
     one coset at a time and skipping those inside a proper closure took
     45, 87, 143, 7 834 and 1 924 closures; without the skip, 172 on
     M_2(F_3), 15 809 on M_3(F_2) and 5 073 on M_2(F_2)^2 at k = 2."""
@@ -993,13 +996,15 @@ def test_engine_products_of_sampling(monkeypatch, n, q, samples, hits, applicati
 
 @pytest.mark.parametrize(
     "n,q,samples,hits,products,insertions",
-    [(3, 3, 3000, 2334, 266, 302), (3, 2, 6000, 2967, 950, 1022)],
+    [(3, 3, 3000, 2334, 42, 51), (3, 2, 6000, 2967, 84, 102)],
+    ids=["M_3(F_3)", "M_3(F_2)"],
 )
 def test_batch_products_of_sampling(monkeypatch, n, q, samples, hits, products, insertions):
     """Lane products and insertions of the batched sampler, for the tuples of
-    ``test_engine_products_of_sampling``, in 12 and 24 batches of at most 256
+    ``test_engine_products_of_sampling``, in 3 and 6 batches of at most 1024
     samples.  Each batch inserts the scalars and its 2 drawn elements, then
-    every product."""
+    every product.  Sweeps by slot in 12 and 24 batches of at most 256
+    samples made 266 and 950 products and 302 and 1 022 insertions."""
     alg = matrix_algebra(n, q)
     eng = alg._eng()
     calls = {"batch_product": 0, "batch_insert": 0}
@@ -1025,22 +1030,25 @@ def test_batch_products_of_sampling(monkeypatch, n, q, samples, hits, products, 
 
 def test_sampling_working_set_is_bounded():
     """A batch's slots and generator masks take (D^2 + k*D*ceil(log2 p))*B*w
-    bits, 41 184 bytes here, and the slots' pivot inverses D*ceil(log2 p)*B*w
-    more, 6 336 bytes.  Each generator is drawn into one packed integer and
-    its digits are peeled off it, with no object per sample: a layout with
-    per-sample bytes objects peaked at 260 KiB with 512 lanes."""
+    bits, 164 736 bytes here, and the slots' pivot inverses D*ceil(log2 p)*B*w
+    more, 25 344 bytes; the peak stays below twice their sum.  Each generator
+    is drawn into one packed integer and its digits are peeled off it, with
+    no object per sample: a layout with per-sample bytes objects peaked at
+    260 KiB with 512 lanes.  The factor 2 keeps the margin of the bound at
+    B = 256, 96 KiB against 47 520 bytes (2.07 times)."""
     alg = matrix_algebra(3, 3)
     eng = alg._eng()
     sample_gen_fraction(alg, 2, 10, seed=1)  # builds the lane terms
-    B, w = finalg._batch_size(eng, 2), eng.b
-    assert (B, w, (eng.D**2 + 2 * eng.D * (eng.p - 1).bit_length()) * B * w // 8) == (256, 11, 41184)
+    B, w, D, bits = finalg._batch_size(eng, 2), eng.b, eng.D, (eng.p - 1).bit_length()
+    slots_and_masks, inverses = (D**2 + 2 * D * bits) * B * w // 8, D * bits * B * w // 8
+    assert (B, w, slots_and_masks, inverses) == (1024, 11, 164736, 25344)
     tracemalloc.start()
     try:
         sample_gen_fraction(alg, 2, 3000, seed=1)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 96 * 1024
+    assert peak < 2 * (slots_and_masks + inverses)
 
 
 def test_closure_of_a_rank_that_is_not_an_fq_span_is_refused(monkeypatch):
