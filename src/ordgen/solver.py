@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import itertools
 import json
-from bisect import bisect_left
 from dataclasses import dataclass, fields, is_dataclass
 from fractions import Fraction
 from functools import partial
@@ -46,32 +45,33 @@ def _ceil_root(value: int, exponent: int) -> int:
     return 1 if value == 1 else _integer_root(value - 1, exponent) + 1
 
 
-def _primes_below(n: int) -> tuple[int, ...]:
-    if n <= 2:
-        return ()
-    flags = bytearray([1]) * n
-    flags[0] = flags[1] = 0
-    for p in range(2, int(n**0.5) + 1):
-        if flags[p]:
-            flags[p * p :: p] = bytes(len(range(p * p, n, p)))
-    return tuple(itertools.compress(range(n), flags))
+SIEVE_SPAN = 1 << 15
 
 
-def _primes_in_order(n: int):
-    """The primes below n in increasing order, sieved over doubling ranges.
+def _primes(n: int):
+    """The primes below n in increasing order, sieved one range at a time as they are read.
 
-    A caller that stops at some prime has sieved at most about twice as far,
-    never up to n, which may be far too large to sieve.  Past the primes
-    below 64, an n beyond the work budget raises BudgetExceeded.
+    The ranges are [2, 64), [64, 4096), then SIEVE_SPAN numbers each, and each
+    is sieved once, by the primes below its square root found before it (the
+    first by the integers 2 to 7).  Past the primes below 64, an n beyond the
+    work budget raises BudgetExceeded.
     """
-    lo, hi = 2, 64
+    found = []
+    lo, hi = 2, min(64, n)
     while lo < n:
         if lo == 64 and n > (limit := resolve_budget()):
             raise BudgetExceeded(n, limit, "sieve entries")
-        hi = min(hi, n)
-        primes = _primes_below(hi)
-        yield from primes[bisect_left(primes, lo) :]
-        lo, hi = hi, 2 * hi
+        flags = bytearray([1]) * (hi - lo)
+        for p in found or range(2, 8):
+            if p * p >= hi:
+                break
+            first = max(p * p - lo, -lo % p)
+            flags[first::p] = bytes(len(range(first, hi - lo, p)))
+        primes = tuple(itertools.compress(range(lo, hi), flags))
+        yield from primes
+        if lo * lo < n:
+            found += primes
+        lo, hi = hi, min(n, 4096 if hi == 64 else hi + SIEVE_SPAN)
 
 
 def _next_prime(n: int) -> int:
@@ -219,14 +219,15 @@ def smallest_h(spec: OrderSpec, *, _table: dict[int, tuple[ClassifiedLocal, int]
     """Smallest k such that every localization admits k generators, with verdict.
 
     Each prime is classified once, its groups read from a `_ShapeIndex`,
-    into `_table` with its local minimum; on return the table holds every
-    prime below the cutoff, and `report` reads its details from it.  Each
-    candidate k first gets its cutoff q0, then the primes below q0 are tried
-    in increasing order up to the first that needs more than k generators,
-    and only the k that passes is swept for its certificate.  So a k whose q0 is far too large to sieve up to, as
-    for a huge copy count, costs nothing once a prime below 64 rules it out.
-    The next candidate is that prime's local minimum: no smaller k can pass,
-    since the prime needs that many generators whatever the cutoff.
+    into `_table` with its local minimum.  Each candidate k first gets its
+    cutoff q0, then the primes below q0 are read from `_primes` up to the
+    first that needs more than k generators, and only the k that passes is
+    swept for its certificate.  So a k whose q0 is far too large to sieve up
+    to, as for a huge copy count, costs nothing once a prime below 64 rules it
+    out.  The next candidate is that prime's local minimum: no smaller k can
+    pass, since the prime needs that many generators whatever the cutoff.
+    Each pass reads from 2, so the table ends up with the primes below the
+    cutoff in order: the critical primes and `report`'s details read them.
     """
     table = {} if _table is None else _table
     index = _ShapeIndex(spec, attrgetter("groups"))
@@ -242,13 +243,13 @@ def smallest_h(spec: OrderSpec, *, _table: dict[int, tuple[ClassifiedLocal, int]
 
     h = r_k  # with a matrix factor, k = 1 has no cutoff
     while True:
-        short = next((p for p in _primes_in_order(_cutoff_shapes(spec, h)[1]) if mk(p) > h), None)
+        short = next((p for p in _primes(_cutoff_shapes(spec, h)[1]) if mk(p) > h), None)
         if short is None:
             break
         h = mk(short)
     certificate = prime_cutoff(spec, h)
 
-    critical = tuple(p for p in _primes_below(certificate.q0) if mk(p) == h)
+    critical = tuple(p for p, (_, min_k) in table.items() if p < certificate.q0 and min_k == h)
     notes = []
     refined = None
     if h == 1:
@@ -386,10 +387,10 @@ def density(spec: OrderSpec, k: int, bound: int | None = None) -> DensityInterva
     groups' count polynomials, is built once per splitting shape for the
     call (`_ShapeIndex`, which reads a quadratic center's shape from the
     prime's residue class), so each prime's count is a shape lookup and a few
-    Horner evaluations (`plan_count`).
-    A bound whose sieve, bound + 1 flags, exceeds the work budget
-    (``finalg.resolve_budget``) raises BudgetExceeded before any prime is
-    sieved.
+    Horner evaluations (`plan_count`).  The sieve stops where the loop stops,
+    at a vanishing factor too, but a bound whose sieve, bound + 1 entries,
+    exceeds the work budget (``finalg.resolve_budget``) raises BudgetExceeded
+    before any prime is sieved.
 
     A `zero_reason` makes the product exactly 0: a factor of reduced degree 2
     at k = 2 (bound 0, before the floor and budget checks), or a vanishing
@@ -424,7 +425,7 @@ def density(spec: OrderSpec, k: int, bound: int | None = None) -> DensityInterva
     counts = []
     lo = hi = 1 << DENSITY_BITS
     plan_at = _ShapeIndex(spec, partial(count_plan, k)).at
-    for p in _primes_below(bound + 1):
+    for p in _primes(bound + 1):
         count, whole = plan_count(plan_at(p), p), p ** (d * k)
         if not 0 <= count <= whole:
             raise CertificateError(f"local count {count} at p={p} is outside [0, p^{d * k}]")
@@ -532,9 +533,8 @@ def quaternion_example(ramified: tuple[int, ...], m_max: int) -> QuaternionTable
     while reached < m_max:
         k += 1
         most = min(m_max, room(k, 2))
-        bounds, _ = _cutoff_shapes(make_quaternion_spec(ramified, most), k)
-        below = _primes_below(max(b.threshold for b in bounds))
-        level = min([most] + [room(k, p) for p in (*below, *one.listed_primes)])
+        threshold = max(b.threshold for b in _cutoff_shapes(make_quaternion_spec(ramified, most), k)[0])
+        level = min([most] + [room(k, p) for p in itertools.chain(_primes(threshold), one.listed_primes)])
         if level < reached:
             raise CertificateError(
                 f"h must be nondecreasing in the copy count, but level {k} reaches "
@@ -580,11 +580,11 @@ def report(
     """Full analysis of a spec: verdict, local detail below the cutoff, optional density."""
     table: dict[int, tuple[ClassifiedLocal, int]] = {}
     verdict = smallest_h(spec, _table=table)
-    details = []
-    for p in _primes_below(verdict.cutoff):
-        cls, min_k = table[p]
-        groups = tuple((n, r, sum(count for _, _, count in members)) for (n, r), members in cls.groups)
-        details.append(PrimeDetail(p=p, min_k=min_k, groups=groups))
+    details = tuple(
+        PrimeDetail(p=p, min_k=min_k, groups=tuple((n, r, _copies(members)) for (n, r), members in cls.groups))
+        for p, (cls, min_k) in table.items()
+        if p < verdict.cutoff
+    )
     interval = None
     if density_k is not None:
         interval = density(spec, density_k, density_bound)
@@ -592,7 +592,7 @@ def report(
         dimension=spec.dimension,
         free_over_base=spec.free_over_base,
         verdict=verdict,
-        details=tuple(details),
+        details=details,
         density=interval,
     )
 

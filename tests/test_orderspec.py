@@ -213,7 +213,7 @@ def test_composite_modulus_raises_not_prime_in_every_mode(optimise):
 QUADRATIC_INDEX = """
 import random
 from ordgen.orderspec import OrderSpec, SimpleFactorSpec, _ShapeIndex, _full_pattern, _pattern
-from ordgen.solver import _primes_below
+from sieve_oracles import primes_below
 
 
 def index_mismatches(polys, primes):
@@ -241,7 +241,7 @@ def large_polys(count, seed):
     return [(rng.randint(-10**6, 10**6), rng.randint(-10**6, 10**6), 1) for _ in range(count)]
 
 
-PRIMES = _primes_below(5000)
+PRIMES = primes_below(5000)
 GRID = [(c, b, 1) for b in range(-30, 31) for c in range(-30, 31)]
 """
 
@@ -282,7 +282,8 @@ def test_shape_index_reads_large_quadratic_centers_by_residue_class(f):
 
 def test_shape_index_reads_quadratic_centers_by_residue_class_under_optimisation():
     script = QUADRATIC_INDEX + "print(len(index_mismatches(GRID + large_polys(150, 1), PRIMES)))\n"
-    env = dict(os.environ, PYTHONPATH=str(pathlib.Path(ordgen.__file__).parent.parent))
+    paths = (pathlib.Path(ordgen.__file__).parent.parent, pathlib.Path(__file__).parent)  # ordgen, sieve_oracles
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(map(str, paths)))
     proc = subprocess.run([sys.executable, "-O", "-c", script], capture_output=True, text=True, env=env, timeout=300)
     assert (proc.returncode, proc.stderr, proc.stdout) == (0, "", "0\n")
 

@@ -9,6 +9,7 @@ import os
 import pathlib
 import subprocess
 import sys
+import tracemalloc
 
 from fractions import Fraction
 from operator import attrgetter
@@ -57,6 +58,7 @@ from ordgen.solver import (
     smallest_h,
     to_jsonable,
 )
+from sieve_oracles import primes_below, primes_in_order
 
 DATA = pathlib.Path(__file__).parent / "data"
 
@@ -363,7 +365,31 @@ def test_density_refuses_large_rank():
 def test_primes_below_matches_trial_division():
     primes = [p for p in range(2000) if is_prime(p)]
     for n in range(2001):
-        assert solver._primes_below(n) == tuple(p for p in primes if p < n)
+        assert primes_below(n) == tuple(p for p in primes if p < n)
+
+
+# Every n below 5000, powers of two and their neighbours, and both sides of the
+# first range boundaries: 64, 4096 and then every SIEVE_SPAN numbers.
+SIEVE_CASES = sorted(
+    {*range(5000), *(2**j + d for j in range(6, 22) for d in range(-3, 4))}
+    | {b + d for b in (64, *range(4096, 4096 + 8 * solver.SIEVE_SPAN, solver.SIEVE_SPAN)) for d in (-1, 0, 1)}
+)
+
+
+def test_primes_match_both_oracles():
+    for n in SIEVE_CASES:
+        expected = primes_below(n)
+        assert tuple(solver._primes(n)) == expected == tuple(primes_in_order(n)), n
+
+
+def test_primes_read_the_primes_below_64_before_refusing_past_the_budget(monkeypatch):
+    monkeypatch.setenv("ORDGEN_BUDGET", "100")
+    for sieve in (solver._primes, primes_in_order):
+        read = []
+        with pytest.raises(BudgetExceeded) as info:
+            read.extend(sieve(10**9))
+        assert read == list(primes_below(64)) and len(read) == 18
+        assert str(info.value) == "request needs 1000000000 sieve entries, budget is 100"
 
 
 def test_density_interval_validates_ordering():
@@ -394,12 +420,38 @@ def tree_product(values):
     return values[0] if values else 1
 
 
-def exact_density(spec, k, bound=None):
-    """The oracle: the density interval with exact Fraction bounds.
+@functools.total_ordering
+class Ratio:
+    """An exact bound n/d, d > 0, left unreduced: it compares by cross-multiplying integers.
+
+    Reducing the product of thousands of factors costs a gcd of integers of
+    millions of bits.  `float` is int true division, which rounds correctly,
+    as `float(Fraction)` does.
+    """
+
+    def __init__(self, numerator, denominator):
+        self.numerator, self.denominator = numerator, denominator
+
+    def __eq__(self, other):
+        return self.numerator * other.denominator == other.numerator * self.denominator
+
+    def __lt__(self, other):
+        return self.numerator * other.denominator < other.numerator * self.denominator
+
+    def __mul__(self, other):
+        return Ratio(self.numerator * other.numerator, self.denominator * other.denominator)
+
+    def __float__(self):
+        return self.numerator / self.denominator
+
+
+def exact_density(spec, k, bound=None, ratio=Fraction):
+    """The oracle: the density interval with exact bounds.
 
     Each prime is classified on its own, each factor is range-checked as a
     Fraction, and `upper` is the exact product of the factors, from two
-    product trees and one gcd.
+    product trees: a Fraction, reduced by one gcd, or with ratio=Ratio the
+    unreduced pair.
     """
     if k < 1:
         raise SpecError("k must be a positive integer")
@@ -432,7 +484,7 @@ def exact_density(spec, k, bound=None):
         raise BoundTooSmall(bound, minimum)
     d = spec.dimension
     counts = []
-    for p in solver._primes_below(bound + 1):
+    for p in primes_below(bound + 1):
         cls = classify(local_data(spec, p))
         count = gen_count_local(k, cls)
         assert 0 <= Fraction(count, p ** (d * k)) <= 1
@@ -451,7 +503,7 @@ def exact_density(spec, k, bound=None):
                 "the local minimum there",
                 note="; ".join(note_parts),
             )
-    upper = Fraction(
+    upper = ratio(
         tree_product([count for _, count in counts]),
         tree_product([p ** (d * k) for p, _ in counts]),
     )
@@ -491,15 +543,19 @@ def assert_encloses(got, exact):
     Each of the pi(bound) primes rounds a bound outward by less than one unit
     of 2**-DENSITY_BITS, and the tail factor rounds `lower` down by less than
     one more, so either bound is at most pi(bound) + 1 units from the exact one.
+    The exact bounds, Fractions or `Ratio`s, are compared by cross-multiplying.
     """
     assert dataclasses.replace(got, lower=exact.lower, upper=exact.upper) == exact
-    bits = solver.DENSITY_BITS
-    slack = Fraction(len(solver._primes_below(got.bound + 1)) + 1, 2**bits)
-    assert exact.lower - slack <= got.lower <= exact.lower
-    assert exact.upper <= got.upper <= exact.upper + slack
+    unit = 2**solver.DENSITY_BITS
+    slack = len(primes_below(got.bound + 1)) + 1
     for value in (got.lower, got.upper):
         assert value.denominator & (value.denominator - 1) == 0
-        assert value.denominator <= 2**bits
+        assert value.denominator <= unit
+    # for got = units / unit and exact = n / d, got - exact = (units * d - n * unit) / (d * unit)
+    low, high = int(got.lower * unit), int(got.upper * unit)
+    lower, upper = exact.lower, exact.upper
+    assert -slack * lower.denominator <= low * lower.denominator - lower.numerator * unit <= 0
+    assert 0 <= high * upper.denominator - upper.numerator * unit <= slack * upper.denominator
 
 
 def outcome(fn, *args):
@@ -622,7 +678,7 @@ def test_fold_grid_reaches_every_branch():
     assert late[0] is ExceptionalPrimeNeedsOverride and "at p=3 " in late[1]
     assert 0 < at("three_factor", 3, 4000).lower
     dedekind = spec_named("dedekind")
-    patterns = {orderspec._pattern(dedekind.factors[0].center_minpoly, p) for p in solver._primes_below(4001)}
+    patterns = {orderspec._pattern(dedekind.factors[0].center_minpoly, p) for p in primes_below(4001)}
     assert len(patterns) == 5 and not all(pattern.certified for pattern in patterns)
     # F_2^3 is generated by the pairs whose three coordinate points in F_2^2 are distinct
     assert at("dedekind", 2, 4000).factors[0] == (2, Fraction(4 * 3 * 2, 4**3))
@@ -647,7 +703,7 @@ def test_density_builds_local_data_once_per_shape(monkeypatch, name, k, calls):
     got = density(spec, k, 4000)
     keys = {
         tuple(orderspec._pattern(f.center_minpoly, p) for f in spec.factors)
-        for p in solver._primes_below(4001)
+        for p in primes_below(4001)
         if p not in spec.listed_primes
     }
     # one call per splitting shape, plus one per listed prime
@@ -707,7 +763,7 @@ def test_analyze_documents_match_the_per_prime_key(monkeypatch, tmp_path, capsys
 def test_shape_index_reads_every_prime_as_its_local_data(name):
     spec = spec_named(name)
     index = orderspec._ShapeIndex(spec, attrgetter("groups"))
-    for p in solver._primes_below(4000):
+    for p in primes_below(4000):
         assert index.at(p) == classify(local_data(spec, p)).groups, p
 
 
@@ -765,7 +821,7 @@ def test_smallest_h_calls_pattern_once_per_residue_class_per_center(monkeypatch)
     calls = counted_pattern_calls(monkeypatch)
     table = {}
     verdict = smallest_h(spec, _table=table)
-    assert verdict.cutoff > 1009 and len(table) == len(solver._primes_below(verdict.cutoff))
+    assert verdict.cutoff > 1009 and len(table) == len(primes_below(verdict.cutoff))
     unlisted = [p for p in table if p not in spec.listed_primes]
     reads = [(f, p) for f, p, inside in calls if not inside]
     for f, disc in (((-2, 0, 1), 8), ((1, 1, 1), -3)):
@@ -790,8 +846,11 @@ def test_density_of_a_degree_four_factor_matches_the_per_prime_oracle():
     # The degree-4 count polynomials against the recursion at every prime below 30000.  The
     # exact bounds have more digits than a document may print, so both documents carry the
     # dyadic bounds, which assert_encloses checks.
+    # The oracle's bounds stay unreduced; at a small bound they equal the reduced ones.
     spec = fixture("m4q.json")
-    got, exact = density(spec, 3, 30000), exact_density(spec, 3, 30000)
+    reduced, unreduced = exact_density(spec, 3, 1000), exact_density(spec, 3, 1000, ratio=Ratio)
+    assert unreduced == reduced and density_text(unreduced) == density_text(reduced)
+    got, exact = density(spec, 3, 30000), exact_density(spec, 3, 30000, ratio=Ratio)
     assert_encloses(got, exact)
     assert density_text(got) == density_text(exact)
     assert render_json(got) == render_json(dataclasses.replace(exact, lower=got.lower, upper=got.upper))
@@ -991,7 +1050,7 @@ def test_capacity_ranges_name_the_known_thresholds():
 def test_quaternion_table_makes_no_verdict(monkeypatch, ramified, m_max):
     """No verdict and no sieve up to the cutoff: two cutoffs per range, at its first and last m."""
     cutoffs, sieves = [], []
-    original_cutoff, original_sieve = solver.prime_cutoff, solver._primes_below
+    original_cutoff, original_sieve = solver.prime_cutoff, solver._primes
 
     def no_verdict(spec, **kwargs):
         raise AssertionError("quaternion_example called smallest_h")
@@ -1006,7 +1065,7 @@ def test_quaternion_table_makes_no_verdict(monkeypatch, ramified, m_max):
 
     monkeypatch.setattr(solver, "smallest_h", no_verdict)
     monkeypatch.setattr(solver, "prime_cutoff", counting_cutoff)
-    monkeypatch.setattr(solver, "_primes_below", counting_sieve)
+    monkeypatch.setattr(solver, "_primes", counting_sieve)
     table = quaternion_example(ramified, m_max)
     assert all(lo < hi for _, lo, hi in table.ranges)
     assert sorted(cutoffs) == sorted((m, h) for h, lo, hi in table.ranges for m in (lo, hi))
@@ -1106,6 +1165,32 @@ def test_report_classifies_each_prime_once(monkeypatch, name):
     assert len(set(seen)) == len(seen) and set(spec.listed_primes) <= set(seen) <= set(primes)
     assert [detail.p for detail in rep.details] == primes
     assert sorted(minima) == primes
+
+
+def test_report_sieves_nothing_after_its_last_search_pass(monkeypatch):
+    """The critical primes and the details are read from the verdict's table.
+
+    quat2x7 has two search passes: p = 2 rules out k = 2, and k = 3 passes.
+    """
+    events = []
+    original_sieve, original_cutoff = solver._primes, solver.prime_cutoff
+
+    def counting_sieve(n):
+        events.append(("sieve", n))
+        return original_sieve(n)
+
+    def recording_cutoff(spec, k):
+        events.append(("cutoff", k))
+        return original_cutoff(spec, k)
+
+    monkeypatch.setattr(solver, "_primes", counting_sieve)
+    monkeypatch.setattr(solver, "prime_cutoff", recording_cutoff)
+    spec = fixture("quat2x7.json")
+    rep = report(spec)
+    cutoff = rep.verdict.cutoff
+    assert events == [("sieve", solver._cutoff_shapes(spec, 2)[1]), ("sieve", cutoff), ("cutoff", 3)]
+    assert [detail.p for detail in rep.details] == list(primes_below(cutoff))
+    assert rep.verdict.critical_primes == (2,)
 
 
 # ---------------------------------------------------------------- rendering
@@ -1240,7 +1325,7 @@ def three_construction_density(spec, k, bound=None):
     counts = []
     lo = hi = 1 << solver.DENSITY_BITS
     plan_at = orderspec._ShapeIndex(spec, functools.partial(orderspec.count_plan, k)).at
-    for p in solver._primes_below(bound + 1):
+    for p in primes_below(bound + 1):
         count, whole = orderspec.plan_count(plan_at(p), p), p ** (d * k)
         if not 0 <= count <= whole:
             raise CertificateError(f"local count {count} at p={p} is outside [0, p^{d * k}]")
@@ -1344,6 +1429,19 @@ def test_density_zero_paths_match_the_oracle():
     degenerate = density(fixture("zi.json"), 1, 1000)
     assert degenerate == three_construction_density(fixture("zi.json"), 1, 1000)
     assert degenerate.lower == 0 < degenerate.upper and "degenerates" in degenerate.note
+
+
+def test_density_stops_sieving_at_a_vanishing_factor(monkeypatch):
+    # p = 2 fixes the answer, so the sieve up to 10**7, once 10**7 flags, ends in its first range.
+    monkeypatch.delenv("ORDGEN_BUDGET", raising=False)
+    tracemalloc.start()
+    try:
+        vanishing = density(fixture("quat2.json"), 1, 10**7)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert vanishing.counts == ((2, 0),)
+    assert peak < 2**20
 
 
 def test_density_matches_the_three_construction_oracle_under_optimisation():
