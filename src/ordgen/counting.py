@@ -7,13 +7,16 @@ viewed over the subfield F_q, and the product formula for m identical simple
 factors.  Quotients that must be exact are checked with `divmod` or a
 `fractions.Fraction` denominator and raise CertificateError when they are not.
 Arguments out of range (k, n, r or m below 1, q below 2) raise InvalidCount.
+The subfield inversion reads its divisors and Moebius values from `factorize`.
 For a caller that evaluates one shape at many q, `twisted_count_polys` gives the
 twisted count and its capacity step as integer polynomials in q, interpolated
 once per (k, n, r) and checked, so that each q costs one Horner evaluation.
 Four caches remain: `pgl_order` (32 entries) and `_absolutely_irreducible` (128)
 hold the repeats within one prime and one recursion; `gen_count_twisted`
 (unbounded, see its comment) holds the count every capacity is recomputed from,
-and `twisted_count_polys` one entry per shape.
+and `twisted_count_polys` one entry per shape.  The recursion's cache stays: one
+`gen_count_exact(2, n, 2)` makes 10 hits on 6 entries at n = 4 and 667 on 45 at
+n = 48, where it takes 52 ms against 310 ms uncached (2 vCPUs, CPython 3.11).
 The closed forms stay: one count of M_2(F_q) or M_3(F_q) by the recursion took
 55 to 89 microseconds against 0.2 to 1.0, and a verdict pass makes about 219 counts
 that no cache holds.
@@ -26,34 +29,25 @@ from functools import lru_cache
 from math import isqrt, log
 
 from .errors import CertificateError, InvalidCount
+from .primes import factorize
 
 
 def divisors(n: int) -> tuple[int, ...]:
-    """All positive divisors of n in increasing order."""
+    """All positive divisors of n in increasing order, from `factorize`."""
     if n < 1:
         raise InvalidCount(f"n must be at least 1, got n={n}")
-    small = [d for d in range(1, isqrt(n) + 1) if n % d == 0]
-    large = [n // d for d in reversed(small) if d * d != n]
-    return tuple(small + large)
+    out = [1]
+    for p, e in factorize(n).items():
+        out = [d * p**i for d in out for i in range(e + 1)]
+    return tuple(sorted(out))
 
 
 def mobius(n: int) -> int:
-    """Moebius function by trial factorization."""
+    """Moebius function, from `factorize`."""
     if n < 1:
         raise InvalidCount(f"n must be at least 1, got n={n}")
-    result = 1
-    rest = n
-    p = 2
-    while p * p <= rest:
-        if rest % p == 0:
-            rest //= p
-            if rest % p == 0:
-                return 0
-            result = -result
-        p += 1
-    if rest > 1:
-        result = -result
-    return result
+    exponents = factorize(n).values()
+    return 0 if any(e > 1 for e in exponents) else (-1) ** len(exponents)
 
 
 def gl_order(n: int, q: int) -> int:

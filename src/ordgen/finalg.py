@@ -53,7 +53,6 @@ import operator
 import os
 import warnings
 from collections.abc import Sequence
-from concurrent import futures
 from dataclasses import dataclass, field
 
 from .errors import (
@@ -1032,21 +1031,24 @@ class SampleEstimate:
     seed: int
 
 
-def _run_parts(fn, parts, workers: int) -> list:
-    """Map fn over parts in a process pool, or serially when the pool cannot run.
+def _run_parts(fn, parts) -> list:
+    """fn(*part) for each part, in a process pool when there are two parts or
+    more, and serially when there is one or the pool cannot run.
 
-    Only a failure of the pool itself (an OSError, NotImplementedError or a
-    broken pool) falls back to serial work, with a RuntimeWarning; any other
+    The pool's machinery is imported only here, before it starts.  Only a
+    failure of the pool itself (an OSError, NotImplementedError or a broken
+    pool) falls back to serial work, with a RuntimeWarning; any other
     exception, such as one raised by fn, propagates.
     """
-    if workers <= 1 or len(parts) <= 1:
-        return [fn(a) for a in parts]
-    try:
-        with futures.ProcessPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(fn, parts))
-    except (OSError, NotImplementedError, futures.BrokenExecutor) as exc:
-        warnings.warn(f"process pool failed ({exc!r}); recomputing serially", RuntimeWarning, stacklevel=3)
-        return [fn(a) for a in parts]
+    if len(parts) > 1:
+        from concurrent import futures
+
+        try:
+            with futures.ProcessPoolExecutor(max_workers=len(parts)) as pool:
+                return list(pool.map(fn, *zip(*parts)))
+        except (OSError, NotImplementedError, futures.BrokenExecutor) as exc:
+            warnings.warn(f"process pool failed ({exc!r}); recomputing serially", RuntimeWarning, stacklevel=3)
+    return [fn(*part) for part in parts]
 
 
 def _element_draws(size: int) -> int:
@@ -1175,11 +1177,6 @@ def _sample_range(alg: FiniteAlgebra, k: int, start: int, stop: int, seed: int) 
     return hits
 
 
-def _sample_chunk(args) -> int:
-    alg, k, start, stop, seed = args
-    return _sample_range(alg, k, start, stop, seed)
-
-
 def sample_gen_fraction(
     alg: FiniteAlgebra, k: int, samples: int, *, seed: int = 0, budget: int | None = None, workers: int = 1
 ) -> SampleEstimate:
@@ -1189,17 +1186,16 @@ def sample_gen_fraction(
     element n reads the m = ``_element_draws(size)`` raw outputs
     n*m+1 .. n*m+m (``splitmix64_stream``) as one integer, the first output
     lowest, and reduces it modulo the algebra's size.  So results are
-    identical for any worker partition.
+    identical for any worker partition: the samples are split into at most
+    `workers` ranges, each counted by ``_sample_range``, in a process pool
+    only when there are two ranges or more (``_run_parts``).
     """
-    if k < 1 or samples < 1:
-        raise InvalidCount(f"k and samples must be at least 1, got k={k}, samples={samples}")
+    if k < 1 or samples < 1 or workers < 1:
+        raise InvalidCount(f"k, samples and workers must be positive, got k={k}, samples={samples}, workers={workers}")
     check_sample_budget(samples, budget)
-    if workers <= 1:
-        hits = _sample_range(alg, k, 0, samples, seed)
-    else:
-        bounds = [samples * i // workers for i in range(workers + 1)]
-        parts = [(alg, k, bounds[i], bounds[i + 1], seed) for i in range(workers) if bounds[i] < bounds[i + 1]]
-        hits = sum(_run_parts(_sample_chunk, parts, workers))
+    bounds = [samples * i // workers for i in range(workers + 1)]
+    parts = [(alg, k, bounds[i], bounds[i + 1], seed) for i in range(workers) if bounds[i] < bounds[i + 1]]
+    hits = sum(_run_parts(_sample_range, parts))
     z = 1.96
     n = samples
     ph = hits / n

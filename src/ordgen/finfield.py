@@ -12,24 +12,10 @@ from dataclasses import dataclass
 
 from . import polys
 from .errors import CapExceeded, NotPrime
-from .primes import is_prime, perfect_power
+from .primes import factorize, is_prime, perfect_power
 
 PRIME_POWER_CAP = 1 << 20
 LOG_TABLE_CAP = 1 << 16
-
-
-def factorize(n: int) -> dict[int, int]:
-    """Prime factorization by trial division; adequate for the sizes used here."""
-    out: dict[int, int] = {}
-    d = 2
-    while d * d <= n:
-        while n % d == 0:
-            out[d] = out.get(d, 0) + 1
-            n //= d
-        d += 1 if d == 2 else 2
-    if n > 1:
-        out[n] = out.get(n, 0) + 1
-    return out
 
 
 @dataclass(frozen=True)

@@ -2,7 +2,8 @@
 
 Polynomials are tuples of coefficients in ascending degree order with no
 trailing zeros; the zero polynomial is the empty tuple.  All functions take
-the prime modulus p explicitly.
+the prime modulus p explicitly.  One gcd filtration, `distinct_degree_counts`,
+also decides irreducibility.
 """
 
 from __future__ import annotations
@@ -124,24 +125,13 @@ def derivative(a: Poly, p: int) -> Poly:
 
 
 def is_irreducible(f: Poly, p: int) -> bool:
-    """Irreducibility of a monic polynomial: no irreducible factor of degree <= deg/2.
+    """Irreducibility of a monic polynomial, read from `distinct_degree_counts`.
 
-    Checks gcd(x^(p^d) - x, f) = 1 for d = 1..deg(f)//2, which rules out every
-    factor of degree at most deg(f)/2 and hence every nontrivial factorization.
+    A reducible f, squarefree or not, has an irreducible factor of degree at
+    most deg(f)/2, which the filtration splits off at that degree; so f is
+    irreducible exactly when the counts are one factor of degree deg(f).
     """
-    _require_prime(p)
-    d = degree(f)
-    if d < 1:
-        return False
-    if d == 1:
-        return True
-    x: Poly = (0, 1)
-    h = x
-    for i in range(1, d // 2 + 1):
-        h = pow_mod(h, p, f, p)
-        if degree(gcd(sub(h, x, p), f, p)) > 0:
-            return False
-    return True
+    return degree(f) >= 1 and distinct_degree_counts(f, p) == {degree(f): 1}
 
 
 def pth_root(f: Poly, p: int) -> Poly:

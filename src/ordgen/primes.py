@@ -1,4 +1,4 @@
-"""The package's one primality test and its one prime-power routine."""
+"""The package's one primality test, its one integer factorization and its one prime-power routine."""
 
 from __future__ import annotations
 
@@ -37,6 +37,20 @@ def is_prime(n: int) -> bool:
         else:
             return False
     return True
+
+
+def factorize(n: int) -> dict[int, int]:
+    """The prime factorization {p: e} of n >= 1 by trial division; factorize(1) is {}."""
+    out: dict[int, int] = {}
+    d = 2
+    while d * d <= n:
+        while n % d == 0:
+            out[d] = out.get(d, 0) + 1
+            n //= d
+        d += 1 if d == 2 else 2
+    if n > 1:
+        out[n] = out.get(n, 0) + 1
+    return out
 
 
 def _integer_root(n: int, e: int) -> int:

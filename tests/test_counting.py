@@ -31,6 +31,7 @@ from ordgen import counting
 from ordgen.errors import CertificateError, InvalidCount
 from ordgen.finalg import brute_gen_count, matrix_algebra, product_algebra, sample_gen_fraction
 from ordgen.primes import is_prime
+from arithmetic_oracles import divisors_by_trial, mobius_by_trial
 
 PRIME_POWERS = (2, 3, 4, 5, 7, 8, 9)
 PRIME_POWERS_TO_32 = (2, 3, 4, 5, 7, 8, 9, 11, 13, 16, 17, 19, 23, 25, 27, 29, 31, 32)
@@ -78,6 +79,12 @@ def test_divisors_sorted():
 
 def test_mobius_first_values():
     assert [mobius(n) for n in range(1, 13)] == [1, -1, -1, 0, -1, 1, -1, 0, 0, 1, -1, 0]
+
+
+def test_divisors_and_mobius_match_the_trial_division_oracles():
+    for n in range(1, 5000):
+        assert divisors(n) == divisors_by_trial(n), n
+        assert mobius(n) == mobius_by_trial(n), n
 
 
 def test_group_orders():

@@ -1,5 +1,6 @@
 """Finite algebra engines: closure, exhaustive and sampled counts, lifts."""
 
+import concurrent.futures
 import hashlib
 import itertools
 import os
@@ -602,7 +603,7 @@ def test_pool_that_cannot_start_falls_back_to_serial_with_warning(monkeypatch):
     def refuse(*args, **kwargs):
         raise OSError("cannot start worker processes")
 
-    monkeypatch.setattr(finalg.futures, "ProcessPoolExecutor", refuse)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", refuse)
     with pytest.warns(RuntimeWarning, match="recomputing serially"):
         est = sample_gen_fraction(matrix_algebra(2, 2), 2, 500, seed=7, workers=2)
     assert est.hits == 202
@@ -620,10 +621,10 @@ def test_pool_work_errors_propagate(monkeypatch, error):
         def __exit__(self, *exc):
             return False
 
-        def map(self, fn, parts):
+        def map(self, fn, *columns):
             raise error
 
-    monkeypatch.setattr(finalg.futures, "ProcessPoolExecutor", FailingPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", FailingPool)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(type(error), match="bad part"):
@@ -631,16 +632,27 @@ def test_pool_work_errors_propagate(monkeypatch, error):
 
 
 def test_import_loads_no_process_machinery():
+    # The pool, and with it concurrent.futures and logging, is imported only
+    # when more than one worker splits the samples.
     src = os.path.dirname(os.path.dirname(finalg.__file__))
     code = (
         "import sys\n"
+        "machinery = ('multiprocessing', 'concurrent.futures', 'concurrent.futures.process', 'logging')\n"
         "import ordgen\n"
-        "print(sorted(m for m in ('multiprocessing', 'concurrent.futures.process') if m in sys.modules))\n"
+        "print(sorted(m for m in machinery if m in sys.modules))\n"
+        "import ordgen.cli\n"
+        "print(sorted(m for m in machinery if m in sys.modules))\n"
     )
     env = dict(os.environ, PYTHONPATH=src)
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "[]"
+    assert proc.stdout.split("\n") == ["[]", "[]", ""]
+
+
+@pytest.mark.parametrize("workers", [0, -1])
+def test_sampling_refuses_fewer_than_one_worker(workers):
+    with pytest.raises(InvalidCount, match=f"workers={workers}"):
+        sample_gen_fraction(matrix_algebra(2, 2), 2, 500, seed=7, workers=workers)
 
 
 def test_sampled_fraction_tracks_exact_fraction():

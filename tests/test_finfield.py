@@ -4,11 +4,14 @@ import pickle
 
 import pytest
 
+from arithmetic_oracles import find_modulus_by_gcds
+
 from ordgen.errors import CapExceeded, NotPrime
 from ordgen.finfield import (
     LOG_TABLE_CAP,
     PRIME_POWER_CAP,
     PrimePower,
+    _find_modulus,
     build_field,
     factorize,
     field_of,
@@ -165,6 +168,14 @@ def test_factorize_known_values():
     assert factorize(360) == {2: 3, 3: 2, 5: 1}
     assert factorize(97) == {97: 1}
     assert factorize(1) == {}
+
+
+def test_find_modulus_matches_the_gcd_oracle_up_to_2_to_12():
+    for p in filter(is_prime, range(2, (1 << 12) + 1)):
+        e = 1
+        while p**e <= 1 << 12:
+            assert _find_modulus(p, e) == find_modulus_by_gcds(p, e), (p, e)
+            e += 1
 
 
 def walked_generator_and_powers(field):

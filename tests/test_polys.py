@@ -1,7 +1,10 @@
 """Polynomial arithmetic over prime fields: ascending-coefficient tuples."""
 
+import itertools
+
 import pytest
 
+from arithmetic_oracles import divisors_by_trial, is_irreducible_by_gcds, mobius_by_trial
 from ordgen.errors import NotPrime
 from ordgen.polys import (
     add,
@@ -101,6 +104,19 @@ def test_pow_mod_frobenius_fixes_base_field():
 )
 def test_is_irreducible_small_cases(f, p, expected):
     assert is_irreducible(f, p) is expected
+
+
+@pytest.mark.parametrize("p,top", [(2, 6), (3, 4), (5, 3), (7, 3)])
+def test_is_irreducible_matches_the_gcd_oracle_on_every_monic(p, top):
+    for d in range(1, top + 1):
+        found = 0
+        for lower in itertools.product(range(p), repeat=d):
+            f = lower + (1,)
+            want = is_irreducible_by_gcds(f, p)
+            assert is_irreducible(f, p) is want, f
+            found += want
+        # Gauss's count of the monic irreducibles of degree d over F_p
+        assert d * found == sum(mobius_by_trial(d // e) * p**e for e in divisors_by_trial(d)), (p, d)
 
 
 def test_pth_root_inverts_frobenius_on_coefficients():

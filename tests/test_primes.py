@@ -1,4 +1,4 @@
-"""The package's one primality test and prime-power routine, against trial division."""
+"""The package's one primality test, factorization and prime-power routine, against trial division."""
 
 import math
 import operator
@@ -8,8 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ordgen.errors import CapExceeded, NotPrime
-from ordgen.finfield import PrimePower, factorize, prime_power_of
-from ordgen.primes import PRIME_TEST_LIMIT, is_prime, perfect_power
+from ordgen.finfield import PrimePower, prime_power_of
+from ordgen.primes import PRIME_TEST_LIMIT, factorize, is_prime, perfect_power
+from arithmetic_oracles import divisors_by_trial, mobius_by_trial
 
 
 def trial_division_is_prime(n: int) -> bool:
@@ -107,3 +108,12 @@ def test_prime_power_of_matches_factoring():
         else:
             with pytest.raises(NotPrime):
                 prime_power_of(q)
+
+
+def test_factorize_multiplies_back_and_matches_the_trial_division_oracles():
+    for n in range(1, 5000):
+        fac = factorize(n)
+        assert math.prod(p**e for p, e in fac.items()) == n, n
+        assert all(trial_division_is_prime(p) and e >= 1 for p, e in fac.items()), n
+        assert len(divisors_by_trial(n)) == math.prod(e + 1 for e in fac.values()), n
+        assert mobius_by_trial(n) == (0 if any(e > 1 for e in fac.values()) else (-1) ** len(fac)), n
