@@ -3,9 +3,9 @@
 Every count is exact, in arbitrary-precision arithmetic: the plain counts of
 M_n(F_q), by closed forms for n <= 3 and by a recursion for absolutely
 irreducible modules for larger n, the twisted counts for algebras M_n(F_{q^r})
-viewed over the subfield F_q, and the product formula for m identical simple
-factors.  Quotients that must be exact are checked with `divmod` or a
-`fractions.Fraction` denominator and raise CertificateError when they are not.
+viewed over the subfield F_q, and `plan_count`, the one product over the copies
+of blocks and their radical factors.  Quotients that must be exact are checked
+with `divmod` or a `fractions.Fraction` denominator (CertificateError if not).
 Arguments out of range (k, n, r or m below 1, q below 2) raise InvalidCount.
 The subfield inversion reads its divisors and Moebius values from `factorize`.
 For a caller that evaluates one shape at many q, `twisted_count_polys` gives the
@@ -166,13 +166,13 @@ def _deficiency_coeff(n: int) -> int:
 
 # Unbounded.  Density reads its counts from `twisted_count_polys`, so its only
 # entries are interpolation nodes (72 over seeds 1 to 3 of the benchmark's density
-# workload, no hit); oracle and sample make no call.  Verdict makes about 425 hits
-# on 220 entries, the repeats of the capacity scans and cutoff sweeps: without the
+# workload, no hit); oracle and sample make no call.  Verdict makes about 390 hits
+# on 205 entries, the repeats of the capacity scans and cutoff sweeps: without the
 # cache its pass_s rose by 2.7% (0.00591 -> 0.00607 s at seed 1 over 20 alternating
 # passes, the cached side faster in 16; in 18 of 20 at seeds 2 and 3, 2 vCPUs,
 # CPython 3.11).  A bound of 1024 entries tied on pass_s but read 0.2 MB more peak
 # RSS on every seed, and what it would save lies off the benchmark: `analyze` on a
-# quaternion order ramified at 100003 fills 28 785 entries with no hit, 27 MB peak.
+# quaternion order ramified at 100003 fills 19 193 entries with no hit, 23 MB peak.
 @lru_cache(maxsize=None)
 def gen_count_twisted(k: int, n: int, q: int, r: int) -> int:
     """Number of k-tuples generating M_n(F_{q^r}) as a unital F_q-algebra.
@@ -204,16 +204,15 @@ def twisted_capacity(k: int, n: int, q: int, s: int) -> int:
     return gen_count_twisted(k, n, q, s) // (s * pgl_order(n, q**s))
 
 
-def gen_count_power(k: int, n: int, q: int, s: int, m: int) -> int:
-    """Number of k-tuples generating the m-th power of M_n(F_{q^s}) over F_q."""
+def power_group(k: int, n: int, q: int, s: int, m: int, radicals: tuple = ()) -> tuple:
+    """The `plan_count` group of m copies of M_n(F_{q^s}): its count and step at q, as constants."""
     _check_arguments(k, n, q, s, m)
-    g = gen_count_twisted(k, n, q, s)
-    step = s * pgl_order(n, q**s)
-    if m > g // step:
-        return 0
-    out = 1
-    for i in range(m):
-        out *= g - i * step
+    return (gen_count_twisted(k, n, q, s),), (s * pgl_order(n, q**s),), m, radicals
+
+
+def gen_count_power(k: int, n: int, q: int, s: int, m: int) -> int:
+    """Number of k-tuples generating the m-th power of M_n(F_{q^s}) over F_q: `plan_count` of its one group."""
+    out = plan_count((power_group(k, n, q, s, m),), q)
     if out < 0:
         raise CertificateError(f"negative power count for k={k}, n={n}, q={q}, s={s}, m={m}")
     return out
@@ -225,6 +224,31 @@ def horner(coeffs: tuple[int, ...], q: int) -> int:
     for c in reversed(coeffs):
         value = value * q + c
     return value
+
+
+def plan_count(plan, q: int) -> int:
+    """The product at q of a plan's groups: the package's one product of block copies and radical factors.
+
+    A group holds the coefficients in q of its count g and capacity step t, its
+    copies m and its radical exponents (a, b, c, count).  It contributes
+    g (g - t) ... (g - (m - 1) t), the k-tuples that generate m copies of its
+    block, and (q^a (q^b - q^c))^count per radical.  More copies than floor(g / t),
+    or a radical factor 0, give 0 without reading the later groups of the plan,
+    which `orderspec.count_plan` or `power_group` builds.
+    """
+    total = 1
+    for count_coeffs, step_coeffs, copies, radicals in plan:
+        g, step = horner(count_coeffs, q), horner(step_coeffs, q)
+        if copies > g // step:
+            return 0
+        for i in range(copies):
+            total *= g - i * step
+        for a, b, c, count in radicals:
+            piece = q**a * (q**b - q**c)
+            if piece == 0:
+                return 0
+            total *= piece**count
+    return total
 
 
 # The second check point, far past every node, where a wrong coefficient of
@@ -298,22 +322,13 @@ def min_k_for_copies(n: int, q: int, s: int, m: int) -> int:
 
     m copies need at least m * s * |PGL_n(q^s)| generating k-tuples among
     the q^(s k n^2) that exist, so no k below the least one with room for
-    them can do, and the search starts there.  A generating k-tuple stays
-    generating when any element is added, so the capacity does not fall as k
-    grows, and it grows without bound: doubling steps from the start bracket
-    the answer and bisection finds it, with O(log k) capacities.
+    them can do, and the scan starts there.  It raises k by one until the
+    capacity, which grows without bound, reaches m: the first such k is the
+    least.  The answer was at most one above the start on the tests' grid
+    (n <= 5, s <= 3, q <= 65537, m <= 10^40), so one or two capacities.
     """
     _check_arguments(1, n, q, s, m)
-    start = max(1, -(-_ceil_log(m * s * pgl_order(n, q**s), q) // (s * n * n)))
-    lo, step = start - 1, 1  # every k <= lo falls short of m
-    while twisted_capacity(lo + step, n, q, s) < m:
-        lo += step
-        step *= 2
-    hi = lo + step  # the capacity at hi reaches m
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if twisted_capacity(mid, n, q, s) >= m:
-            hi = mid
-        else:
-            lo = mid
-    return hi
+    k = max(1, -(-_ceil_log(m * s * pgl_order(n, q**s), q) // (s * n * n)))
+    while twisted_capacity(k, n, q, s) < m:
+        k += 1
+    return k

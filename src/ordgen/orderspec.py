@@ -17,7 +17,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 
 from . import polys
-from .counting import gen_count_power, horner, min_k_for_copies, twisted_count_polys
+from .counting import min_k_for_copies, plan_count, power_group, twisted_count_polys
 from .errors import (
     CertificateError,
     EmptySpec,
@@ -490,72 +490,32 @@ def _copies(members) -> int:
     return sum(count for _, _, count in members)
 
 
+def _plan_groups(k: int, cls: ClassifiedLocal):
+    """Each group (n, r) of cls, its copies, and the exponents (a, b, c, count) of its
+    radical factors p^(k n^2 r (em-2)) * (p^(k n^2 r) - p^(n^2 r - c)), one per member with c not None."""
+    for (n, r), members in cls.groups:
+        size = n * n * r
+        radicals = tuple((k * size * (em - 2), k * size, size - c, count) for em, c, count in members if c is not None)
+        yield n, r, _copies(members), radicals
+
+
 def gen_count_local(k: int, cls: ClassifiedLocal) -> int:
     """Exact number of k-tuples generating the full local quotient algebra at p.
 
-    Product over groups of the semisimple head count times one radical factor
-    p^(k n^2 r (em-2)) * (p^(k n^2 r) - p^(n^2 r - c)) per copy of a member;
-    members with c None (m = e = 1) contribute 1.  `density` takes the same
-    product from the count polynomials (`count_plan`, `plan_count`); this
-    route through the per-q counts is their oracle.
+    `plan_count` of the groups of cls with their counts and steps at p
+    (`power_group`, which refuses a group without copies); `density` takes the
+    same product from the count polynomials (`count_plan`).
     """
     if k < 1:
         raise InvalidCount(f"tuple length k must be at least 1, got {k}")
-    p = cls.p
-    total = 1
-    for (n, r), members in cls.groups:
-        head = gen_count_power(k, n, p, r, _copies(members))
-        if head == 0:
-            return 0
-        total *= head
-        size = n * n * r
-        for em, c, count in members:
-            if c is None:
-                continue
-            piece = p ** (k * size * (em - 2)) * (p ** (k * size) - p ** (size - c))
-            if piece == 0:
-                return 0
-            total *= piece**count
-    return total
+    groups = _plan_groups(k, cls)
+    return plan_count((power_group(k, n, cls.p, r, copies, radicals) for n, r, copies, radicals in groups), cls.p)
 
 
 def count_plan(k: int, cls: ClassifiedLocal) -> tuple:
-    """`gen_count_local` at k for every prime with the groups of cls, as integer data.
-
-    One entry per group (n, r): the coefficients in q of g_k(n, q, r) and of
-    r |PGL_n(F_{q^r})| (`twisted_count_polys`), the group's copies, and for
-    each member with a radical correction the exponents and copies (a, b, c,
-    count) of its factor (q^a (q^b - q^c))^count, as in `gen_count_local`.
-    """
-    plan = []
-    for (n, r), members in cls.groups:
-        size = n * n * r
-        radicals = tuple(
-            (k * size * (em - 2), k * size, size - c, count) for em, c, count in members if c is not None
-        )
-        plan.append((*twisted_count_polys(k, n, r), _copies(members), radicals))
-    return tuple(plan)
-
-
-def plan_count(plan: tuple, p: int) -> int:
-    """gen_count_local at the prime p, from the `count_plan` of its groups.
-
-    Each group's count and capacity step are one Horner evaluation each; as in
-    `gen_count_power`, a group with more copies than its capacity gives 0.
-    """
-    total = 1
-    for count_coeffs, step_coeffs, copies, radicals in plan:
-        g, step = horner(count_coeffs, p), horner(step_coeffs, p)
-        if copies > g // step:
-            return 0
-        for i in range(copies):
-            total *= g - i * step
-        for a, b, c, count in radicals:
-            piece = p**a * (p**b - p**c)
-            if piece == 0:
-                return 0
-            total *= piece**count
-    return total
+    """The `plan_count` plan of cls at k for every prime: each group's count and capacity step as
+    polynomials in q (`twisted_count_polys`), its copies and its radical exponents (`_plan_groups`)."""
+    return tuple((*twisted_count_polys(k, n, r), copies, radicals) for n, r, copies, radicals in _plan_groups(k, cls))
 
 
 def min_k_local(cls: ClassifiedLocal) -> int:

@@ -37,16 +37,6 @@ def degree(a: Poly) -> int:
     return len(a) - 1
 
 
-def add(a: Poly, b: Poly, p: int) -> Poly:
-    n = max(len(a), len(b))
-    out = [0] * n
-    for i, x in enumerate(a):
-        out[i] = x
-    for i, x in enumerate(b):
-        out[i] = (out[i] + x) % p
-    return trim(out)
-
-
 def sub(a: Poly, b: Poly, p: int) -> Poly:
     n = max(len(a), len(b))
     out = [0] * n

@@ -19,7 +19,7 @@ from fractions import Fraction
 from functools import partial
 from operator import attrgetter
 
-from .counting import _deficiency_coeff, twisted_capacity
+from .counting import _deficiency_coeff, plan_count, twisted_capacity
 from .errors import BoundTooSmall, BudgetExceeded, CapExceeded, CertificateError, NoCutoff, SpecError
 from .finalg import resolve_budget
 from .orderspec import (
@@ -30,7 +30,6 @@ from .orderspec import (
     _ShapeIndex,
     count_plan,
     min_k_local,
-    plan_count,
 )
 from .primes import PRIME_TEST_LIMIT, _integer_root, is_prime
 

@@ -1,5 +1,6 @@
 """Exact generating-tuple counts, capacities, inversion, and the lower bounds as oracles."""
 
+from collections import Counter
 from fractions import Fraction
 from math import sqrt
 
@@ -32,6 +33,7 @@ from ordgen.errors import CertificateError, InvalidCount
 from ordgen.finalg import brute_gen_count, matrix_algebra, product_algebra, sample_gen_fraction
 from ordgen.primes import is_prime
 from arithmetic_oracles import divisors_by_trial, mobius_by_trial
+from count_oracles import bisect_min_k
 
 PRIME_POWERS = (2, 3, 4, 5, 7, 8, 9)
 PRIME_POWERS_TO_32 = (2, 3, 4, 5, 7, 8, 9, 11, 13, 16, 17, 19, 23, 25, 27, 29, 31, 32)
@@ -338,7 +340,8 @@ def scan_min_k(n, q, s, m):
 def test_min_k_for_copies_matches_the_linear_scan():
     for n, q, s in ((1, 2, 1), (1, 3, 2), (1, 4, 3), (2, 2, 1), (2, 3, 2), (3, 2, 1), (3, 5, 1), (4, 2, 1)):
         for m in (1, 2, 3, 5, 16, 17, 100, 1000, 10**6, 10**12, 10**30):
-            assert min_k_for_copies(n, q, s, m) == scan_min_k(n, q, s, m), (n, q, s, m)
+            k = min_k_for_copies(n, q, s, m)
+            assert k == scan_min_k(n, q, s, m) == bisect_min_k(n, q, s, m), (n, q, s, m)
 
 
 @settings(max_examples=150, deadline=None)
@@ -349,7 +352,7 @@ def test_min_k_for_copies_matches_the_linear_scan():
     st.integers(min_value=1, max_value=10**40),
 )
 def test_min_k_for_copies_matches_the_linear_scan_at_random(n, q, s, m):
-    assert min_k_for_copies(n, q, s, m) == scan_min_k(n, q, s, m)
+    assert min_k_for_copies(n, q, s, m) == scan_min_k(n, q, s, m) == bisect_min_k(n, q, s, m)
 
 
 @pytest.mark.parametrize("n,q,s,m", [(1, 2, 1, 10**4299), (1, 3, 2, 10**4299), (2, 2, 1, 10**600), (3, 4, 2, 10**300)])
@@ -365,6 +368,36 @@ def test_min_k_for_copies_takes_logarithmic_steps(monkeypatch, n, q, s, m):
     k = min_k_for_copies(n, q, s, m)
     assert capacity(k, n, q, s) >= m > capacity(k - 1, n, q, s)
     assert len(calls) <= 64
+
+
+def counting_bound(n, q, s, m):
+    """The least k with room for m copies: q^(s k n^2) >= m s |PGL_n(q^s)|."""
+    k = 1
+    while q ** (s * k * n * n) < m * s * pgl_order(n, q**s):
+        k += 1
+    return k
+
+
+def test_min_k_for_copies_scans_up_from_its_counting_bound(monkeypatch):
+    """One capacity per k from the bound to the answer, which is at most one above the bound."""
+    calls = []
+    capacity = counting.twisted_capacity
+
+    def counted(*args):
+        calls.append(args)
+        return capacity(*args)
+
+    monkeypatch.setattr(counting, "twisted_capacity", counted)
+    above = Counter()
+    for n in range(1, 6):
+        for s in (1, 2, 3):
+            for q in (2, 3, 4, 5, 7, 8, 9, 11, 13, 31, 101, 1009, 65537):
+                for m in (1, 2, 3, 7, 100, 10**4, 10**6, 10**12, 10**40):
+                    calls.clear()
+                    k, bound = min_k_for_copies(n, q, s, m), counting_bound(n, q, s, m)
+                    assert len(calls) == k - bound + 1 and k - bound in (0, 1), (n, q, s, m)
+                    above[k - bound] += 1
+    assert above == {0: 1058, 1: 697}
 
 
 def test_ceil_log_is_exact():

@@ -20,6 +20,7 @@ from ordgen.errors import (
     EmptySpec,
     ExceptionalPrimeNeedsOverride,
     IndexNotDividingDegree,
+    InvalidCount,
     NotMonic,
     NotPrime,
     OrdgenError,
@@ -29,6 +30,7 @@ from ordgen.counting import gen_count_power
 from ordgen.finalg import brute_gen_count
 from ordgen.finfield import is_prime
 from ordgen.orderspec import (
+    ClassifiedLocal,
     DegreePattern,
     LocalPrimeData,
     OrderSpec,
@@ -44,6 +46,7 @@ from ordgen.orderspec import (
     spec_to_dict,
 )
 from ordgen.solver import make_quaternion_spec
+from count_oracles import per_q_gen_count_local
 
 DATA = pathlib.Path(__file__).parent / "data"
 
@@ -669,6 +672,47 @@ def test_counted_local_count_matches_per_copy_formula():
                 assert gen_count_local(k, cls) == per_copy_gen_count(k, data)
                 checked += 1
     assert checked == 4 * (6 * len(specs) - 1)  # exceptional.json is exceptional at 2 only
+
+
+def test_local_count_matches_the_per_q_oracle_on_every_fixture():
+    specs = [fixture(path.name) for path in sorted(DATA.glob("*.json"))]
+    checked = 0
+    for spec in specs:
+        for p in filter(is_prime, range(2000)):
+            data = local_data(spec, p)
+            if data.exceptional:
+                continue
+            cls = classify(data)
+            for k in (1, 2, 3, 4):
+                assert gen_count_local(k, cls) == per_q_gen_count_local(k, cls), (spec, p, k)
+                checked += 1
+    assert checked == 4 * (303 * len(specs) - 1)  # exceptional.json is exceptional at 2 only
+
+
+# One group (n, r) = (1, 2) whose members carry every radical correction: c None
+# (m = e = 1, f = 2), c = f = 2 (m = 1 < e = 2) and c = 0 (m = 2, f = 1), in
+# ClassifiedLocal's (e*m, c, copies) form, beside a plain (2, 1) group.
+HAND_BUILT_GROUPS = [
+    (((1, 2), ((1, None, 3),)),),
+    (((1, 2), ((4, 2, 2),)),),
+    (((1, 2), ((2, 0, 1),)),),
+    (((1, 2), ((1, None, 2), (2, 0, 1), (2, 2, 1), (3, 2, 2))), ((2, 1), ((1, None, 2),))),
+]
+
+
+@pytest.mark.parametrize("groups", HAND_BUILT_GROUPS, ids=["none", "f", "zero", "mixed"])
+def test_local_count_matches_the_per_q_oracle_on_hand_built_groups(groups):
+    for p in (2, 3, 5, 7, 101):
+        cls = ClassifiedLocal(p, groups)
+        counts = [gen_count_local(k, cls) for k in (1, 2, 3, 4)]
+        assert counts == [per_q_gen_count_local(k, cls) for k in (1, 2, 3, 4)]
+        assert counts[-1] > 0
+
+
+def test_local_count_refuses_a_group_without_copies():
+    cls = ClassifiedLocal(5, (((1, 1), ((1, None, 2),)), ((2, 1), ((1, None, 0),))))
+    with pytest.raises(InvalidCount, match="must be at least 1"):
+        gen_count_local(2, cls)
 
 
 def test_two_copy_local_count_matches_brute_force():

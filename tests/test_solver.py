@@ -35,7 +35,6 @@ from ordgen.orderspec import (
     OrderSpec,
     SimpleFactorSpec,
     classify,
-    gen_count_local,
     load_spec,
     local_data,
     min_k_local,
@@ -58,6 +57,7 @@ from ordgen.solver import (
     smallest_h,
     to_jsonable,
 )
+from count_oracles import per_q_gen_count_local
 from sieve_oracles import primes_below, primes_in_order
 
 DATA = pathlib.Path(__file__).parent / "data"
@@ -448,10 +448,11 @@ class Ratio:
 def exact_density(spec, k, bound=None, ratio=Fraction):
     """The oracle: the density interval with exact bounds.
 
-    Each prime is classified on its own, each factor is range-checked as a
-    Fraction, and `upper` is the exact product of the factors, from two
-    product trees: a Fraction, reduced by one gcd, or with ratio=Ratio the
-    unreduced pair.
+    Each prime is classified on its own and counted by `per_q_gen_count_local`,
+    which does not run through `plan_count`; each factor is range-checked as a
+    Fraction, and `upper` is the exact product of the factors, from two product
+    trees: a Fraction, reduced by one gcd, or with ratio=Ratio the unreduced
+    pair.
     """
     if k < 1:
         raise SpecError("k must be a positive integer")
@@ -486,7 +487,7 @@ def exact_density(spec, k, bound=None, ratio=Fraction):
     counts = []
     for p in primes_below(bound + 1):
         cls = classify(local_data(spec, p))
-        count = gen_count_local(k, cls)
+        count = per_q_gen_count_local(k, cls)
         assert 0 <= Fraction(count, p ** (d * k)) <= 1
         counts.append((p, count))
         if count == 0:
@@ -1193,6 +1194,23 @@ def test_report_sieves_nothing_after_its_last_search_pass(monkeypatch):
     assert rep.verdict.critical_primes == (2,)
 
 
+def test_report_on_a_large_ramified_prime_makes_pinned_capacity_calls(monkeypatch):
+    """Each of the primes below the cutoff has its local minimum at the counting
+    bound or one above it, so the upward scan makes one or two capacities per
+    prime; the doubling and bisection it replaced made 28 785 calls here."""
+    calls = []
+    original = counting.twisted_capacity
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(counting, "twisted_capacity", counted)
+    monkeypatch.setattr(solver, "twisted_capacity", counted)
+    report(make_quaternion_spec((100003,)))
+    assert len(calls) == 19193
+
+
 # ---------------------------------------------------------------- rendering
 
 
@@ -1326,7 +1344,7 @@ def three_construction_density(spec, k, bound=None):
     lo = hi = 1 << solver.DENSITY_BITS
     plan_at = orderspec._ShapeIndex(spec, functools.partial(orderspec.count_plan, k)).at
     for p in primes_below(bound + 1):
-        count, whole = orderspec.plan_count(plan_at(p), p), p ** (d * k)
+        count, whole = counting.plan_count(plan_at(p), p), p ** (d * k)
         if not 0 <= count <= whole:
             raise CertificateError(f"local count {count} at p={p} is outside [0, p^{d * k}]")
         counts.append((p, count))
