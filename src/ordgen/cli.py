@@ -23,13 +23,12 @@ from .errors import (
     NotPrime,
     OrdgenError,
     SpecError,
+    written_size,
 )
 from .finalg import (
     FiniteAlgebra,
     brute_gen_count,
-    check_sample_budget,
-    check_table_budget,
-    check_tuple_budget,
+    check_budget,
     matrix_algebra,
     matrix_algebra_base,
     product_algebra,
@@ -208,7 +207,7 @@ def _cmd_count(args) -> int:
     # The count lies among the q^(r k n^2 m) tuples; refuse that size before forming anything.
     exponent = args.r * args.k * args.n * args.n * args.m
     if exponent * (args.q.bit_length() - 1) > COUNT_MAX_BITS or args.q**exponent > 1 << COUNT_MAX_BITS:
-        raise BudgetExceeded(f"{args.q}^{exponent}", f"2^{COUNT_MAX_BITS}")
+        raise BudgetExceeded(written_size(args.q, exponent), written_size(2, COUNT_MAX_BITS))
     value = gen_count_power(args.k, args.n, args.q, args.r, args.m)
     doc = {"command": "count", "k": args.k, "n": args.n, "q": args.q, "r": args.r, "m": args.m, "value": value}
     _emit(args, lambda: str(value), doc)
@@ -219,15 +218,15 @@ def _cmd_oracle(args) -> int:
     base, dim, build = parse_algebra(args.alg)
     doc = {"command": "oracle", "alg": args.alg, "k": args.k}
     if args.samples is None:
-        check_tuple_budget(base.q, dim * args.k, args.budget)  # |A|^k, before any table is built
+        check_budget(base.q, dim * args.k, budget=args.budget)  # |A|^k, before any table is built
         value = brute_gen_count(build(), args.k, budget=args.budget)
         doc["value"] = value
         _emit(args, lambda: str(value), doc)
         return EXIT_OK
     if args.seed is None:
         raise SpecError("--seed is required with --samples")
-    check_sample_budget(args.samples, args.budget)  # before any table is built
-    check_table_budget(dim, args.budget)
+    check_budget(args.samples, budget=args.budget)  # before any table is built
+    check_budget(dim, 3, "table entries", args.budget)
     est = sample_gen_fraction(
         build(), args.k, args.samples, seed=args.seed, budget=args.budget, workers=args.workers
     )

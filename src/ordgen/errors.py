@@ -1,6 +1,28 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the one rule for writing a size in their messages."""
 
 from __future__ import annotations
+
+_SHOWN_BITS = 1 << 13  # a size of at most 8192 bits is written out in full
+
+
+def written_size(base: int, exponent: int = 1, *, power: bool = False) -> int | str:
+    """The size base^exponent as an error message writes it: one rule for every refusal.
+
+    A size given as itself (exponent 1), or of at most 8192 bits, is the
+    number; past that it is the text "base^exponent", and the number is never
+    formed; `power` asks for that text at any size.  What Python cannot write in
+    decimal (past `sys.get_int_max_str_digits()`, 4300 digits by default) is the
+    text "more than 2^8192".
+    """
+    try:
+        if not power and (exponent == 1 or exponent * (base.bit_length() - 1) <= _SHOWN_BITS):
+            value = base**exponent  # given as itself, or at most about twice _SHOWN_BITS bits
+            if exponent == 1 or value.bit_length() <= _SHOWN_BITS:
+                str(value)  # raises ValueError past the digit limit
+                return value
+        return f"{base}^{exponent}"
+    except ValueError:
+        return f"more than 2^{_SHOWN_BITS}"
 
 
 class OrdgenError(Exception):
@@ -39,27 +61,26 @@ class InvalidElement(OrdgenError):
 class BudgetExceeded(OrdgenError):
     """A request would exceed the configured work budget or a fixed size limit.
 
-    The attribute ``required`` holds the number of tuples the request covers:
-    |A|^k for an exhaustive count over an algebra A (it decides one tuple
-    per coset, far fewer), the sample count for a Monte Carlo estimate, |I|^k
-    for a lift count over an ideal I, the q^(r k n^2 m) tuples among which
-    the `count` command counts, or the n entries of the prime sieve below n:
-    bound + 1 behind a density interval, the cutoff q0 behind an `analyze`
-    verdict (a quaternion table sieves only below its shape thresholds).  A
-    count of 2^8192 or more is held, and printed, as the power "q^e" it was
-    given as.  ``budget`` holds the budget; for `count` it is the fixed limit
-    "2^8192", held as that power too.  ``unit`` names what is counted:
-    "tuples", "table entries" for the dim^3 coordinates of a structure table
-    that a sampled request would build, "sieve entries" for the prime sieve,
-    or "digits in one printed integer" for an output holding an integer past
+    The attribute ``required`` holds the size of the request and ``budget``
+    the budget, each as ``written_size``, the one rule for writing a size,
+    holds it: the number itself, the power "base^exponent" past 8192 bits, or
+    the phrase "more than 2^8192" past Python's digit limit.  The budget of
+    `count` is its fixed limit, held as the power "2^8192".  ``unit``
+    names what is counted: "tuples" (|A|^k for an exhaustive count over an
+    algebra A, which decides one tuple per coset, far fewer; the sample count
+    of a Monte Carlo estimate; |I|^k for a lift count over an ideal I; the
+    q^(r k n^2 m) tuples among which `count` counts), "table entries" for the
+    dim^3 coordinates of the structure table a sampled request would build,
+    "sieve entries" for the n entries of the prime sieve below n (bound + 1
+    behind a density interval, the cutoff q0 behind an `analyze` verdict), or
+    "digits in one printed integer" for an output holding an integer past
     Python's limit on int-to-str conversion (`sys.get_int_max_str_digits`),
     which also bounds what a reader parses.
     """
 
     def __init__(self, required: int | str, budget: int | str, unit: str = "tuples"):
-        super().__init__(f"request needs {required} {unit}, budget is {budget}")
-        self.required = required
-        self.budget = budget
+        self.required, self.budget = (x if isinstance(x, str) else written_size(x) for x in (required, budget))
+        super().__init__(f"request needs {self.required} {unit}, budget is {self.budget}")
 
 
 class NotGenerating(OrdgenError):
@@ -95,7 +116,7 @@ class BoundTooSmall(OrdgenError):
     """
 
     def __init__(self, bound: int, minimum: int):
-        super().__init__(f"bound {bound} is below the tail-validity threshold {minimum}")
+        super().__init__(f"bound {written_size(bound)} is below the tail-validity threshold {written_size(minimum)}")
         self.bound = bound
         self.minimum = minimum
 

@@ -65,6 +65,7 @@ from .errors import (
     InvalidTwist,
     NotGenerating,
     OrdgenError,
+    written_size,
 )
 from .finfield import FiniteField, PrimePower, build_field, field_of
 
@@ -105,39 +106,16 @@ def resolve_budget(budget: int | None = None) -> int:
     return value
 
 
-_SHOWN_BITS = 1 << 13  # tuple counts below 2^8192 are written out in full
+def check_budget(base: int, exponent: int = 1, unit: str = "tuples", budget: int | None = None) -> None:
+    """Raise BudgetExceeded when a request of base^exponent units exceeds the budget.
 
-
-def check_tuple_budget(q: int, exponent: int, budget: int | None = None) -> None:
-    """Raise BudgetExceeded when a request covers more tuples, q^exponent, than the budget.
-
-    The budget is resolved as in resolve_budget.  A count far above the budget
-    is never formed: when it would take more than 8192 bits, BudgetExceeded
-    reports it as the power "q^exponent".
+    The budget is resolved as in resolve_budget.  A size far above the budget
+    is never formed, and the refusal writes it by ``errors.written_size``.
     """
     limit = resolve_budget(budget)
-    if exponent * (q.bit_length() - 1) <= max(limit.bit_length(), _SHOWN_BITS):
-        need = q**exponent  # at most twice as many bits: cheap to form
-        if need <= limit:
-            return
-        if need.bit_length() <= _SHOWN_BITS:
-            raise BudgetExceeded(need, limit)
-    raise BudgetExceeded(f"{q}^{exponent}", limit)
-
-
-def check_sample_budget(samples: int, budget: int | None = None) -> None:
-    """Raise BudgetExceeded when a request draws more samples than the budget, resolved as in resolve_budget."""
-    limit = resolve_budget(budget)
-    if samples > limit:
-        raise BudgetExceeded(samples, limit)
-
-
-def check_table_budget(dim: int, budget: int | None = None) -> None:
-    """Raise BudgetExceeded when the structure table of a dim-dimensional algebra,
-    dim^3 coordinates, exceeds the budget, resolved as in resolve_budget."""
-    limit = resolve_budget(budget)
-    if dim**3 > limit:
-        raise BudgetExceeded(dim**3, limit, "table entries")
+    if exponent * (base.bit_length() - 1) <= limit.bit_length() and base**exponent <= limit:
+        return
+    raise BudgetExceeded(written_size(base, exponent), limit, unit)
 
 
 # -- prime-field linear algebra engines -----------------------------------
@@ -950,7 +928,7 @@ def brute_gen_count(alg: FiniteAlgebra, k: int, *, budget: int | None = None) ->
     """
     if k < 1:
         raise InvalidCount(f"k must be at least 1, got {k}")
-    check_tuple_budget(alg.base.q, alg.dim * k, budget)
+    check_budget(alg.base.q, alg.dim * k, budget=budget)
     eng = alg._eng()
     D, p, b = eng.D, eng.p, eng.b
     base = _close(eng, [], eng.scalars)
@@ -1192,7 +1170,7 @@ def sample_gen_fraction(
     """
     if k < 1 or samples < 1 or workers < 1:
         raise InvalidCount(f"k, samples and workers must be positive, got k={k}, samples={samples}, workers={workers}")
-    check_sample_budget(samples, budget)
+    check_budget(samples, budget=budget)
     bounds = [samples * i // workers for i in range(workers + 1)]
     parts = [(alg, k, bounds[i], bounds[i + 1], seed) for i in range(workers) if bounds[i] < bounds[i + 1]]
     hits = sum(_run_parts(_sample_range, parts))
@@ -1224,7 +1202,7 @@ def lift_count(alg: FiniteAlgebra, ideal_basis, b_tuple, *, budget: int | None =
         raise InvalidCount("the quotient tuple must have at least one element")
     if len(_close(eng, [], eng.scalars + b_flats + list(rows))) != D:
         raise NotGenerating("the given tuple does not generate the quotient algebra")
-    check_tuple_budget(eng.p, len(rows) * k, budget)
+    check_budget(eng.p, len(rows) * k, budget=budget)
     count = 0
     for xs in itertools.product(eng.span_elements(rows), repeat=k):
         lifted = [eng.add(b, x) for b, x in zip(b_flats, xs)]

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import polys
-from .errors import CapExceeded, NotPrime
+from .errors import CapExceeded, NotPrime, written_size
 from .primes import factorize, is_prime, perfect_power
 
 PRIME_POWER_CAP = 1 << 20
@@ -30,7 +30,7 @@ class PrimePower:
             raise ValueError(f"exponent must be positive, got {self.e}")
         # The cap first, from bit lengths: a huge e would otherwise hang in forming p^e.
         if self.e * (self.p.bit_length() - 1) >= PRIME_POWER_CAP.bit_length() or self.p**self.e > PRIME_POWER_CAP:
-            raise CapExceeded(f"{self.p}^{self.e} exceeds the cap {PRIME_POWER_CAP}")
+            raise CapExceeded(f"{written_size(self.p, self.e, power=True)} exceeds the cap {PRIME_POWER_CAP}")
         if not is_prime(self.p):
             raise NotPrime(f"{self.p} is not prime")
 
@@ -118,16 +118,6 @@ class FiniteField:
             acc += ((a + b) % self.p) * shift
             a //= self.p
             b //= self.p
-            shift *= self.p
-        return acc
-
-    def neg(self, a: int) -> int:
-        if self.p == 2:
-            return a
-        acc, shift = 0, 1
-        for _ in range(self.e):
-            acc += (-a % self.p) * shift
-            a //= self.p
             shift *= self.p
         return acc
 

@@ -27,6 +27,7 @@ from .errors import (
     NotMonic,
     NotPrime,
     SpecError,
+    written_size,
 )
 from .finalg import FiniteAlgebra, matrix_over, product_algebra, truncated_local_algebra
 from .primes import is_prime
@@ -210,7 +211,8 @@ class OrderSpec:
                 n, m, e, f = row
                 total += e * f * m * m * n * n
             if total != d:
-                raise SpecError(f"override rows at p={p} have total dimension {total}, expected {d}")
+                total, want = written_size(total), written_size(d)
+                raise SpecError(f"override rows at p={p} have total dimension {total}, expected {want}")
 
     @property
     def dimension(self) -> int:

@@ -20,8 +20,8 @@ from functools import partial
 from operator import attrgetter
 
 from .counting import _deficiency_coeff, plan_count, twisted_capacity
-from .errors import BoundTooSmall, BudgetExceeded, CapExceeded, CertificateError, NoCutoff, SpecError
-from .finalg import resolve_budget
+from .errors import BoundTooSmall, CapExceeded, CertificateError, NoCutoff, SpecError
+from .finalg import check_budget
 from .orderspec import (
     ClassifiedLocal,
     OrderSpec,
@@ -58,8 +58,8 @@ def _primes(n: int):
     found = []
     lo, hi = 2, min(64, n)
     while lo < n:
-        if lo == 64 and n > (limit := resolve_budget()):
-            raise BudgetExceeded(n, limit, "sieve entries")
+        if lo == 64:
+            check_budget(n, unit="sieve entries")
         flags = bytearray([1]) * (hi - lo)
         for p in found or range(2, 8):
             if p * p >= hi:
@@ -388,7 +388,7 @@ def density(spec: OrderSpec, k: int, bound: int | None = None) -> DensityInterva
     prime's residue class), so each prime's count is a shape lookup and a few
     Horner evaluations (`plan_count`).  The sieve stops where the loop stops,
     at a vanishing factor too, but a bound whose sieve, bound + 1 entries,
-    exceeds the work budget (``finalg.resolve_budget``) raises BudgetExceeded
+    exceeds the work budget (``finalg.check_budget``) raises BudgetExceeded
     before any prime is sieved.
 
     A `zero_reason` makes the product exactly 0: a factor of reduced degree 2
@@ -416,9 +416,7 @@ def density(spec: OrderSpec, k: int, bound: int | None = None) -> DensityInterva
             bound = minimum
         if bound < minimum:
             raise BoundTooSmall(bound, minimum)
-        limit = resolve_budget()
-        if bound + 1 > limit:
-            raise BudgetExceeded(bound + 1, limit, "sieve entries")
+        check_budget(bound + 1, unit="sieve entries")
 
     d = spec.dimension
     counts = []

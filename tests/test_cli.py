@@ -180,6 +180,71 @@ def test_large_primes_end_at_once(tmp_path, argv, code, err):
     assert (proc.returncode, proc.stdout, proc.stderr) == (code, "", err)
 
 
+NINES = "9" * 4300  # the most digits Python reads or writes by default
+
+
+@pytest.mark.parametrize("optimise", [False, True], ids=["plain", "-O"])
+@pytest.mark.parametrize(
+    "argv,code,err",
+    [
+        (
+            ("oracle", "--alg", f"M({10**1500},2)", "--k", "1", "--samples", "1", "--seed", "1"),
+            4,
+            f"error: request needs {10**3000}^3 table entries, budget is 67108864\n",
+        ),
+        (
+            ("oracle", "--alg", f"M({10**2200},2)", "--k", "1"),
+            4,
+            "error: request needs more than 2^8192 tuples, budget is 67108864\n",
+        ),
+        (
+            ("count", "--k", "1", "--n", str(10**2200), "--q", "2"),
+            4,
+            "error: request needs more than 2^8192 tuples, budget is 2^8192\n",
+        ),
+        (
+            ("density", "--spec", str(DATA / "zi.json"), "--k", "2", "--bound", NINES),
+            4,
+            "error: request needs more than 2^8192 sieve entries, budget is 67108864\n",
+        ),
+        (
+            ("oracle", "--alg", f"TW(q=2,f={10**3000},m={10**2000})", "--k", "1"),
+            2,
+            "error: more than 2^8192 exceeds the cap 1048576\n",
+        ),
+        (
+            ("density", "--spec", "{zi_copies}", "--k", "3", "--bound", "30"),
+            2,
+            "error: bound 30 is below the tail-validity threshold more than 2^8192\n",
+        ),
+        (
+            ("analyze", "--spec", "{z_override}"),
+            2,
+            "error: override rows at p=2 have total dimension more than 2^8192, expected 1\n",
+        ),
+    ],
+    ids=["table-entries", "tuple-exponent", "count-exponent", "sieve-bound", "prime-power", "tail-floor", "override"],
+)
+def test_sizes_past_the_digit_limit_are_refused_in_one_line(tmp_path, argv, code, err, optimise):
+    """Each refusal holds a size with more digits than Python writes; it is written as a power or a fixed phrase."""
+    zi = json.loads((DATA / "zi.json").read_text())
+    zi["factors"][0]["copies"] = int(NINES)
+    z = json.loads((DATA / "z.json").read_text())
+    z["overrides"] = {"2": [[10**3000, 1, 1, 1]]}
+    specs = {"zi_copies": tmp_path / "zi_copies.json", "z_override": tmp_path / "z_override.json"}
+    specs["zi_copies"].write_text(json.dumps(zi))
+    specs["z_override"].write_text(json.dumps(z))
+    env = dict(os.environ, PYTHONPATH=str(pathlib.Path(ordgen.__file__).parent.parent))
+    env.pop("ORDGEN_BUDGET", None)
+    flags = ["-O"] if optimise else []
+    proc = subprocess.run(
+        [sys.executable, *flags, "-m", "ordgen.cli", *(arg.format(**specs) for arg in argv)],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert (proc.returncode, proc.stdout, proc.stderr) == (code, "", err)
+    assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1 and "Traceback" not in proc.stderr
+
+
 @pytest.mark.parametrize(
     "argv,out",
     [

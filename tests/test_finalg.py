@@ -25,13 +25,14 @@ from ordgen.errors import (
     InvalidTwist,
     NotGenerating,
     OrdgenError,
+    written_size,
 )
 from ordgen.counting import gen_count_exact, gen_count_twisted
 from ordgen.finalg import (
     DEFAULT_BUDGET,
     FiniteAlgebra,
     brute_gen_count,
-    check_tuple_budget,
+    check_budget,
     closure,
     coset_representatives,
     is_generating,
@@ -536,14 +537,35 @@ def test_budget_guards_enumeration_size():
 )
 def test_tuple_budget_writes_counts_out_below_8192_bits(q, exponent, budget, required):
     with pytest.raises(BudgetExceeded) as info:
-        check_tuple_budget(q, exponent, budget)
+        check_budget(q, exponent, budget=budget)
     assert info.value.required == required
     assert str(info.value) == f"request needs {required} tuples, budget is {budget}"
 
 
 @pytest.mark.parametrize("q,exponent", [(2, 100), (3, 5000), (2, 14000), (7, 0)])
 def test_tuple_budget_admits_a_count_equal_to_the_budget(q, exponent):
-    check_tuple_budget(q, exponent, q**exponent)
+    check_budget(q, exponent, budget=q**exponent)
+
+
+@pytest.mark.parametrize(
+    "base,exponent,power,written",
+    [
+        (65536, 1, False, 65536),
+        (10**3000, 1, False, 10**3000),  # given as itself: written in full past 8192 bits
+        (2, 8191, False, 2**8191),
+        (2, 8192, False, "2^8192"),
+        (2, 30, True, "2^30"),
+        (10**30 + 57, 1, True, f"{10**30 + 57}^1"),
+        (10**4300, 1, False, "more than 2^8192"),  # 4301 digits
+        (2, 10**4300, False, "more than 2^8192"),
+        (2, 10**4300, True, "more than 2^8192"),
+        (10**4300, 2, False, "more than 2^8192"),
+    ],
+    ids=["65536", "10^3000", "2^8191", "2^8192", "power-2^30", "power-p^1", "10^4300", "2^10^4300",
+         "power-2^10^4300", "10^8600"],
+)
+def test_written_size_follows_one_rule(base, exponent, power, written):
+    assert written_size(base, exponent, power=power) == written
 
 
 def test_huge_exhaustive_request_is_refused_without_forming_its_count():

@@ -26,7 +26,7 @@ def check_field_axioms(field):
     add, mul = field.add, field.mul
     for a in els:
         assert add(a, 0) == a and mul(a, 1) == a
-        assert add(a, field.neg(a)) == 0
+        assert add(a, field.from_coords([-c for c in field.coords(a)])) == 0
         if a != 0:
             assert mul(a, field.inv(a)) == 1
         for b in els:

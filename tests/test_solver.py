@@ -140,6 +140,65 @@ def test_cutoff_soundness_by_brute_scan():
     assert seen[2] == 3
 
 
+def taylor_shift(coeffs, a):
+    """The coefficients of P(a + t), constant term first, from those of P(q): O(D^2) integer steps."""
+    c = list(coeffs)
+    for i in range(len(c) - 1):
+        for j in range(len(c) - 2, i - 1, -1):
+            c[j] += a * c[j + 1]
+    return c
+
+
+def threshold_proven_from(k, n, r, copies, q0):
+    """Whether P(q) = g_k(n, q, r) - copies * r |PGL_n(q^r)| >= 0 is proven for every real q >= q0.
+
+    Capacity >= copies holds exactly when P(q) >= 0.  If P(q0 + t) has no
+    negative coefficient and a positive leading one, it is positive for all
+    t > 0: Descartes' rule of signs after a shift (Collins and Akritas, 1976).
+    """
+    g, step = counting.twisted_count_polys(k, n, r)
+    assert len(step) < len(g)
+    poly = [a - copies * b for a, b in itertools.zip_longest(g, step, fillvalue=0)]
+    shifted = taylor_shift(poly, q0)
+    # P(q0 + t) at t = 0 and t = 1 from both forms
+    assert shifted[0] == sum(c * q0**i for i, c in enumerate(poly))
+    assert sum(shifted) == sum(c * (q0 + 1) ** i for i, c in enumerate(poly))
+    return shifted[-1] > 0 and min(shifted) >= 0
+
+
+# k = 2-4, n <= 4, r <= 3 and five copy counts, plus k = 1 at n = 1 (k = 1 has no cutoff for n >= 2)
+THRESHOLD_GRID = [
+    (k, n, r, copies)
+    for k, n in [(1, 1)] + list(itertools.product((2, 3, 4), range(1, 5)))
+    for r in (1, 2, 3)
+    for copies in (1, 2, 7, 100, 10**6)
+]
+
+
+def test_every_grid_threshold_is_proven_by_a_taylor_shift():
+    assert len(THRESHOLD_GRID) == 195
+    for k, n, r, copies in THRESHOLD_GRID:
+        assert threshold_proven_from(k, n, r, copies, solver._shape_threshold(n, r, copies, k)), (k, n, r, copies)
+    # q0 is above 2 at 89 of the 180 shapes with k >= 2; the shift proves 61 of those from q = 2 already
+    above_two = [s for s in THRESHOLD_GRID if s[0] >= 2 and solver._shape_threshold(s[1], s[2], s[3], s[0]) > 2]
+    assert len(above_two) == 89
+    assert len([s for s in above_two if threshold_proven_from(*s, 2)]) == 61
+
+
+def test_every_fixture_threshold_is_proven_by_a_taylor_shift():
+    for name in sorted(path.name for path in DATA.glob("*.json")):
+        shapes = solver._worst_shapes(fixture(name))
+        for k in range(1 if all(n == 1 for n, _, _ in shapes) else 2, 5):
+            for n, r, copies in shapes:
+                assert threshold_proven_from(k, n, r, copies, solver._shape_threshold(n, r, copies, k)), (name, k)
+
+
+def test_benchmark_generator_thresholds_are_proven_by_a_taylor_shift():
+    """The verdict workload draws powers of M_2(Q), M_3(Q) and of quaternion orders with 200 to 699 copies."""
+    for k, n, copies in itertools.product((2, 3, 4), (2, 3), range(200, 700)):
+        assert threshold_proven_from(k, n, 1, copies, solver._shape_threshold(n, 1, copies, k)), (k, n, copies)
+
+
 def bisection_ceil_root(value, exponent):
     """Smallest t >= 1 with t**exponent >= value, by bisection: the former ``_ceil_root``."""
     if value == 1:
