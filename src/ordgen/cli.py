@@ -57,8 +57,9 @@ EXIT_NEEDS_DATA = 5
 EXIT_CERTIFICATE = 6
 
 # `count` refuses a tuple space q^(r k n^2 m) above 2^COUNT_MAX_BITS.  That
-# admits n <= 64 for pairs over F_2, whose count takes about 0.2 s in CPython
-# 3.11 on a 2-vCPU x86 machine; the recursion's cost grows with n.
+# admits n <= 64 for pairs over F_2, whose count takes about 0.07 s from a fresh
+# CPython 3.11 on a 2-vCPU x86 machine, 0.06 s of it start-up; the recursion's
+# cost grows with n.
 COUNT_MAX_BITS = 8192
 
 
@@ -294,7 +295,7 @@ def _parser() -> argparse.ArgumentParser:
     p.add_argument("--samples", type=_positive)
     p.add_argument("--seed", type=_nonnegative)
     p.add_argument("--budget", type=_positive)
-    p.add_argument("--workers", type=_positive, default=1, help="processes that split --samples")
+    p.add_argument("--workers", type=_positive, default=1, help="processes that split --samples, at most one per CPU")
     common(p)
     p.set_defaults(func=_cmd_oracle)
 

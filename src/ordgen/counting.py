@@ -1,11 +1,11 @@
 """Exact counts of generating k-tuples for matrix algebras over finite fields.
 
-Every count is exact, in arbitrary-precision arithmetic: the plain counts of
-M_n(F_q), by closed forms for n <= 3 and by a recursion for absolutely
-irreducible modules for larger n, the twisted counts for algebras M_n(F_{q^r})
-viewed over the subfield F_q, and `plan_count`, the one product over the copies
-of blocks and their radical factors.  Quotients that must be exact are checked
-with `divmod` or a `fractions.Fraction` denominator (CertificateError if not).
+Every count is exact, in integers: the plain counts of M_n(F_q), by closed
+forms for n <= 3 and by an integer recursion for absolutely irreducible modules
+for larger n, the twisted counts for algebras M_n(F_{q^r}) viewed over the
+subfield F_q, and `plan_count`, the one product over the copies of blocks and
+their radical factors.  One rule makes a quotient exact: `_exact` divides and
+raises CertificateError, naming the quotient, when a remainder is left.
 Arguments out of range (k, n, r or m below 1, q below 2) raise InvalidCount.
 The subfield inversion reads its divisors and Moebius values from `factorize`.
 For a caller that evaluates one shape at many q, `twisted_count_polys` gives the
@@ -15,16 +15,16 @@ Four caches remain: `pgl_order` (32 entries) and `_absolutely_irreducible` (128)
 hold the repeats within one prime and one recursion; `gen_count_twisted`
 (unbounded, see its comment) holds the count every capacity is recomputed from,
 and `twisted_count_polys` one entry per shape.  The recursion's cache stays: one
-`gen_count_exact(2, n, 2)` makes 10 hits on 6 entries at n = 4 and 667 on 45 at
-n = 48, where it takes 52 ms against 310 ms uncached (2 vCPUs, CPython 3.11).
-The closed forms stay: one count of M_2(F_q) or M_3(F_q) by the recursion took
-55 to 89 microseconds against 0.2 to 1.0, and a verdict pass makes about 219 counts
-that no cache holds.
+`gen_count_exact(2, n, 2)` makes 10 hits on 6 entries at n = 4, 277 on 30 at
+n = 24 and 667 on 45 at n = 48, where it takes 2 to 3 and 8 ms against 17 to
+19 and 102 to 121 ms uncached (medians of 7 in each of three runs, 2 vCPUs,
+CPython 3.11).  The closed forms stay: one count of M_2(F_q) or M_3(F_q) by the
+recursion took 28 to 38 microseconds against 0.25 to 0.84 (q = 2, 7, 101), and
+a verdict pass makes about 219 counts that no cache holds.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import lru_cache
 from math import isqrt, log
 
@@ -61,6 +61,20 @@ def gl_order(n: int, q: int) -> int:
     return out
 
 
+def _exact(a: int, b: int, what: str, *args) -> int:
+    """a // b, the module's one exact quotient: CertificateError(what.format(*args)) when b does not divide a.
+
+    The message is formatted only when it is raised: `pgl_order` and
+    `gen_count_twisted` divide a few hundred times in a verdict pass, and
+    building their messages up front made a `pgl_order` miss about 55% slower
+    than the inline check, where the helper adds about 10%.
+    """
+    quotient, rem = divmod(a, b)
+    if rem:
+        raise CertificateError(what.format(*args))
+    return quotient
+
+
 @lru_cache(maxsize=32)
 def pgl_order(n: int, q: int) -> int:
     """Order of PGL_n over the field with q elements.
@@ -69,10 +83,7 @@ def pgl_order(n: int, q: int) -> int:
     recent entries catch every repeat and the cache does not grow with the
     number of primes a density pass visits.
     """
-    order, rem = divmod(gl_order(n, q), q - 1)
-    if rem:
-        raise CertificateError(f"q - 1 does not divide |GL_{n}({q})|")
-    return order
+    return _exact(gl_order(n, q), q - 1, "q - 1 does not divide |GL_{}({})|", n, q)
 
 
 @lru_cache(maxsize=128)
@@ -90,32 +101,43 @@ def _absolutely_irreducible(k: int, n: int, q: int) -> int:
     c_(e,a) = (1/a) sum_(b|a) mu(a/b) a_(e/a)(q^b).  The term c_(n,1) is the
     answer; every other term of t^n comes from smaller dimensions.
 
+    The recursion runs in integers.  With the Gaussian binomials [m, a]_q, from
+    their Pascal rule, C(m, a) = |GL_m|/(|GL_a| |GL_(m-a)|) = q^(a(m-a)) [m, a]_q,
+    and S_m = s_m |GL_m(q)| solves S_m = -sum_(a<m) S_a [m, a]_q q^(km(m-a)).
+    The logarithm scaled as U_m = m |GL_m(q)| log_m solves
+    U_m = m S_m - sum_(0<i<m) U_i S_(m-i) C(m, i).  Neither divides.  Then
+    c_(n,1) n |GL_n| / (q - 1) is -U_n less |GL_n| c_(e,a) e / (q^(aj) - 1)
+    for every other term, so only the Galois orbits and the final value divide,
+    each through `_exact`.
+
     One call reaches a few dozen (n, q) pairs for n <= 90, so 128 recent
     entries hold every repeat within it, and the cache does not grow with the
     number of primes a density pass visits.
     """
-    weights = [Fraction(1)] + [Fraction(q ** (k * b * b), gl_order(b, q)) for b in range(1, n + 1)]
-    s = [Fraction(1)]
+    binom = [[1]]  # Gaussian binomials [m, a]_q by the Pascal rule [m, a] = [m-1, a-1] + q^a [m-1, a]
     for m in range(1, n + 1):
-        s.append(-sum(s[a] * weights[m - a] * q ** ((k - 1) * a * (m - a)) for a in range(m)))
-    log = [Fraction(0)]
+        prev = binom[-1] + [0]
+        binom.append([1] + [prev[a - 1] + q**a * prev[a] for a in range(1, m + 1)])
+    s = [1]  # S_m = s_m |GL_m(q)| = -sum_(a<m) S_a [m, a]_q x^(m-a) at x = q^(km), by Horner
     for m in range(1, n + 1):
-        log.append(s[m] - Fraction(sum(i * log[i] * s[m - i] for i in range(1, m)), m))
-    rest = -log[n]
+        s.append(-horner([0] + [s[a] * binom[m][a] for a in reversed(range(m))], q ** (k * m)))
+    u = [0]  # U_m = m |GL_m(q)| log_m
+    for m in range(1, n + 1):
+        u.append(m * s[m] - sum(u[i] * s[m - i] * binom[m][i] * q ** (i * (m - i)) for i in range(1, m)))
+    num, den = -u[n], gl_order(n, q)  # -n log_n as num / den; each other term takes c_(e,a) e / (q^(aj) - 1) off it
     for e in divisors(n):
         j = n // e
         for a in divisors(e):
             if e == n and a == 1:
                 continue
             orbits = sum(mobius(a // b) * _absolutely_irreducible(k, e // a, q**b) for b in divisors(a))
-            simples, rem = divmod(orbits, a)
-            if rem:
-                raise CertificateError(f"Galois orbits of size {a} do not divide at k={k}, n={e // a}, q={q}")
-            rest -= Fraction(simples, j * (q ** (a * j) - 1))
-    value = rest * (q - 1)
-    if value.denominator != 1 or value < 0:
-        raise CertificateError(f"absolutely irreducible count {value} is not a natural number at k={k}, n={n}, q={q}")
-    return value.numerator
+            simples = _exact(orbits, a, "Galois orbits of size {} do not divide at k={}, n={}, q={}", a, k, e // a, q)
+            num, den = num * (q ** (a * j) - 1) - simples * e * den, den * (q ** (a * j) - 1)
+    what = f"absolutely irreducible count is not a natural number at k={k}, n={n}, q={q}"
+    value = _exact(num * (q - 1), den * n, what)
+    if value < 0:
+        raise CertificateError(what)
+    return value
 
 
 def _check_arguments(k: int, n: int, q: int, r: int = 1, m: int = 1) -> None:
@@ -190,9 +212,7 @@ def gen_count_twisted(k: int, n: int, q: int, r: int) -> int:
         mu = mobius(r // s)
         if mu == 0:
             continue
-        index, rem = divmod(pgl_top, pgl_order(n, q**s))
-        if rem:
-            raise CertificateError(f"|PGL_{n}({q}^{s})| does not divide |PGL_{n}({q}^{r})|")
+        index = _exact(pgl_top, pgl_order(n, q**s), "|PGL_{0}({1}^{2})| does not divide |PGL_{0}({1}^{3})|", n, q, s, r)
         total += mu * gen_count_exact(k, n, q**s) * index
     if total < 0:
         raise CertificateError(f"negative twisted count for k={k}, n={n}, q={q}, r={r}")
@@ -271,9 +291,7 @@ def _interpolate(direct, degree: int, what: str) -> tuple[int, ...]:
     diffs = [direct(q) for q in nodes]
     for j in range(1, degree + 1):
         for i in range(degree, j - 1, -1):
-            diffs[i], rem = divmod(diffs[i] - diffs[i - 1], nodes[i] - nodes[i - j])
-            if rem:
-                raise CertificateError(f"a divided difference of {what} is not an integer")
+            diffs[i] = _exact(diffs[i] - diffs[i - 1], nodes[i] - nodes[i - j], "a divided difference of {} is not an integer", what)
     coeffs = [0] * (degree + 1)
     for i in range(degree, -1, -1):  # coeffs <- coeffs * (q - nodes[i]) + diffs[i]
         for e in range(degree - i, 0, -1):

@@ -782,7 +782,8 @@ def _nilpotent_ideal_rows(eng, basis, name: str) -> list:
         op_a = right_op(eng.flat_of_index(eng.p**a))
         for r, op in ops:
             for prod in (op[a], apply(op_a, r)):  # e_a * r and r * e_a
-                if eng.insert(dict(rows), prod) is not None:
+                # insert stores a row only when it returns one, and then this raises, so rows is probed in place.
+                if eng.insert(rows, prod) is not None:
                     raise InvalidTable(f"{name} is not a two-sided ideal")
     # The products of two F_q-spans span an F_q-space, so no scalars are needed here.
     current = list(rows.values())
@@ -1164,15 +1165,16 @@ def sample_gen_fraction(
     element n reads the m = ``_element_draws(size)`` raw outputs
     n*m+1 .. n*m+m (``splitmix64_stream``) as one integer, the first output
     lowest, and reduces it modulo the algebra's size.  So results are
-    identical for any worker partition: the samples are split into at most
-    `workers` ranges, each counted by ``_sample_range``, in a process pool
-    only when there are two ranges or more (``_run_parts``).
+    identical for any worker partition: the samples are split into
+    min(workers, samples, os.cpu_count()) ranges, each counted by
+    ``_sample_range``, in a process pool only when there are two ranges or
+    more (``_run_parts``), so no more processes start than there are CPUs.
     """
     if k < 1 or samples < 1 or workers < 1:
         raise InvalidCount(f"k, samples and workers must be positive, got k={k}, samples={samples}, workers={workers}")
     check_budget(samples, budget=budget)
-    bounds = [samples * i // workers for i in range(workers + 1)]
-    parts = [(alg, k, bounds[i], bounds[i + 1], seed) for i in range(workers) if bounds[i] < bounds[i + 1]]
+    splits = min(workers, samples, os.cpu_count() or 1)
+    parts = [(alg, k, samples * i // splits, samples * (i + 1) // splits, seed) for i in range(splits)]
     hits = sum(_run_parts(_sample_range, parts))
     z = 1.96
     n = samples

@@ -1,7 +1,10 @@
-"""Local-count and least-k oracles: the bodies that `counting.plan_count` and the upward scan replaced."""
+"""Count oracles: the bodies that `counting.plan_count`, the upward scan and the integer recursion replaced."""
 
-from ordgen.counting import _ceil_log, gen_count_twisted, pgl_order, twisted_capacity
-from ordgen.errors import InvalidCount
+from fractions import Fraction
+from functools import lru_cache
+
+from ordgen.counting import _ceil_log, divisors, gen_count_twisted, gl_order, mobius, pgl_order, twisted_capacity
+from ordgen.errors import CertificateError, InvalidCount
 
 
 def per_q_gen_count_local(k, cls):
@@ -50,3 +53,36 @@ def bisect_min_k(n, q, s, m):
         else:
             lo = mid
     return hi
+
+
+@lru_cache(maxsize=None)
+def fraction_absolutely_irreducible(k, n, q):
+    """`counting._absolutely_irreducible` by Reineke's series and its logarithm in `Fraction`s.
+
+    The series s solves s o F = 1 for F_m = q^(km^2)/|GL_m(q)|, in the ring
+    where t^a o t^b = q^((k-1)ab) t^(a+b); its logarithm's t^n coefficient, less
+    the Galois terms of the smaller simple modules, times (q - 1), is the count.
+    Every Galois term recurses into this oracle, never into `counting`.
+    """
+    weights = [Fraction(1)] + [Fraction(q ** (k * b * b), gl_order(b, q)) for b in range(1, n + 1)]
+    s = [Fraction(1)]
+    for m in range(1, n + 1):
+        s.append(-sum(s[a] * weights[m - a] * q ** ((k - 1) * a * (m - a)) for a in range(m)))
+    log = [Fraction(0)]
+    for m in range(1, n + 1):
+        log.append(s[m] - Fraction(sum(i * log[i] * s[m - i] for i in range(1, m)), m))
+    rest = -log[n]
+    for e in divisors(n):
+        j = n // e
+        for a in divisors(e):
+            if e == n and a == 1:
+                continue
+            orbits = sum(mobius(a // b) * fraction_absolutely_irreducible(k, e // a, q**b) for b in divisors(a))
+            simples, rem = divmod(orbits, a)
+            if rem:
+                raise CertificateError(f"Galois orbits of size {a} do not divide at k={k}, n={e // a}, q={q}")
+            rest -= Fraction(simples, j * (q ** (a * j) - 1))
+    value = rest * (q - 1)
+    if value.denominator != 1 or value < 0:
+        raise CertificateError(f"absolutely irreducible count {value} is not a natural number at k={k}, n={n}, q={q}")
+    return value.numerator

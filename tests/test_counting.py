@@ -33,7 +33,7 @@ from ordgen.errors import CertificateError, InvalidCount
 from ordgen.finalg import brute_gen_count, matrix_algebra, product_algebra, sample_gen_fraction
 from ordgen.primes import is_prime
 from arithmetic_oracles import divisors_by_trial, mobius_by_trial
-from count_oracles import bisect_min_k
+from count_oracles import bisect_min_k, fraction_absolutely_irreducible
 
 PRIME_POWERS = (2, 3, 4, 5, 7, 8, 9)
 PRIME_POWERS_TO_32 = (2, 3, 4, 5, 7, 8, 9, 11, 13, 16, 17, 19, 23, 25, 27, 29, 31, 32)
@@ -155,6 +155,41 @@ def test_recursion_raises_a_certificate_error_on_a_fractional_count(monkeypatch)
             _absolutely_irreducible(2, 2, 2)
     finally:
         _absolutely_irreducible.cache_clear()
+
+
+def test_recursion_raises_a_certificate_error_on_inexact_galois_orbits(monkeypatch):
+    # One simple module over F_2 and none over F_4 leave -1 orbits of size 2 at n = 2.
+    monkeypatch.setattr(counting, "_absolutely_irreducible", lambda k, n, q: int(q == 2))
+    with pytest.raises(CertificateError, match="^Galois orbits of size 2 do not divide at k=2, n=1, q=2$"):
+        _absolutely_irreducible.__wrapped__(2, 2, 2)
+
+
+@pytest.mark.parametrize("k", range(1, 5))
+def test_integer_recursion_matches_the_fraction_oracle_on_the_grid(k):
+    for n in range(1, 11):
+        for q in PRIME_POWERS + (25,):
+            assert _absolutely_irreducible(k, n, q) == fraction_absolutely_irreducible(k, n, q), (k, n, q)
+
+
+@pytest.mark.parametrize("k,n,q", [(2, 16, 2), (2, 24, 2), (2, 32, 2), (2, 48, 2), (2, 50, 19)])
+def test_integer_recursion_matches_the_fraction_oracle_at_large_n(k, n, q):
+    _absolutely_irreducible.cache_clear()
+    assert _absolutely_irreducible(k, n, q) == fraction_absolutely_irreducible(k, n, q)
+
+
+def test_integer_recursion_matches_the_fraction_oracle_under_optimization():
+    # Every check of the recursion is an `_exact` division or an explicit raise, so -O changes nothing.
+    points = [(3, 5, 3), (4, 6, 4), (2, 12, 7), (3, 9, 25), (2, 32, 2)]
+    code = (
+        "from ordgen.counting import _absolutely_irreducible\n"
+        f"for k, n, q in {points!r}:\n"
+        "    print(_absolutely_irreducible(k, n, q))\n"
+    )
+    src = os.path.dirname(os.path.dirname(counting.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == [str(fraction_absolutely_irreducible(*point)) for point in points]
 
 
 @pytest.mark.parametrize("q,samples,density", [(2, 1000, 0.63927), (3, 300, 0.89449)])

@@ -625,6 +625,7 @@ def test_pool_that_cannot_start_falls_back_to_serial_with_warning(monkeypatch):
     def refuse(*args, **kwargs):
         raise OSError("cannot start worker processes")
 
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)  # two parts even on a one-CPU host
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", refuse)
     with pytest.warns(RuntimeWarning, match="recomputing serially"):
         est = sample_gen_fraction(matrix_algebra(2, 2), 2, 500, seed=7, workers=2)
@@ -646,11 +647,37 @@ def test_pool_work_errors_propagate(monkeypatch, error):
         def map(self, fn, *columns):
             raise error
 
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)  # two parts even on a one-CPU host
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", FailingPool)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(type(error), match="bad part"):
             sample_gen_fraction(matrix_algebra(2, 2), 2, 500, seed=7, workers=2)
+
+
+@pytest.mark.parametrize("cpus", [None, 1, 2, 3])
+def test_pool_asks_for_at_most_one_worker_per_cpu(monkeypatch, cpus):
+    # A recording stand-in for the pool: no process starts, the parts run in this one.
+    asked = []
+
+    class RecordingPool:
+        def __init__(self, max_workers):
+            asked.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *columns):
+            return map(fn, *columns)
+
+    serial = sample_gen_fraction(matrix_algebra(2, 2), 2, 500, seed=7)
+    monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+    assert sample_gen_fraction(matrix_algebra(2, 2), 2, 500, seed=7, workers=10**6) == serial
+    assert asked == ([] if cpus in (None, 1) else [cpus])  # one CPU, or an unknown count, works serially
 
 
 def test_import_loads_no_process_machinery():
