@@ -1,10 +1,11 @@
 """Command-line front end: counts, oracles, spec analysis, densities, tables.
 
-Exit codes: 0 success, 2 usage or invalid input, 4 oracle budget, count size
-or printed integer size exceeded, 5 a prime needs explicit local data, 6
-internal certificate failure.  Code 3 is retired and not reused.  Any other
-exception is an internal fault and propagates.  Machine format output is
-canonical JSON (sorted keys, no whitespace) and parses back byte-identically.
+Exit codes: 0 success, 2 a usage error, and for a refusal the ``exit_code``
+of the `errors.OrdgenError` raised: 2 invalid input (an OSError too), 4
+`BudgetExceeded`, 5 `ExceptionalPrimeNeedsOverride`, 6 `CertificateError`.
+Code 3 is retired and not reused.  Any other exception is an internal fault
+and propagates.  Machine format output is canonical JSON (sorted keys, no
+whitespace) and parses back byte-identically.
 """
 
 from __future__ import annotations
@@ -18,17 +19,16 @@ from .counting import gen_count_power
 from .errors import (
     BudgetExceeded,
     CapExceeded,
-    CertificateError,
-    ExceptionalPrimeNeedsOverride,
     NotPrime,
     OrdgenError,
     SpecError,
+    at_most,
+    check_budget,
     written_size,
 )
 from .finalg import (
     FiniteAlgebra,
     brute_gen_count,
-    check_budget,
     matrix_algebra,
     matrix_algebra_base,
     product_algebra,
@@ -52,9 +52,6 @@ from .solver import (
 
 EXIT_OK = 0
 EXIT_USAGE = 2
-EXIT_BUDGET = 4
-EXIT_NEEDS_DATA = 5
-EXIT_CERTIFICATE = 6
 
 # `count` refuses a tuple space q^(r k n^2 m) above 2^COUNT_MAX_BITS.  That
 # admits n <= 64 for pairs over F_2, whose count takes about 0.07 s from a fresh
@@ -183,7 +180,7 @@ def _prime_list(text: str) -> tuple[int, ...]:
 
 
 def _emit(args, text: Callable[[], str], machine_doc) -> None:
-    """Print text() or the machine document; an integer too long to print is a size limit."""
+    """Print the text() or machine document a `_cmd_*` returned; an integer too long to print is a size limit."""
     try:
         out = render_json(machine_doc) if args.format == "machine" else text()
     except ValueError as exc:  # int-to-str conversion past sys.get_int_max_str_digits()
@@ -202,28 +199,26 @@ def _is_prime_power(q: int) -> bool:
     return is_prime(r)
 
 
-def _cmd_count(args) -> int:
+def _cmd_count(args):
     if not _is_prime_power(args.q):
         raise NotPrime(f"q={args.q} is not a prime power")
     # The count lies among the q^(r k n^2 m) tuples; refuse that size before forming anything.
     exponent = args.r * args.k * args.n * args.n * args.m
-    if exponent * (args.q.bit_length() - 1) > COUNT_MAX_BITS or args.q**exponent > 1 << COUNT_MAX_BITS:
+    if not at_most(args.q, exponent, 1 << COUNT_MAX_BITS):
         raise BudgetExceeded(written_size(args.q, exponent), written_size(2, COUNT_MAX_BITS))
     value = gen_count_power(args.k, args.n, args.q, args.r, args.m)
     doc = {"command": "count", "k": args.k, "n": args.n, "q": args.q, "r": args.r, "m": args.m, "value": value}
-    _emit(args, lambda: str(value), doc)
-    return EXIT_OK
+    return lambda: str(value), doc
 
 
-def _cmd_oracle(args) -> int:
+def _cmd_oracle(args):
     base, dim, build = parse_algebra(args.alg)
     doc = {"command": "oracle", "alg": args.alg, "k": args.k}
     if args.samples is None:
         check_budget(base.q, dim * args.k, budget=args.budget)  # |A|^k, before any table is built
         value = brute_gen_count(build(), args.k, budget=args.budget)
         doc["value"] = value
-        _emit(args, lambda: str(value), doc)
-        return EXIT_OK
+        return lambda: str(value), doc
     if args.seed is None:
         raise SpecError("--seed is required with --samples")
     check_budget(args.samples, budget=args.budget)  # before any table is built
@@ -243,28 +238,22 @@ def _cmd_oracle(args) -> int:
         f"estimate {est.hits}/{est.samples} = {est.fraction:.6f}  "
         f"(95% CI [{est.ci_low:.6f}, {est.ci_high:.6f}], seed {est.seed})"
     )
-    _emit(args, lambda: text, doc)
-    return EXIT_OK
+    return lambda: text, doc
 
 
-def _cmd_analyze(args) -> int:
-    spec = load_spec(args.spec)
-    rep = report(spec, density_k=args.density_k, density_bound=args.bound)
-    _emit(args, lambda: render_text(rep), rep)
-    return EXIT_OK
+def _cmd_analyze(args):
+    rep = report(load_spec(args.spec), density_k=args.density_k, density_bound=args.bound)
+    return lambda: render_text(rep), rep
 
 
-def _cmd_density(args) -> int:
-    spec = load_spec(args.spec)
-    interval = density(spec, args.k, args.bound)
-    _emit(args, lambda: density_text(interval), interval)
-    return EXIT_OK
+def _cmd_density(args):
+    interval = density(load_spec(args.spec), args.k, args.bound)
+    return lambda: density_text(interval), interval
 
 
-def _cmd_quaternion(args) -> int:
+def _cmd_quaternion(args):
     table = quaternion_example(args.ramified, args.mmax)
-    _emit(args, lambda: quaternion_table_text(table), table)
-    return EXIT_OK
+    return lambda: quaternion_table_text(table), table
 
 
 @functools.cache
@@ -327,19 +316,11 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     try:
-        return args.func(args)
-    except BudgetExceeded as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_BUDGET
-    except ExceptionalPrimeNeedsOverride as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NEEDS_DATA
-    except CertificateError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CERTIFICATE
+        _emit(args, *args.func(args))
     except (OrdgenError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        return getattr(exc, "exit_code", EXIT_USAGE)
+    return EXIT_OK
 
 
 def entry() -> None:

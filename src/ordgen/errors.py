@@ -1,8 +1,21 @@
-"""Exception types shared across the package, and the one rule for writing a size in their messages."""
+"""Exception types with their exit codes, and the one rule each for comparing a size
+with a limit, for writing a size in a message and for the work budget."""
 
 from __future__ import annotations
 
+import os
+
 _SHOWN_BITS = 1 << 13  # a size of at most 8192 bits is written out in full
+DEFAULT_BUDGET = 1 << 26
+
+
+def at_most(base: int, exponent: int, limit: int) -> bool:
+    """Whether base^exponent <= limit, for base >= 0 and limit >= 1.
+
+    As base^exponent >= 2^(exponent (bitlen(base) - 1)), the bit lengths refuse
+    first: a power is formed only when it has fewer than twice the limit's bits.
+    """
+    return exponent * (base.bit_length() - 1) <= limit.bit_length() and base**exponent <= limit
 
 
 def written_size(base: int, exponent: int = 1, *, power: bool = False) -> int | str:
@@ -15,18 +28,19 @@ def written_size(base: int, exponent: int = 1, *, power: bool = False) -> int | 
     text "more than 2^8192".
     """
     try:
-        if not power and (exponent == 1 or exponent * (base.bit_length() - 1) <= _SHOWN_BITS):
-            value = base**exponent  # given as itself, or at most about twice _SHOWN_BITS bits
-            if exponent == 1 or value.bit_length() <= _SHOWN_BITS:
-                str(value)  # raises ValueError past the digit limit
-                return value
+        if not power and (exponent == 1 or at_most(base, exponent, (1 << _SHOWN_BITS) - 1)):
+            value = base**exponent
+            str(value)  # raises ValueError past the digit limit
+            return value
         return f"{base}^{exponent}"
     except ValueError:
         return f"more than 2^{_SHOWN_BITS}"
 
 
 class OrdgenError(Exception):
-    """Base class for all errors raised by this package."""
+    """Base class for all errors raised by this package; ``exit_code`` is the command line's status."""
+
+    exit_code = 2
 
 
 class NotPrime(OrdgenError):
@@ -46,7 +60,8 @@ class InvalidTwist(OrdgenError):
 
 
 class InvalidCount(OrdgenError):
-    """A tuple length, sample count, matrix size, degree or copy count is below 1, or a field size below 2."""
+    """A tuple length, sample count, matrix size, degree, copy count or field exponent is below 1,
+    or a field size below 2."""
 
 
 class InvalidTable(OrdgenError):
@@ -78,9 +93,44 @@ class BudgetExceeded(OrdgenError):
     which also bounds what a reader parses.
     """
 
+    exit_code = 4
+
     def __init__(self, required: int | str, budget: int | str, unit: str = "tuples"):
         self.required, self.budget = (x if isinstance(x, str) else written_size(x) for x in (required, budget))
         super().__init__(f"request needs {self.required} {unit}, budget is {self.budget}")
+
+
+def resolve_budget(budget: int | None = None) -> int:
+    """The work budget: explicit argument, else ORDGEN_BUDGET, else 2^26.
+
+    A budget argument or ORDGEN_BUDGET that is not a positive integer raises
+    OrdgenError.
+    """
+    if budget is not None:
+        if isinstance(budget, bool) or not isinstance(budget, int) or budget < 1:
+            raise OrdgenError(f"budget must be a positive integer, got {budget!r}")
+        return budget
+    raw = os.environ.get("ORDGEN_BUDGET")
+    if raw is None:
+        return DEFAULT_BUDGET
+    try:
+        value = int(raw)
+    except ValueError:
+        value = 0  # refused below with the other values under 1
+    if value < 1:
+        raise OrdgenError(f"ORDGEN_BUDGET must be a positive integer, got {raw!r}")
+    return value
+
+
+def check_budget(base: int, exponent: int = 1, unit: str = "tuples", budget: int | None = None) -> None:
+    """Raise BudgetExceeded when a request of base^exponent units exceeds the budget.
+
+    The budget is resolved as in resolve_budget, the request compared by
+    `at_most` and the refusal written by `written_size`.
+    """
+    limit = resolve_budget(budget)
+    if not at_most(base, exponent, limit):
+        raise BudgetExceeded(written_size(base, exponent), limit, unit)
 
 
 class NotGenerating(OrdgenError):
@@ -100,6 +150,8 @@ class ExceptionalPrimeNeedsOverride(OrdgenError):
 
     The attribute ``p`` holds the prime.
     """
+
+    exit_code = 5
 
     def __init__(self, p: int, detail: str = ""):
         msg = f"local structure at p={p} is not certified; supply an override entry"
@@ -139,3 +191,5 @@ class CertificateError(OrdgenError):
     Raised when a cutoff margin is negative or not monotone, when density
     bounds are out of order, or when h decreases in a quaternion table.
     """
+
+    exit_code = 6

@@ -57,7 +57,6 @@ from dataclasses import dataclass, field
 
 from .errors import (
     BaseMismatch,
-    BudgetExceeded,
     CertificateError,
     InvalidCount,
     InvalidElement,
@@ -65,11 +64,10 @@ from .errors import (
     InvalidTwist,
     NotGenerating,
     OrdgenError,
-    written_size,
+    check_budget,
 )
 from .finfield import FiniteField, PrimePower, build_field, field_of
 
-DEFAULT_BUDGET = 1 << 26
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
 
@@ -82,40 +80,6 @@ _GOLDEN = 0x9E3779B97F4A7C15
 # odd.
 SAMPLE_LANES = 1024
 SAMPLE_BITS = 1 << 23
-
-
-def resolve_budget(budget: int | None = None) -> int:
-    """The work budget: explicit argument, else ORDGEN_BUDGET, else 2^26.
-
-    A budget argument or ORDGEN_BUDGET that is not a positive integer raises
-    OrdgenError.
-    """
-    if budget is not None:
-        if isinstance(budget, bool) or not isinstance(budget, int) or budget < 1:
-            raise OrdgenError(f"budget must be a positive integer, got {budget!r}")
-        return budget
-    raw = os.environ.get("ORDGEN_BUDGET")
-    if raw is None:
-        return DEFAULT_BUDGET
-    try:
-        value = int(raw)
-    except ValueError:
-        value = 0  # refused below with the other values under 1
-    if value < 1:
-        raise OrdgenError(f"ORDGEN_BUDGET must be a positive integer, got {raw!r}")
-    return value
-
-
-def check_budget(base: int, exponent: int = 1, unit: str = "tuples", budget: int | None = None) -> None:
-    """Raise BudgetExceeded when a request of base^exponent units exceeds the budget.
-
-    The budget is resolved as in resolve_budget.  A size far above the budget
-    is never formed, and the refusal writes it by ``errors.written_size``.
-    """
-    limit = resolve_budget(budget)
-    if exponent * (base.bit_length() - 1) <= limit.bit_length() and base**exponent <= limit:
-        return
-    raise BudgetExceeded(written_size(base, exponent), limit, unit)
 
 
 # -- prime-field linear algebra engines -----------------------------------

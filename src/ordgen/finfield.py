@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import polys
-from .errors import CapExceeded, NotPrime, written_size
+from .errors import CapExceeded, InvalidCount, NotPrime, at_most, written_size
 from .primes import factorize, is_prime, perfect_power
 
 PRIME_POWER_CAP = 1 << 20
@@ -27,9 +27,9 @@ class PrimePower:
 
     def __post_init__(self):
         if self.e < 1:
-            raise ValueError(f"exponent must be positive, got {self.e}")
-        # The cap first, from bit lengths: a huge e would otherwise hang in forming p^e.
-        if self.e * (self.p.bit_length() - 1) >= PRIME_POWER_CAP.bit_length() or self.p**self.e > PRIME_POWER_CAP:
+            raise InvalidCount(f"exponent must be positive, got {self.e}")
+        # The cap first, by `at_most`: a huge e would otherwise hang in forming p^e.
+        if not at_most(self.p, self.e, PRIME_POWER_CAP):
             raise CapExceeded(f"{written_size(self.p, self.e, power=True)} exceeds the cap {PRIME_POWER_CAP}")
         if not is_prime(self.p):
             raise NotPrime(f"{self.p} is not prime")

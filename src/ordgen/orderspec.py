@@ -165,6 +165,10 @@ class SimpleFactorSpec:
             for m in ms:
                 if m < 1 or self.degree % m != 0:
                     raise IndexNotDividingDegree(f"factor {self.name}: index {m} does not divide degree {self.degree}")
+        if self.center_degree == 1:  # one prime lies above each p; other centers' listed p need overrides
+            for p, ms in self.local_indices.items():
+                if len(ms) != 1:
+                    raise SpecError(f"factor {self.name}: {len(ms)} local indices at p={p}, but 1 primes lie above it")
 
     @property
     def center_degree(self) -> int:
@@ -372,16 +376,8 @@ def local_data(spec: OrderSpec, p: int) -> LocalPrimeData:
         pattern = _pattern(fac.center_minpoly, p)
         if not pattern.certified:
             return LocalPrimeData(p, (), True)
-        listed = fac.local_indices.get(p)
-        if listed is not None and len(listed) != len(pattern.pairs):
-            raise SpecError(
-                f"factor {fac.name}: {len(listed)} local indices at p={p}, "
-                f"but {len(pattern.pairs)} primes lie above it"
-            )
-        for j, (fdeg, e) in enumerate(pattern.pairs):
-            m = listed[j] if listed is not None else 1
-            if fac.degree % m != 0:
-                raise IndexNotDividingDegree(f"index {m} does not divide degree {fac.degree}")
+        m = fac.local_indices.get(p, (1,))[0]  # listed here only over a linear center: one index
+        for fdeg, e in pattern.pairs:
             counts[fac.degree // m, m, e, fdeg] += fac.copies
     data = LocalPrimeData(p, tuple(counts.items()), False)
     total = sum(count * e * f * m * m * n * n for (n, m, e, f), count in data.entries)

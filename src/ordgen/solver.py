@@ -20,8 +20,7 @@ from functools import partial
 from operator import attrgetter
 
 from .counting import _deficiency_coeff, plan_count, twisted_capacity
-from .errors import BoundTooSmall, CapExceeded, CertificateError, NoCutoff, SpecError
-from .finalg import check_budget
+from .errors import BoundTooSmall, CapExceeded, CertificateError, NoCutoff, SpecError, check_budget
 from .orderspec import (
     ClassifiedLocal,
     OrderSpec,
@@ -388,7 +387,7 @@ def density(spec: OrderSpec, k: int, bound: int | None = None) -> DensityInterva
     prime's residue class), so each prime's count is a shape lookup and a few
     Horner evaluations (`plan_count`).  The sieve stops where the loop stops,
     at a vanishing factor too, but a bound whose sieve, bound + 1 entries,
-    exceeds the work budget (``finalg.check_budget``) raises BudgetExceeded
+    exceeds the work budget (``errors.check_budget``) raises BudgetExceeded
     before any prime is sieved.
 
     A `zero_reason` makes the product exactly 0: a factor of reduced degree 2
@@ -574,7 +573,12 @@ def report(
     density_k: int | None = None,
     density_bound: int | None = None,
 ) -> Report:
-    """Full analysis of a spec: verdict, local detail below the cutoff, optional density."""
+    """Full analysis of a spec: verdict, local detail below the cutoff, optional density.
+
+    A density bound without a density k raises SpecError.
+    """
+    if density_k is None and density_bound is not None:
+        raise SpecError("a density bound needs a density k")
     table: dict[int, tuple[ClassifiedLocal, int]] = {}
     verdict = smallest_h(spec, _table=table)
     details = tuple(
@@ -582,9 +586,7 @@ def report(
         for p, (cls, min_k) in table.items()
         if p < verdict.cutoff
     )
-    interval = None
-    if density_k is not None:
-        interval = density(spec, density_k, density_bound)
+    interval = None if density_k is None else density(spec, density_k, density_bound)
     return Report(
         dimension=spec.dimension,
         free_over_base=spec.free_over_base,

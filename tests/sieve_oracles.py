@@ -3,8 +3,7 @@
 import itertools
 from bisect import bisect_left
 
-from ordgen.errors import BudgetExceeded
-from ordgen.finalg import resolve_budget
+from ordgen.errors import BudgetExceeded, resolve_budget
 
 
 def primes_below(n: int) -> tuple[int, ...]:

@@ -25,6 +25,7 @@ from ordgen.finalg import (
     twisted_element,
 )
 from ordgen.orderspec import (
+    LocalPrimeData,
     classify,
     gen_count_local,
     load_spec,
@@ -133,6 +134,12 @@ def test_local_counts_match_explicit_quotient_algebras():
             alg = local_quotient_algebra(data)
             for k in (1, 2):
                 assert gen_count_local(k, classify(data)) == brute_gen_count(alg, k)
+    # matrix blocks over a non-semisimple local ring: the radical M_n(J(A)) and its factors for n >= 2
+    for entry, p, ks in [((2, 1, 2, 1), 2, (2, 3)), ((2, 1, 2, 1), 3, (2,)), ((2, 1, 3, 1), 2, (2,))]:
+        data = LocalPrimeData(p, ((entry, 1),), False)
+        alg = local_quotient_algebra(data)
+        for k in ks:
+            assert gen_count_local(k, classify(data)) == brute_gen_count(alg, k)
 
 
 def test_quaternion_power_tables_have_exact_thresholds():

@@ -4,6 +4,7 @@ import json
 import os
 import pathlib
 import re
+import shlex
 import subprocess
 import sys
 import time
@@ -22,6 +23,7 @@ from ordgen.finfield import factorize
 from ordgen.solver import DENSITY_BITS
 
 DATA = pathlib.Path(__file__).parent / "data"
+README = pathlib.Path(__file__).parent.parent / "README.md"
 
 
 def run(capsys, *argv):
@@ -705,6 +707,11 @@ def test_analyze_attaches_density_when_requested(capsys):
     assert "upper             0.608" in out
 
 
+def test_analyze_refuses_a_bound_without_a_density_k(capsys):
+    code, out, err = run(capsys, "analyze", "--spec", str(DATA / "zi.json"), "--bound", "5")
+    assert (code, out, err) == (2, "", "error: a density bound needs a density k\n")
+
+
 # ---------------------------------------------------------------- density
 
 
@@ -957,3 +964,33 @@ def test_console_entry_point_is_exposed():
     from ordgen.cli import entry
 
     assert callable(entry)
+
+
+def readme_examples():
+    """Each `$ ordgen ...` example of the README as (argv, printed output, exit code).
+
+    A refusal's output ends with its "(exit code N)" note, and a line that
+    begins with one space continues the line above, wrapped for display.
+    """
+    examples = []
+    for block in re.findall(r"```text\n(.*?)```", README.read_text(encoding="utf-8"), re.S):
+        for example in re.split(r"^\$ ordgen ", block, flags=re.M)[1:]:
+            command, _, output = example.partition("\n")
+            output = re.sub(r"\n (?=\S)", "", output)
+            note = re.search(r"\s+\(exit code (\d+)\)\n$", output)
+            if note:
+                output = output[: note.start()] + "\n"
+            examples.append((shlex.split(command, comments=True), output, int(note[1]) if note else 0))
+    return examples
+
+
+def test_readme_lists_thirteen_examples():
+    assert len(readme_examples()) == 13
+
+
+@pytest.mark.parametrize("argv,output,code", [pytest.param(*ex, id=" ".join(ex[0])) for ex in readme_examples()])
+def test_readme_example_prints_what_the_readme_shows(capsys, monkeypatch, argv, output, code):
+    monkeypatch.chdir(README.parent)
+    got_code, out, err = run(capsys, *argv)
+    assert (got_code, err if code else out) == (code, output)
+    assert (out if code else err) == ""

@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 
 from ordgen import finalg
 from ordgen.errors import (
+    DEFAULT_BUDGET,
     BudgetExceeded,
     CertificateError,
     InvalidCount,
@@ -25,14 +26,15 @@ from ordgen.errors import (
     InvalidTwist,
     NotGenerating,
     OrdgenError,
+    at_most,
+    check_budget,
+    resolve_budget,
     written_size,
 )
 from ordgen.counting import gen_count_exact, gen_count_twisted
 from ordgen.finalg import (
-    DEFAULT_BUDGET,
     FiniteAlgebra,
     brute_gen_count,
-    check_budget,
     closure,
     coset_representatives,
     is_generating,
@@ -43,7 +45,6 @@ from ordgen.finalg import (
     matrix_over,
     product_algebra,
     product_base,
-    resolve_budget,
     sample_gen_fraction,
     splitmix64_stream,
     truncated_local_algebra,
@@ -566,6 +567,20 @@ def test_tuple_budget_admits_a_count_equal_to_the_budget(q, exponent):
 )
 def test_written_size_follows_one_rule(base, exponent, power, written):
     assert written_size(base, exponent, power=power) == written
+
+
+@given(st.integers(0, 70), st.integers(0, 70), st.integers(1, 2**80))
+def test_at_most_is_the_power_comparison(base, exponent, limit):
+    assert at_most(base, exponent, limit) == (base**exponent <= limit)
+
+
+@pytest.mark.parametrize("limit", [1, 2**20, 2**8192 - 1, 2**8192, 3**5000])
+def test_at_most_is_exact_where_the_bit_lengths_meet(limit):
+    # base^exponent near the limit, on both sides of exponent (bitlen(base) - 1) = bitlen(limit)
+    for base in (2, 3, 4, 7, 1024):
+        middle = limit.bit_length() // (base.bit_length() - 1)
+        for exponent in range(max(0, middle - 3), middle + 4):
+            assert at_most(base, exponent, limit) == (base**exponent <= limit)
 
 
 def test_huge_exhaustive_request_is_refused_without_forming_its_count():

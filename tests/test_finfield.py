@@ -6,7 +6,7 @@ import pytest
 
 from arithmetic_oracles import find_modulus_by_gcds
 
-from ordgen.errors import CapExceeded, NotPrime
+from ordgen.errors import CapExceeded, InvalidCount, NotPrime
 from ordgen.finfield import (
     LOG_TABLE_CAP,
     PRIME_POWER_CAP,
@@ -61,6 +61,11 @@ def test_build_field_rejects_composite_characteristic():
 def test_build_field_enforces_size_cap():
     with pytest.raises(CapExceeded):
         build_field(2, 21)
+
+
+def test_build_field_refuses_an_exponent_below_one():
+    with pytest.raises(InvalidCount, match="^exponent must be positive, got 0$"):
+        build_field(2, 0)
 
 
 def test_field_of_accepts_prime_powers_and_descriptors():

@@ -384,6 +384,31 @@ def test_spec_dict_validation_errors(mutate, error):
         spec_from_dict(doc)
 
 
+@pytest.mark.parametrize(
+    "indices,error,message",
+    [
+        ({"2": [1, 2]}, SpecError, "factor q: 2 local indices at p=2, but 1 primes lie above it"),
+        ({"2": [2, 3]}, IndexNotDividingDegree, "factor q: index 3 does not divide degree 2"),
+        # a spec that fails both checks meets the divisibility check first
+        ({"2": [1, 1], "3": [3]}, IndexNotDividingDegree, "factor q: index 3 does not divide degree 2"),
+    ],
+    ids=["two-at-2", "index-3", "both"],
+)
+def test_index_lists_over_a_linear_center_are_checked_when_built(indices, error, message):
+    factor = {"name": "q", "center_minpoly": [0, 1], "degree": 2, "local_indices": indices}
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
+        spec_from_dict({"factors": [factor]})
+
+
+def test_a_bad_index_list_is_refused_before_an_exceptional_prime_is_met():
+    factors = [
+        {"name": "eisenstein", "center_minpoly": [3, 0, 1], "degree": 1},
+        {"name": "q", "center_minpoly": [0, 1], "degree": 2, "local_indices": {"2": [1, 1]}},
+    ]
+    with pytest.raises(SpecError, match="^factor q: 2 local indices at p=2"):
+        spec_from_dict({"factors": factors})
+
+
 def quaternion_dict():
     return json.loads((DATA / "quat2.json").read_text())
 

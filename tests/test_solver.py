@@ -28,13 +28,14 @@ from ordgen.errors import (
     NotPrime,
     OrdgenError,
     SpecError,
+    resolve_budget,
 )
-from ordgen.finalg import resolve_budget
 from ordgen.finfield import is_prime
 from ordgen.orderspec import (
     OrderSpec,
     SimpleFactorSpec,
     classify,
+    gen_count_local,
     load_spec,
     local_data,
     min_k_local,
@@ -402,6 +403,38 @@ def test_density_default_bound_is_the_validity_floor():
     assert d3.minimum_bound == 48
     assert abs(float(d3.lower) - 0.272503) < 1e-5
     assert abs(float(d3.upper) - 0.307913) < 1e-5
+
+
+def tail_spec(poly, degree, copies=1, overrides=None):
+    factor = {"name": "a", "center_minpoly": poly, "degree": degree, "copies": copies}
+    return spec_from_dict({"factors": [factor], "overrides": overrides or {}})
+
+
+TAIL_SPECS = {
+    "M2(Z[i])": tail_spec([1, 0, 1], 2),
+    "M3(Z[i])": tail_spec([1, 0, 1], 3),
+    "M2(Z[sqrt2])": tail_spec([-2, 0, 1], 2),
+    # Dedekind's cubic field: Z[alpha] is not maximal at 2, where three primes of degree 1 lie
+    "M2(dedekind)": tail_spec([8, -2, 1, 1], 2, overrides={"2": [[2, 1, 1, 1]] * 3}),
+    "Z[i]^3": tail_spec([1, 0, 1], 1, copies=3),
+    "M2(Z)^3": tail_spec([0, 1], 2, copies=3),
+}
+
+
+@pytest.mark.parametrize("name", TAIL_SPECS)
+def test_tail_terms_bound_every_local_deficit_past_the_floor(name):
+    # beyond the bound density reads each local factor as at least 1 - sum(coeff p^-exp)
+    spec = TAIL_SPECS[name]
+    checked = 0
+    for k in range(2, 5):
+        terms = solver._tail_terms(spec, k)
+        if k == 2 and any(f.degree == 2 for f in spec.factors) or any(exp < 2 for _, exp, _ in terms):
+            continue  # density's zero path, or a gated term: the tail is not used
+        for p in (p for p in primes_below(3001) if p >= solver._tail_floor(spec)):
+            deficit = 1 - Fraction(gen_count_local(k, classify(local_data(spec, p))), p ** (spec.dimension * k))
+            assert deficit <= sum(Fraction(coeff, p**exp) for coeff, exp, _ in terms), (k, p)
+            checked += 1
+    assert checked
 
 
 def test_density_rejects_bound_below_validity_floor():
